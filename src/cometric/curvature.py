@@ -84,15 +84,26 @@ def _breakdown(r11: float, r12: float, r2: float, r3: float, den: float, scale: 
 
 
 def numerator_coordinate(jet: CometricJet, alpha: np.ndarray, beta: np.ndarray) -> CurvatureBreakdown:
-    """Coordinate-contraction form.  Each term is one pinned einsum."""
+    """Coordinate-contraction form, staged so that no einsum spans more than
+    four indices (each costs d^indices).  ``U_sk = w_ik g^is``, so ``U_tl = w_jl g^jt``:
+
+    * R11: ``U_sk g^kl_,st U_tl`` — O(d^4);
+    * R12: ``U`` into ``g^kl_,t``, then paired with ``w_jl g^jt_,s`` — O(d^4);
+    * R2:  ``w`` into ``g^ij_,s`` and ``g^st`` into ``g^kl_,t``, then paired with ``w_jl`` — O(d^4);
+    * R3:  ``P_p = U_sk g^kp_,s`` on both sides of ``g_pq`` — O(d^3).
+    """
     a, b = _check_coforms(jet, alpha, beta)
     G, dG, ddG = jet.ginv, jet.dginv, jet.ddginv
     w = np.outer(a, b) - np.outer(b, a)
-
-    r11 = 0.5 * float(np.einsum("ik,jl,is,jt,stkl->", w, w, G, G, ddG))
-    r12 = 0.5 * float(np.einsum("ik,jl,is,sjt,tkl->", w, w, G, dG, dG))
-    r2 = -0.125 * float(np.einsum("ik,jl,sij,st,tkl->", w, w, dG, G, dG))
-    r3 = -0.75 * float(np.einsum("ik,jl,is,skp,pq,jt,tlq->", w, w, G, dG, jet.gcov, G, dG))
+    U = np.einsum("ik,is->sk", w, G)
+    r11 = 0.5 * float(np.einsum("sk,stkl,tl->", U, ddG, U))
+    Ud = np.einsum("sk,tkl->stl", U, dG)
+    r12 = 0.5 * float(np.einsum("jl,sjt,stl->", w, dG, Ud))
+    wd = np.einsum("sij,ik->sjk", dG, w)
+    Gd = np.einsum("st,tkl->skl", G, dG)
+    r2 = -0.125 * float(np.einsum("jl,sjk,skl->", w, wd, Gd))
+    P = np.einsum("sk,skp->p", U, dG)
+    r3 = -0.75 * float(P @ jet.gcov @ P)
 
     haa = float(a @ G @ a)
     hbb = float(b @ G @ b)

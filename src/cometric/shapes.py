@@ -194,17 +194,6 @@ def horizontal_velocity(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndar
     return u[0] if single else u
 
 
-def velocity_jacobian(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Jacobians ``J[i, m] = d_m u_a^i`` of the field at query points."""
-    a = _check_mom(shape, a)
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    ys = y[None, :] if single else y
-    kg = kernel_grad(spec, ys[:, None, :] - shape.x[None, :, :])
-    jac = np.einsum("qtm,t,ti->qim", kg, shape.w, a)
-    return jac[0] if single else jac
-
-
 def geodesic_rhs(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Horizontal geodesic system:
     ``xdot_s = u_a(x_s)`` (full field values) and

@@ -1,5 +1,7 @@
 """The curvature numerator in its three forms, plus force and stress."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,34 @@ from cometric.curvature import (
     stress,
 )
 from cometric.errors import ConfigurationError
+from cometric.kernels import KernelSpec, kernel_value
+from cometric.landmark import LandmarkMetric, curvature as landmark_curvature, landmark_cometric_jet
 from cometric.validation import random_cometric
+
+
+def _reference_terms(jet, a, b):
+    """The four terms as single einsums with numpy's default (unoptimised)
+    contraction — the O(d^8) reference for the staged contractions."""
+    G, dG, ddG = jet.ginv, jet.dginv, jet.ddginv
+    w = np.outer(a, b) - np.outer(b, a)
+    r11 = 0.5 * float(np.einsum("ik,jl,is,jt,stkl->", w, w, G, G, ddG))
+    r12 = 0.5 * float(np.einsum("ik,jl,is,sjt,tkl->", w, w, G, dG, dG))
+    r2 = -0.125 * float(np.einsum("ik,jl,sij,st,tkl->", w, w, dG, G, dG))
+    r3 = -0.75 * float(np.einsum("ik,jl,is,skp,pq,jt,tlq->", w, w, G, dG, jet.gcov, G, dG))
+    return r11, r12, r2, r3
+
+
+def _ring_landmarks(p: int, seed: int):
+    """Matern-3/2 landmarks in the plane (K(0) = 1) on a jittered ring with
+    unit spacing, plus two random momenta."""
+    base = KernelSpec("sobolev_bessel", n=3, l=3)
+    k0 = float(kernel_value(base, np.zeros((1, 3)))[0])
+    metric = LandmarkMetric(replace(base, c=1.0 / k0), p, 2)
+    rng = np.random.default_rng(seed)
+    angle = 2.0 * np.pi * np.arange(p) / p
+    radius = p / (2.0 * np.pi)
+    q = radius * np.stack([np.cos(angle), np.sin(angle)], axis=1) + 0.1 * rng.standard_normal((p, 2))
+    return metric, q, rng.standard_normal((p, 2)), rng.standard_normal((p, 2))
 
 
 def test_euclidean_everything_zero():
@@ -136,3 +165,57 @@ def test_coform_validation():
         numerator_coordinate(jet, np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0]))
     with pytest.raises(ConfigurationError):
         numerator_coordinate(jet, np.array([np.nan, 0.0]), np.array([1.0, 0.0]))
+
+
+def _assert_matches_reference(jet, alpha, beta):
+    br = numerator_coordinate(jet, alpha, beta)
+    for got, want in zip((br.r11, br.r12, br.r2, br.r3), _reference_terms(jet, alpha, beta)):
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+def test_staged_contractions_match_unoptimised_einsums():
+    rng = np.random.default_rng(31)
+    for dim in range(2, 7):
+        defn, x = random_cometric(rng, dim)
+        jet = charts.cometric_jet(defn, x)
+        _assert_matches_reference(jet, rng.standard_normal(dim), rng.standard_normal(dim))
+    metric, q, a, b = _ring_landmarks(3, seed=32)
+    _assert_matches_reference(landmark_cometric_jet(metric, q), a.reshape(-1), b.reshape(-1))
+
+
+def test_three_forms_and_landmark_route_agree_at_dim_20():
+    metric, q, a, b = _ring_landmarks(10, seed=33)
+    jet = landmark_cometric_jet(metric, q)
+    alpha, beta = a.reshape(-1), b.reshape(-1)
+    coord = numerator_coordinate(jet, alpha, beta)
+    fs = numerator_force_stress(jet, alpha, beta)
+    own = landmark_curvature(metric, q, a, b)
+    scale = 1.0 + abs(coord.total)
+    assert abs(coord.total - numerator_covariant(jet, alpha, beta)) / scale < 1e-9
+    for got, want in zip((coord.r11, coord.r12, coord.r2, coord.r3, coord.total),
+                         (fs.r11, fs.r12, fs.r2, fs.r3, fs.total)):
+        assert abs(got - want) / scale < 1e-9
+    assert abs(coord.total - own.total) / scale < 1e-9
+
+
+def test_landmark_numerator_invariant_under_rigid_motion():
+    metric, q, a, b = _ring_landmarks(5, seed=34)
+    theta = 0.7
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    moved = q @ rot.T + np.array([1.5, -0.4])
+    base = numerator_coordinate(landmark_cometric_jet(metric, q), a.reshape(-1), b.reshape(-1))
+    turned = numerator_coordinate(
+        landmark_cometric_jet(metric, moved), (a @ rot.T).reshape(-1), (b @ rot.T).reshape(-1)
+    )
+    assert turned.total == pytest.approx(base.total, rel=1e-11, abs=1e-12)
+    assert turned.denominator == pytest.approx(base.denominator, rel=1e-11)
+
+
+def test_landmark_numerator_scales_cubically_with_kernel_amplitude():
+    lam = 2.5
+    metric, q, a, b = _ring_landmarks(5, seed=35)
+    scaled_metric = LandmarkMetric(replace(metric.kernel, c=lam * metric.kernel.c), 5, 2)
+    alpha, beta = a.reshape(-1), b.reshape(-1)
+    base = numerator_coordinate(landmark_cometric_jet(metric, q), alpha, beta)
+    scaled = numerator_coordinate(landmark_cometric_jet(scaled_metric, q), alpha, beta)
+    assert scaled.total == pytest.approx(lam**3 * base.total, rel=1e-12)
