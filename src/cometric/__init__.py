@@ -46,13 +46,11 @@ from .errors import (
 )
 from .jets import CometricJet, assemble_jet
 from .kernels import (
-    KernelJet,
     KernelSpec,
     gram_matrix,
     kernel_fourier_oracle,
     kernel_grad,
     kernel_hess,
-    kernel_jet,
     kernel_value,
     spec_from_json,
     spec_to_json,
@@ -66,7 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CometricDef", "CometricJet", "ConservationReport", "CurvatureBreakdown",
-    "DiscreteSubmanifold", "IntegratorConfig", "KernelJet", "KernelSpec",
+    "DiscreteSubmanifold", "IntegratorConfig", "KernelSpec",
     "LandmarkMetric", "MatchResult", "ShootResult", "SubmersionCase",
     "SuiteResult", "TOLERANCES",
     "GeometryError", "ConfigurationError", "ParseError", "DomainEvaluationError",
@@ -76,7 +74,7 @@ __all__ = [
     "closed_curve", "cometric_from_json", "cometric_jet", "cometric_to_json",
     "euclidean", "force", "gram_matrix", "hopf_case", "hyperbolic_half_plane",
     "integrate", "kernel_fourier_oracle", "kernel_grad", "kernel_hess",
-    "kernel_jet", "kernel_value", "landmark_cometric_jet", "landmark_shape",
+    "kernel_value", "landmark_cometric_jet", "landmark_shape",
     "landmark_system", "make_circle", "match", "numerator_coordinate",
     "numerator_covariant", "numerator_force_stress", "oneill_check",
     "product_case", "render_table", "riemann", "run_suites",

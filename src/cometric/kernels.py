@@ -29,6 +29,7 @@ top of them, demand curvature grade.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,29 +98,12 @@ class KernelSpec:
             )
 
 
-@dataclass(frozen=True)
-class KernelJet:
-    """Value/gradient/Hessian of the kernel at one displacement."""
-
-    value: float
-    gradient: np.ndarray | None
-    hessian: np.ndarray | None
-
-
-def _bessel_poly(k: int) -> np.ndarray:
+@functools.cache
+def _bessel_poly(k: int) -> tuple[float, ...]:
     """Coefficients (decreasing powers) of P_k(t) = sum_j (k+j)!/(j!(k-j)!2^j) t^(k-j)."""
-    return np.array(
-        [math.factorial(k + j) / (math.factorial(j) * math.factorial(k - j) * 2.0**j) for j in range(k + 1)]
+    return tuple(
+        math.factorial(k + j) / (math.factorial(j) * math.factorial(k - j) * 2.0**j) for j in range(k + 1)
     )
-
-
-def _reduced_profile(k: int, t: np.ndarray) -> np.ndarray:
-    """E_(k+1/2)(t) / sqrt(pi/2), i.e. exp(-t) P_k(t); for k = -1 this is exp(-t)/t (t > 0 only)."""
-    if k < -1:
-        raise ValueError(f"reduced profile undefined for k={k}")
-    if k == -1:
-        return np.exp(-t) / t
-    return np.exp(-t) * np.polyval(_bessel_poly(k), t)
 
 
 def _bessel_order_k(spec: KernelSpec) -> int:
@@ -137,69 +121,126 @@ def _bessel_const(spec: KernelSpec) -> float:
     )
 
 
+def _poly(k: int, t: np.ndarray) -> np.ndarray:
+    """P_k(t) by Horner's rule (the operations of ``np.polyval``, without its set-up)."""
+    coeffs = _bessel_poly(k)
+    acc = coeffs[0]
+    for cf in coeffs[1:]:
+        acc = acc * t + cf
+    return acc
+
+
+def _radial_profiles(
+    spec: KernelSpec, rho: np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """``(value, g, h)`` at distances ``rho``, from one exp pass: ``grad K(r) = g r``
+    and ``Hess K(r) = g I + h r r^T``; profiles above ``order`` are None.
+
+    ``h`` is 0 where ``r = 0``: its ``r r^T`` factor vanishes there, while for
+    ``nu = 3/2`` the profile ``E_(nu-2)`` itself diverges.
+    """
+    if spec.family == GAUSSIAN_FAMILY:
+        e = np.exp(-(rho * rho) / spec.A)
+        value = spec.c * e
+        g = (-2.0 * spec.c / spec.A) * e if order >= 1 else None
+        radial = (4.0 * spec.c / spec.A**2) * e if order >= 2 else None
+    else:
+        if order >= 1:
+            spec.require_curvature_grade()
+        cst, k = _bessel_const(spec), _bessel_order_k(spec)
+        t = rho / math.sqrt(spec.A)
+        e = np.exp(-t)
+        value = cst * (e * _poly(k, t))
+        g = (-cst / spec.A) * (e * _poly(k - 1, t)) if order >= 1 else None
+        radial = None
+        if order >= 2:
+            tt = np.where(rho == 0.0, 1.0, t)
+            radial = (cst / spec.A**2) * (e / tt if k == 1 else e * _poly(k - 2, tt))
+    h = None if radial is None else np.where(rho == 0.0, 0.0, radial)
+    return value, g, h
+
+
+def _hessian(g: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``g I + h r r^T`` for displacements ``r`` of shape (..., d)."""
+    return g[..., None, None] * np.eye(r.shape[-1]) + h[..., None, None] * np.einsum("...i,...j->...ij", r, r)
+
+
 def kernel_value(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """K(r) for displacements ``r`` of shape (..., d).  Returns shape (...)."""
     r = np.asarray(r, dtype=float)
-    rho2 = np.einsum("...i,...i->...", r, r)
-    if spec.family == GAUSSIAN_FAMILY:
-        return spec.c * np.exp(-rho2 / spec.A)
-    t = np.sqrt(rho2) / math.sqrt(spec.A)
-    return _bessel_const(spec) * _reduced_profile(_bessel_order_k(spec), t)
+    return _radial_profiles(spec, np.sqrt(_pair_dot(r, r)), 0)[0]
 
 
 def kernel_grad(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """grad K at displacements ``r`` of shape (..., d).  Returns shape (..., d)."""
     r = np.asarray(r, dtype=float)
-    if spec.family == GAUSSIAN_FAMILY:
-        rho2 = np.einsum("...i,...i->...", r, r)
-        return (-2.0 * spec.c / spec.A) * np.exp(-rho2 / spec.A)[..., None] * r
-    spec.require_curvature_grade()
-    t = np.linalg.norm(r, axis=-1) / math.sqrt(spec.A)
-    k = _bessel_order_k(spec)
-    return (-_bessel_const(spec) / spec.A) * _reduced_profile(k - 1, t)[..., None] * r
+    return _radial_profiles(spec, np.sqrt(_pair_dot(r, r)), 1)[1][..., None] * r
 
 
 def kernel_hess(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """Hessian of K at displacements ``r`` of shape (..., d).  Returns (..., d, d)."""
     r = np.asarray(r, dtype=float)
-    d = r.shape[-1]
-    eye = np.eye(d)
-    if spec.family == GAUSSIAN_FAMILY:
-        rho2 = np.einsum("...i,...i->...", r, r)
-        e = np.exp(-rho2 / spec.A)
-        return (-2.0 * spec.c / spec.A) * e[..., None, None] * eye + (
-            4.0 * spec.c / spec.A**2
-        ) * e[..., None, None] * np.einsum("...i,...j->...ij", r, r)
-    spec.require_curvature_grade()
-    cst = _bessel_const(spec)
-    k = _bessel_order_k(spec)
-    t = np.linalg.norm(r, axis=-1) / math.sqrt(spec.A)
-    iso = (-cst / spec.A) * _reduced_profile(k - 1, t)[..., None, None] * eye
-    # The rr^T coefficient uses E_(nu-2); at t=0 it is multiplied by rr^T = 0,
-    # and for nu = 3/2 the reduced profile itself diverges there, so the
-    # coincident rows are handled separately (their radial term vanishes in
-    # the limit t rr^T / t^2 -> 0).
-    out = np.array(np.broadcast_to(iso, r.shape[:-1] + (d, d)))
-    at_zero = t == 0.0
-    if np.any(~at_zero):
-        tt = np.where(at_zero, 1.0, t)
-        radial = (cst / spec.A**2) * _reduced_profile(k - 2, tt)
-        radial = np.where(at_zero, 0.0, radial)
-        out += radial[..., None, None] * np.einsum("...i,...j->...ij", r, r)
+    _, g, h = _radial_profiles(spec, np.sqrt(_pair_dot(r, r)), 2)
+    return _hessian(g, h, r)
+
+
+def _pair_differences(x: np.ndarray) -> np.ndarray:
+    """``x_s - x_t`` for every pair of rows of ``x`` (p, D), as a (p, p, D)
+    view of component-major storage: each component is one contiguous (p, p)
+    array, so pair loops run in long strides rather than strides of D."""
+    p, d = x.shape
+    out = np.empty((d, p, p))
+    for m in range(d):
+        np.subtract.outer(x[:, m], x[:, m], out=out[m])
+    return out.transpose(1, 2, 0)
+
+
+def _pair_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[..., :] . b[..., :]``, one component at a time (pair arrays are component-major)."""
+    out = a[..., 0] * b[..., 0]
+    for m in range(1, a.shape[-1]):
+        out += a[..., m] * b[..., m]
     return out
 
 
-def kernel_jet(spec: KernelSpec, r: np.ndarray, order: int = 2) -> KernelJet:
-    """Pointwise jet of K at a single displacement ``r`` (shape (d,))."""
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 1:
-        raise ConfigurationError(f"kernel_jet takes a single displacement vector, got shape {r.shape}")
-    if order not in (0, 1, 2):
-        raise ConfigurationError(f"jet order must be 0, 1 or 2, got {order}")
-    value = float(kernel_value(spec, r))
-    grad = kernel_grad(spec, r) if order >= 1 else None
-    hess = kernel_hess(spec, r) if order >= 2 else None
-    return KernelJet(value=value, gradient=grad, hessian=hess)
+@dataclass(frozen=True)
+class PairBlock:
+    """Kernel data of every ordered pair ``(s, t)`` of one configuration.
+
+    ``diff[s, t] = x_s - x_t`` (p, p, D); ``value``, ``g`` and ``h`` are (p, p)
+    with ``K = value``, ``grad K = g diff`` and ``Hess K = g I + h diff diff^T``
+    at ``diff[s, t]``.  ``g`` and ``h`` are None above the block's order.
+    """
+
+    diff: np.ndarray
+    value: np.ndarray
+    g: np.ndarray | None
+    h: np.ndarray | None
+
+    def contract(self, coef: np.ndarray) -> np.ndarray:
+        """``sum_t coef[s, t] diff[s, t]``, shape (p, D)."""
+        return np.matmul(coef[:, None, :], self.diff)[:, 0, :]
+
+    def rate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pair differences ``du`` of a field ``u`` (p, D) and ``diff . du``."""
+        du = _pair_differences(u)
+        return du, _pair_dot(self.diff, du)
+
+    def hess_form(self, du: np.ndarray, rate_u: np.ndarray, dv: np.ndarray, rate_v: np.ndarray) -> np.ndarray:
+        """``du^T Hess K dv = g (du . dv) + h (diff . du)(diff . dv)`` per pair."""
+        return self.g * _pair_dot(du, dv) + self.h * rate_u * rate_v
+
+    def hessian(self) -> np.ndarray:
+        """The dense (p, p, D, D) Hessian block."""
+        return _hessian(self.g, self.h, self.diff)
+
+
+def pair_block(spec: KernelSpec, points: np.ndarray, order: int, *, what: str = "points") -> PairBlock:
+    """Differences, distances and kernel profiles up to ``order`` (0, 1 or 2)
+    of ``points`` (p, D) in one pass.  Coincident rows are refused as by
+    :func:`check_distinct`, from the same distances."""
+    diff, rho = _distinct_pairs(np.asarray(points, dtype=float), what)
+    return PairBlock(diff, *_radial_profiles(spec, rho, order))
 
 
 def spec_from_json(obj: dict) -> KernelSpec:
@@ -231,18 +272,23 @@ def spec_to_json(spec: KernelSpec) -> dict:
 
 def check_distinct(points: np.ndarray, *, what: str = "points") -> None:
     """Reject configurations with coincident rows (tolerance 1e-10 * diameter)."""
-    pts = np.asarray(points, dtype=float)
-    p = pts.shape[0]
-    if p < 2:
-        return
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    diam = float(dist.max())
-    tol = 1e-10 * max(diam, 1e-300)
-    off = dist + np.eye(p) * (diam + 1.0)
-    if float(off.min()) <= tol:
-        a, b = np.unravel_index(int(np.argmin(off)), off.shape)
-        raise DegenerateConfigurationError(f"coincident {what} {a} and {b} (separation {off[a, b]:.3e})")
+    _distinct_pairs(np.asarray(points, dtype=float), what)
+
+
+def _distinct_pairs(pts: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Pair differences and distances of the rows of ``pts``, after the test of
+    :func:`check_distinct` on those distances."""
+    diff = _pair_differences(pts)
+    dist = np.sqrt(_pair_dot(diff, diff))
+    if len(pts) >= 2:
+        diam = float(dist.max())
+        tol = 1e-10 * max(diam, 1e-300)
+        off = dist.copy()
+        np.fill_diagonal(off, diam + 1.0)
+        if float(off.min()) <= tol:
+            a, b = np.unravel_index(int(np.argmin(off)), off.shape)
+            raise DegenerateConfigurationError(f"coincident {what} {a} and {b} (separation {off[a, b]:.3e})")
+    return diff, dist
 
 
 def gram_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
@@ -254,8 +300,7 @@ def gram_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ConfigurationError(f"points must be a (p, d) array, got shape {pts.shape}")
-    check_distinct(pts)
-    return kernel_value(spec, pts[:, None, :] - pts[None, :, :])
+    return pair_block(spec, pts, 0).value
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)

@@ -24,11 +24,15 @@ import numpy as np
 from .curvature import PLANE_TOL, CurvatureBreakdown
 from .errors import ConditioningError, ConfigurationError
 from .jets import CometricJet, assemble_jet
-from .kernels import KernelSpec, check_distinct, kernel_grad, kernel_hess, kernel_value
+from .kernels import KernelSpec, PairBlock, check_distinct, pair_block
 
 # Above this condition number the kernel Gram solve in the bracket term is
 # not trustworthy and the curvature routine refuses.
 GRAM_COND_LIMIT = 1e12
+
+# Largest dense landmark jet, in bytes: its second derivative holds (pD)^4
+# doubles (4 GB at p=50, D=3), so the ceiling is checked before allocation.
+JET_MAX_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -60,12 +64,11 @@ class LandmarkMetric:
         return self.p * self.D
 
 
-def _check_q(metric: LandmarkMetric, q: np.ndarray) -> np.ndarray:
+def _block(metric: LandmarkMetric, q: np.ndarray, order: int) -> PairBlock:
     q = np.asarray(q, dtype=float)
     if q.shape != (metric.p, metric.D):
         raise ConfigurationError(f"landmark positions must have shape ({metric.p}, {metric.D}), got {q.shape}")
-    check_distinct(q, what="landmarks")
-    return q
+    return pair_block(metric.kernel, q, order, what="landmarks")
 
 
 def _check_mom(metric: LandmarkMetric, a: np.ndarray, name: str = "momenta") -> np.ndarray:
@@ -76,90 +79,82 @@ def _check_mom(metric: LandmarkMetric, a: np.ndarray, name: str = "momenta") -> 
 
 
 def landmark_cometric_jet(metric: LandmarkMetric, q: np.ndarray) -> CometricJet:
-    """Exact 2-jet of the landmark cometric at ``q`` (flattened chart)."""
+    """Exact 2-jet of the landmark cometric at ``q`` (flattened chart); refused
+    above :data:`JET_MAX_BYTES`."""
     metric.kernel.require_curvature_grade()
-    q = _check_q(metric, q)
     p, D = metric.p, metric.D
-    diff = q[:, None, :] - q[None, :, :]
-    kv = kernel_value(metric.kernel, diff)        # (p, p)
-    kg = kernel_grad(metric.kernel, diff)         # (p, p, D)
-    kh = kernel_hess(metric.kernel, diff)         # (p, p, D, D)
-
+    if 8 * (p * D) ** 4 > JET_MAX_BYTES:
+        raise ConfigurationError(f"dense landmark jet at p={p}, D={D} needs {8 * (p * D) ** 4 / 1e9:.3g} GB "
+                                 f"(limit {JET_MAX_BYTES / 1e9:.3g} GB)")
+    blk = _block(metric, q, 2)
     eye_d = np.eye(D)
     delta = np.eye(p)
     fac = delta[:, :, None] - delta[:, None, :]   # fac[c, a, b] = d_ca - d_cb
 
-    ginv = np.einsum("ab,ij->aibj", kv, eye_d).reshape(p * D, p * D)
+    ginv = np.einsum("ab,ij->aibj", blk.value, eye_d).reshape(p * D, p * D)
+    kg = blk.g[..., None] * blk.diff
     dginv = np.einsum("cab,abm,ij->cmaibj", fac, kg, eye_d).reshape(p * D, p * D, p * D)
     fac2 = np.einsum("cab,dab->cdab", fac, fac)
-    ddginv = np.einsum("cdab,abmn,ij->cmdnaibj", fac2, kh, eye_d).reshape(
+    ddginv = np.einsum("cdab,abmn,ij->cmdnaibj", fac2, blk.hessian(), eye_d).reshape(
         p * D, p * D, p * D, p * D
     )
-    return assemble_jet(q.reshape(-1), ginv, dginv, ddginv)
+    return assemble_jet(np.asarray(q, dtype=float).reshape(-1), ginv, dginv, ddginv)
 
 
 def hamiltonian(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> float:
     """``H(q, p) = 1/2 sum_ab (p_a . p_b) K(q_a - q_b)``."""
-    q = _check_q(metric, q)
+    blk = _block(metric, q, 0)
     mom = _check_mom(metric, mom)
-    kv = kernel_value(metric.kernel, q[:, None, :] - q[None, :, :])
-    dots = mom @ mom.T
-    return 0.5 * float(np.einsum("ab,ab->", dots, kv))
+    return 0.5 * float(np.einsum("ab,ab->", mom @ mom.T, blk.value))
 
 
 def geodesic_rhs(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hamilton's equations:
     ``qdot_a = sum_b K(q_a-q_b) p_b``, ``pdot_a = -sum_b (p_a.p_b) grad K(q_a-q_b)``."""
-    q = _check_q(metric, q)
+    blk = _block(metric, q, 1)
     mom = _check_mom(metric, mom)
-    diff = q[:, None, :] - q[None, :, :]
-    kv = kernel_value(metric.kernel, diff)
-    kg = kernel_grad(metric.kernel, diff)
-    dots = mom @ mom.T
-    qdot = kv @ mom
-    pdot = -np.einsum("ab,abm->am", dots, kg)
-    return qdot, pdot
+    return blk.value @ mom, -blk.contract((mom @ mom.T) * blk.g)
 
 
 def velocity(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> np.ndarray:
     """Raised momenta ``u_a = sum_b K(q_a - q_b) p_b`` (the landmark sharp)."""
-    q = _check_q(metric, q)
-    mom = _check_mom(metric, mom)
-    kv = kernel_value(metric.kernel, q[:, None, :] - q[None, :, :])
-    return kv @ mom
+    blk = _block(metric, q, 0)
+    return blk.value @ _check_mom(metric, mom)
+
+
+def _force(blk: PairBlock, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    mixed = a @ b.T  # mixed[c, t] = a_c . b_t
+    return -0.5 * blk.contract((mixed + mixed.T) * blk.g)
+
+
+def _stress(blk: PairBlock, rate: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stress from the radial rate of the raised field: ``-sum_t g rate b_t``."""
+    return -(blk.g * rate) @ b
 
 
 def force(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Induced-side force:
     ``F(a,b)_c = -1/2 sum_t [(a_c.b_t) + (a_t.b_c)] grad K(q_c - q_t)``;
     in particular ``force(q, p, p)`` is exactly the geodesic ``pdot``."""
-    q = _check_q(metric, q)
-    a = _check_mom(metric, a)
-    b = _check_mom(metric, b)
-    kg = kernel_grad(metric.kernel, q[:, None, :] - q[None, :, :])
-    mixed = a @ b.T  # mixed[c, t] = a_c . b_t
-    return -0.5 * (np.einsum("ct,ctm->cm", mixed, kg) + np.einsum("tc,ctm->cm", mixed, kg))
+    blk = _block(metric, q, 1)
+    return _force(blk, _check_mom(metric, a), _check_mom(metric, b))
 
 
 def stress(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Induced-side stress:
     ``D(a,b)_d = -sum_t [(u_d - u_t) . grad K(q_d - q_t)] b_t`` with ``u``
     the raised field of ``a``."""
-    q = _check_q(metric, q)
+    blk = _block(metric, q, 1)
     a = _check_mom(metric, a)
     b = _check_mom(metric, b)
-    diff = q[:, None, :] - q[None, :, :]
-    kv = kernel_value(metric.kernel, diff)
-    kg = kernel_grad(metric.kernel, diff)
-    u = kv @ a
-    du = u[:, None, :] - u[None, :, :]
-    coeff = np.einsum("dtm,dtm->dt", du, kg)
-    return -coeff @ b
+    return _stress(blk, blk.rate(blk.value @ a)[1], b)
 
 
 def _gram_solve(kv: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve ``K xi = w`` per column, guarding against ill-conditioning."""
-    cond = float(np.linalg.cond(kv))
+    """Solve ``K xi = w`` per column, guarding against ill-conditioning.  ``K`` is
+    exactly symmetric: its 2-norm condition number is ``max|eig| / min|eig|``."""
+    lam = np.abs(np.linalg.eigvalsh(kv))
+    cond = float(lam.max() / lam.min()) if lam.min() > 0.0 else np.inf
     if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
         raise ConditioningError(f"kernel Gram matrix condition number {cond:.3e} exceeds {GRAM_COND_LIMIT:.0e}")
     return np.linalg.solve(kv, w)
@@ -170,46 +165,40 @@ def curvature(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarra
 
     Same values as running the chart-level forms on
     :func:`landmark_cometric_jet`, but with every contraction collapsed to
-    sums over landmark pairs; a single landmark yields exact zeros.
+    sums over landmark pairs; a single landmark yields exact zeros.  The
+    Hessian enters as ``x^T Hess K y = g (x . y) + h (r . x)(r . y)``, so no
+    (p, p, D, D) block is formed.
     """
     metric.kernel.require_curvature_grade()
-    q = _check_q(metric, q)
+    blk = _block(metric, q, 2)
     a = _check_mom(metric, a)
     b = _check_mom(metric, b)
-    diff = q[:, None, :] - q[None, :, :]
-    kv = kernel_value(metric.kernel, diff)
-    kg = kernel_grad(metric.kernel, diff)
-    kh = kernel_hess(metric.kernel, diff)
+    kv = blk.value
 
-    u = kv @ a
-    v = kv @ b
-    du = u[:, None, :] - u[None, :, :]
-    dv = v[:, None, :] - v[None, :, :]
+    du, rate_a = blk.rate(kv @ a)
+    dv, rate_b = blk.rate(kv @ b)
     dots_aa = a @ a.T
     dots_bb = b @ b.T
     dots_ab = a @ b.T  # [s, t] = a_s . b_t
 
     r11 = 0.5 * (
-        float(np.einsum("st,stm,stmn,stn->", dots_bb, du, kh, du))
-        - 2.0 * float(np.einsum("st,stm,stmn,stn->", dots_ab, du, kh, dv))
-        + float(np.einsum("st,stm,stmn,stn->", dots_aa, dv, kh, dv))
+        float(np.einsum("st,st->", dots_bb, blk.hess_form(du, rate_a, du, rate_a)))
+        - 2.0 * float(np.einsum("st,st->", dots_ab, blk.hess_form(du, rate_a, dv, rate_b)))
+        + float(np.einsum("st,st->", dots_aa, blk.hess_form(dv, rate_b, dv, rate_b)))
     )
 
-    mixed_ab = dots_ab
-    f_aa = -0.5 * (np.einsum("ct,ctm->cm", dots_aa, kg) + np.einsum("tc,ctm->cm", dots_aa, kg))
-    f_bb = -0.5 * (np.einsum("ct,ctm->cm", dots_bb, kg) + np.einsum("tc,ctm->cm", dots_bb, kg))
-    f_ab = -0.5 * (np.einsum("ct,ctm->cm", mixed_ab, kg) + np.einsum("tc,ctm->cm", mixed_ab, kg))
-    coeff_a = np.einsum("dtm,dtm->dt", du, kg)
-    coeff_b = np.einsum("dtm,dtm->dt", dv, kg)
-    d_aa = -coeff_a @ a
-    d_bb = -coeff_b @ b
-    d_ab = -coeff_a @ b
-    d_ba = -coeff_b @ a
+    f_aa = _force(blk, a, a)
+    f_bb = _force(blk, b, b)
+    f_ab = _force(blk, a, b)
+    d_aa = _stress(blk, rate_a, a)
+    d_bb = _stress(blk, rate_b, b)
+    d_ab = _stress(blk, rate_a, b)
+    d_ba = _stress(blk, rate_b, a)
 
     r12 = float(np.einsum("cm,cm->", f_aa, d_bb) + np.einsum("cm,cm->", f_bb, d_aa)
                 - np.einsum("cm,cm->", f_ab, d_ab + d_ba))
 
-    r2 = float(np.einsum("sm,st,tm->", f_ab, kv, f_ab) - np.einsum("sm,st,tm->", f_aa, kv, f_bb))
+    r2 = float(np.einsum("sm,sm->", f_ab, kv @ f_ab) - np.einsum("sm,sm->", f_aa, kv @ f_bb))
 
     w = d_ab - d_ba
     if float(np.abs(w).max()) == 0.0:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .curvature import PLANE_TOL, CurvatureBreakdown
 from .errors import ConditioningError, ConfigurationError, DegenerateConfigurationError
-from .kernels import KernelSpec, check_distinct, kernel_grad, kernel_hess, kernel_value
+from .kernels import KernelSpec, PairBlock, check_distinct, kernel_value, pair_block
 
 GRAM_COND_LIMIT = 1e12
 
@@ -200,13 +200,21 @@ def geodesic_rhs(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray) ->
     ``adot_s = -(Du(x_s))^T a_s`` (Jacobian-transpose transport; weights stay
     fixed).  With ``m = 0`` this is exactly the landmark system."""
     a = _check_mom(shape, a)
-    diff = shape.x[:, None, :] - shape.x[None, :, :]
-    kv = kernel_value(spec, diff)
-    kg = kernel_grad(spec, diff)
-    xdot = (kv * shape.w[None, :]) @ a
-    dots = (a @ a.T) * shape.w[None, :]
-    adot = -np.einsum("st,stm->sm", dots, kg)
+    blk = pair_block(spec, shape.x, 1, what="samples")
+    xdot = (blk.value * shape.w[None, :]) @ a
+    adot = -blk.contract((a @ a.T) * shape.w[None, :] * blk.g)
     return xdot, adot
+
+
+def _force_normal(blk: PairBlock, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    mixed = a @ b.T
+    raw = -0.5 * blk.contract((mixed + mixed.T) * shape.w[None, :] * blk.g)
+    return np.einsum("sij,sj->si", shape.projectors, raw)
+
+
+def _stress_normal(blk: PairBlock, shape: DiscreteSubmanifold, rate: np.ndarray, b: np.ndarray) -> np.ndarray:
+    raw = -(blk.g * rate * shape.w[None, :]) @ b
+    return np.einsum("sij,sj->si", shape.projectors, raw)
 
 
 def force_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,13 +223,7 @@ def force_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b:
     ``force_normal(a, a)`` matches the normal part of the geodesic ``adot``."""
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
-    kg = kernel_grad(spec, shape.x[:, None, :] - shape.x[None, :, :])
-    mixed = a @ b.T
-    raw = -0.5 * (
-        np.einsum("st,t,stm->sm", mixed, shape.w, kg)
-        + np.einsum("ts,t,stm->sm", mixed, shape.w, kg)
-    )
-    return np.einsum("sij,sj->si", shape.projectors, raw)
+    return _force_normal(pair_block(spec, shape.x, 1, what="samples"), shape, a, b)
 
 
 def stress_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -229,14 +231,9 @@ def stress_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b
     ``D_N(a,b)_s = -P_s sum_t w_t [(u_a(x_s) - u_a(x_t)) . grad K(x_s-x_t)] b_t``."""
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
-    diff = shape.x[:, None, :] - shape.x[None, :, :]
-    kv = kernel_value(spec, diff)
-    kg = kernel_grad(spec, diff)
-    u = (kv * shape.w[None, :]) @ a
-    du = u[:, None, :] - u[None, :, :]
-    coeff = np.einsum("stm,stm->st", du, kg)
-    raw = -np.einsum("st,t,tm->sm", coeff, shape.w, b)
-    return np.einsum("sij,sj->si", shape.projectors, raw)
+    blk = pair_block(spec, shape.x, 1, what="samples")
+    rate = blk.rate((blk.value * shape.w[None, :]) @ a)[1]
+    return _stress_normal(blk, shape, rate, b)
 
 
 def _normal_basis(shape: DiscreteSubmanifold) -> np.ndarray:
@@ -254,29 +251,29 @@ def _normal_basis(shape: DiscreteSubmanifold) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(basis, 1, 2))
 
 
-def _normal_gram_solve(spec: KernelSpec, shape: DiscreteSubmanifold, w_field: np.ndarray) -> np.ndarray:
+def _normal_gram_solve(kv: np.ndarray, shape: DiscreteSubmanifold, w_field: np.ndarray) -> np.ndarray:
     """Solve ``sum_t K_st w_t xi_t = W_s`` for a normal covector field ``xi``.
 
     With ``m = 0`` this is the plain per-component kernel Gram solve; otherwise
     the system is reduced to normal coordinates so the solution stays normal.
     """
-    kv = kernel_value(spec, shape.x[:, None, :] - shape.x[None, :, :])
     if shape.m == 0:
-        mat = kv * shape.w[None, :]
-        cond = float(np.linalg.cond(mat))
-        if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
-            raise ConditioningError(f"kernel Gram matrix condition number {cond:.3e} exceeds {GRAM_COND_LIMIT:.0e}")
-        return np.linalg.solve(mat, w_field)
+        return _guarded_solve(kv * shape.w[None, :], w_field, "kernel Gram")
     basis = _normal_basis(shape)  # (S, n-m, n)
     s, r, n = basis.shape
     w_hat = np.einsum("sri,si->sr", basis, w_field)
     cross = np.einsum("sri,tqi->srtq", basis, basis)  # V_s V_t^T blocks
     mat = (kv[:, None, :, None] * shape.w[None, None, :, None] * cross).reshape(s * r, s * r)
+    xi_hat = _guarded_solve(mat, w_hat.reshape(-1), "normal-bundle Gram").reshape(s, r)
+    return np.einsum("sri,sr->si", basis, xi_hat)
+
+
+def _guarded_solve(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """``np.linalg.solve`` after an SVD condition-number check (``mat`` is not symmetric)."""
     cond = float(np.linalg.cond(mat))
     if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
-        raise ConditioningError(f"normal-bundle Gram matrix condition number {cond:.3e} exceeds {GRAM_COND_LIMIT:.0e}")
-    xi_hat = np.linalg.solve(mat, w_hat.reshape(-1)).reshape(s, r)
-    return np.einsum("sri,sr->si", basis, xi_hat)
+        raise ConditioningError(f"{what} matrix condition number {cond:.3e} exceeds {GRAM_COND_LIMIT:.0e}")
+    return np.linalg.solve(mat, rhs)
 
 
 def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> CurvatureBreakdown:
@@ -289,45 +286,41 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
     w = shape.w
-    diff = shape.x[:, None, :] - shape.x[None, :, :]
-    kv = kernel_value(spec, diff)
-    kg = kernel_grad(spec, diff)
-    kh = kernel_hess(spec, diff)
+    blk = pair_block(spec, shape.x, 2, what="samples")
+    kv = blk.value
 
-    u = (kv * w[None, :]) @ a
-    v = (kv * w[None, :]) @ b
-    du = u[:, None, :] - u[None, :, :]
-    dv = v[:, None, :] - v[None, :, :]
+    du, rate_a = blk.rate((kv * w[None, :]) @ a)
+    dv, rate_b = blk.rate((kv * w[None, :]) @ b)
     ww = w[:, None] * w[None, :]
     dots_aa = (a @ a.T) * ww
     dots_bb = (b @ b.T) * ww
     dots_ab = (a @ b.T) * ww
 
     r11 = 0.5 * (
-        float(np.einsum("st,stm,stmn,stn->", dots_bb, du, kh, du))
-        - 2.0 * float(np.einsum("st,stm,stmn,stn->", dots_ab, du, kh, dv))
-        + float(np.einsum("st,stm,stmn,stn->", dots_aa, dv, kh, dv))
+        float(np.einsum("st,st->", dots_bb, blk.hess_form(du, rate_a, du, rate_a)))
+        - 2.0 * float(np.einsum("st,st->", dots_ab, blk.hess_form(du, rate_a, dv, rate_b)))
+        + float(np.einsum("st,st->", dots_aa, blk.hess_form(dv, rate_b, dv, rate_b)))
     )
 
-    f_aa = force_normal(spec, shape, a, a)
-    f_bb = force_normal(spec, shape, b, b)
-    f_ab = force_normal(spec, shape, a, b)
-    d_aa = stress_normal(spec, shape, a, a)
-    d_bb = stress_normal(spec, shape, b, b)
-    d_ab = stress_normal(spec, shape, a, b)
-    d_ba = stress_normal(spec, shape, b, a)
+    f_aa = _force_normal(blk, shape, a, a)
+    f_bb = _force_normal(blk, shape, b, b)
+    f_ab = _force_normal(blk, shape, a, b)
+    d_aa = _stress_normal(blk, shape, rate_a, a)
+    d_bb = _stress_normal(blk, shape, rate_b, b)
+    d_ab = _stress_normal(blk, shape, rate_a, b)
+    d_ba = _stress_normal(blk, shape, rate_b, a)
 
     r12 = float(np.einsum("s,sm,sm->", w, f_aa, d_bb) + np.einsum("s,sm,sm->", w, f_bb, d_aa)
                 - np.einsum("s,sm,sm->", w, f_ab, d_ab + d_ba))
 
     kw = kv * ww
-    r2 = float(np.einsum("sm,st,tm->", f_ab, kw, f_ab) - np.einsum("sm,st,tm->", f_aa, kw, f_bb))
+    r2 = float(np.einsum("sm,sm->", f_ab, kw @ f_ab) - np.einsum("sm,sm->", f_aa, kw @ f_bb))
 
     w_br = d_ab - d_ba
     if float(np.abs(w_br).max()) == 0.0:
         r3 = 0.0
     else:
-        xi = _normal_gram_solve(spec, shape, w_br)
+        xi = _normal_gram_solve(kv, shape, w_br)
         r3 = -0.75 * float(np.einsum("sm,sm->", xi * w[:, None], w_br))
 
     paa = float(np.einsum("st,st->", dots_aa, kv))
@@ -341,6 +334,12 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
 
 
 # --- serialization -----------------------------------------------------------
+
+def _require_finite(**arrays: np.ndarray) -> None:
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ConfigurationError(f"shape {name} contain non-finite entries")
+
 
 def shape_from_json(obj: dict) -> tuple[DiscreteSubmanifold, np.ndarray | None]:
     """Read ``{"n":..,"m":..,"samples":..,"weights":..,"tangents":..,"momenta":..}``;
@@ -356,6 +355,7 @@ def shape_from_json(obj: dict) -> tuple[DiscreteSubmanifold, np.ndarray | None]:
         raise ConfigurationError(f"samples must be (S, {n}), got {x.shape}")
     if t.shape != (x.shape[0], m, n):
         raise ConfigurationError(f"tangents must be ({x.shape[0]}, {m}, {n}), got {t.shape}")
+    _require_finite(samples=x, weights=w, tangents=t)
     proj = np.broadcast_to(np.eye(n), (x.shape[0], n, n)) - np.einsum("smi,smj->sij", t, t)
     shape = DiscreteSubmanifold(x=x, w=w, tangents=t, projectors=np.ascontiguousarray(proj))
     mom = None
@@ -363,6 +363,7 @@ def shape_from_json(obj: dict) -> tuple[DiscreteSubmanifold, np.ndarray | None]:
         mom = np.asarray(obj["momenta"], dtype=float)
         if mom.shape != x.shape:
             raise ConfigurationError(f"momenta must be {x.shape}, got {mom.shape}")
+        _require_finite(momenta=mom)
     return shape, mom
 
 

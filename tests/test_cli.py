@@ -165,6 +165,18 @@ def test_computation_error_exits_1(tmp_path, spec_file, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_non_finite_shape_file_exits_1(tmp_path, spec_file, capsys):
+    """A NaN sample is refused at load, not left to fail inside an SVD."""
+    path = tmp_path / "c.json"
+    assert main(["shape", "make", "--samples", "12", "--out", str(path)]) == 0
+    shape = json.loads(path.read_text())
+    shape["momenta"] = (0.1 * np.asarray(shape["samples"])).tolist()
+    shape["samples"][3][0] = float("nan")
+    path.write_text(json.dumps(shape))
+    assert main(["curvature", "shape", "--spec", spec_file, "--shape", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: shape samples contain non-finite entries")
+
+
 def test_out_writes_file(tmp_path, spec_file, capsys):
     out = tmp_path / "vals.json"
     assert main(["kernel", "eval", "--spec", spec_file, "--r", "1", "--out", str(out)]) == 0

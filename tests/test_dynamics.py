@@ -5,6 +5,7 @@ import pytest
 
 from cometric import shapes
 from cometric.dynamics import (
+    HamiltonianSystem,
     IntegratorConfig,
     integrate,
     landmark_system,
@@ -12,7 +13,7 @@ from cometric.dynamics import (
     shape_system,
     shoot,
 )
-from cometric.errors import ConfigurationError, DivergenceError
+from cometric.errors import ConditioningError, ConfigurationError, DivergenceError
 from cometric.kernels import KernelSpec, gram_matrix, kernel_value
 from cometric.landmark import LandmarkMetric
 
@@ -79,6 +80,19 @@ def test_implicit_midpoint_conserves_reasonably():
     )
     assert report.energy_drift < 1e-6
     assert report.linear_drift < 1e-12
+
+
+def test_implicit_midpoint_non_convergence_raises():
+    """For ydot = -2y at dt = 1 the midpoint fixed-point map is z -> -z: it
+    neither converges nor diverges, so the 100-iteration cap is what stops it."""
+    system = HamiltonianSystem(
+        rhs=lambda y: -2.0 * y,
+        observe=lambda y: {"H": 0.0, "linear": y, "angular": np.zeros(0)},
+        size=2,
+    )
+    config = IntegratorConfig(dt=1.0, t_final=1.0, method="implicit_midpoint")
+    with pytest.raises(ConditioningError, match="did not converge"):
+        integrate(system, np.array([1.0, -0.5]), config)
 
 
 def test_divergence_reports_last_good_time():

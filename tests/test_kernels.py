@@ -15,8 +15,8 @@ from cometric.kernels import (
     kernel_fourier_oracle,
     kernel_grad,
     kernel_hess,
-    kernel_jet,
     kernel_value,
+    pair_block,
     spec_from_json,
     spec_to_json,
 )
@@ -112,24 +112,69 @@ def test_hessian_matches_finite_differences():
 def test_jets_at_origin():
     """The radial kink cancels at 0: gradient 0, Hessian a finite multiple of I."""
     spec = KernelSpec("sobolev_bessel", n=3, l=3, A=0.8, c=1.5)
-    jet = kernel_jet(spec, np.zeros(3))
-    assert jet.gradient is not None and jet.hessian is not None
-    assert np.all(jet.gradient == 0.0)
-    assert np.isfinite(jet.hessian).all()
+    grad = kernel_grad(spec, np.zeros(3))
+    hess = kernel_hess(spec, np.zeros(3))
+    assert np.all(grad == 0.0)
+    assert np.isfinite(hess).all()
     # isotropic: H(0) = h * I with h < 0 (the kernel peaks at 0)
-    diag = np.diag(jet.hessian)
-    assert np.allclose(jet.hessian, diag[0] * np.eye(3), atol=1e-18)
+    diag = np.diag(hess)
+    assert np.allclose(hess, diag[0] * np.eye(3), atol=1e-18)
     assert diag[0] < 0
 
 
-def test_kernel_jet_orders():
+def test_pair_block_orders():
     spec = KernelSpec("sobolev_bessel", n=1, l=2)
-    j0 = kernel_jet(spec, np.array([0.4]), order=0)
-    assert j0.gradient is None and j0.hessian is None
-    j1 = kernel_jet(spec, np.array([0.4]), order=1)
-    assert j1.gradient is not None and j1.hessian is None
-    with pytest.raises(ConfigurationError):
-        kernel_jet(spec, np.array([0.4]), order=3)
+    pts = np.array([[0.0], [0.4]])
+    b0 = pair_block(spec, pts, 0)
+    assert b0.g is None and b0.h is None
+    b1 = pair_block(spec, pts, 1)
+    assert b1.g is not None and b1.h is None
+    assert np.array_equal(b1.value, b0.value)
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec("sobolev_bessel", n=3, l=3, A=0.7, c=1.3),   # Matern 3/2: h = e^{-t}/t term
+    KernelSpec("sobolev_bessel", n=3, l=4, A=1.1),          # Matern 5/2
+    KernelSpec("sobolev_bessel", n=1, l=3, A=0.5, c=2.0),   # Matern 5/2 in R^1
+    KernelSpec("gaussian", n=2, A=1.4, c=0.6),
+])
+def test_pair_block_matches_pointwise_kernels(spec):
+    """Every entry of the block, the diagonal (t = 0) included, equals the
+    pointwise value, gradient and Hessian at the same displacement."""
+    rng = np.random.default_rng(31)
+    dim = min(spec.n, 2)
+    pts = rng.uniform(-1.5, 1.5, size=(6, dim))
+    blk = pair_block(spec, pts, 2)
+    diff = pts[:, None, :] - pts[None, :, :]
+    assert blk.diff.shape == diff.shape
+    assert np.array_equal(blk.diff, diff)
+    assert np.allclose(blk.value, kernel_value(spec, diff), rtol=1e-14, atol=0.0)
+    assert np.allclose(blk.g[..., None] * blk.diff, kernel_grad(spec, diff), rtol=1e-14, atol=1e-300)
+    assert np.allclose(blk.hessian(), kernel_hess(spec, diff), rtol=1e-14, atol=1e-300)
+    assert np.all(np.diag(blk.h) == 0.0)
+    contracted = blk.contract(blk.g)
+    assert np.allclose(contracted, np.einsum("st,stm->sm", blk.g, diff), rtol=1e-13, atol=1e-15)
+
+
+def test_pair_block_radial_term_of_matern_three_halves():
+    """For nu = 3/2 the r r^T coefficient is c' e^{-t}/t, t = |r|/sqrt(A)."""
+    spec = KernelSpec("sobolev_bessel", n=3, l=3, A=0.7, c=1.3)
+    pts = np.array([[0.0, 0.0, 0.0], [0.3, -0.4, 0.0]])
+    blk = pair_block(spec, pts, 2)
+    t = 0.5 / np.sqrt(spec.A)
+    cst = spec.c * spec.A**-1.5 * np.sqrt(np.pi / 2) / ((2 * np.pi) ** 1.5 * 4 * 2)
+    assert blk.h[0, 1] == pytest.approx(cst / spec.A**2 * np.exp(-t) / t, rel=1e-14)
+    assert blk.h[0, 0] == 0.0
+
+
+def test_pair_block_refuses_coincident_rows_like_check_distinct():
+    spec = KernelSpec("sobolev_bessel", n=3, l=3)
+    bad = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-14]])
+    with pytest.raises(DegenerateConfigurationError) as own:
+        pair_block(spec, bad, 1, what="landmarks")
+    with pytest.raises(DegenerateConfigurationError) as ref:
+        check_distinct(bad, what="landmarks")
+    assert str(own.value) == str(ref.value)
 
 
 def test_fourier_oracle_matches_closed_form():

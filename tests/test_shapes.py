@@ -187,3 +187,15 @@ def test_shape_json_round_trip():
     assert none_mom is None
     with pytest.raises(ConfigurationError):
         shapes.shape_from_json({"n": 2, "m": 1, "samples": [[0, 0]]})
+
+
+@pytest.mark.parametrize("key", ["samples", "weights", "tangents", "momenta"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_shape_json_rejects_non_finite_entries(key, bad):
+    obj = shapes.shape_to_json(shapes.make_circle(6), 0.1 * shapes.make_circle(6).x)
+    entry = obj[key]
+    while isinstance(entry[-1], list):
+        entry = entry[-1]
+    entry[-1] = bad
+    with pytest.raises(ConfigurationError, match=f"shape {key} contain non-finite entries"):
+        shapes.shape_from_json(obj)
