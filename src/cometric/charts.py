@@ -1,7 +1,7 @@
 """Symbolic cometrics in a chart: definition objects, jets, and a catalog.
 
 A :class:`CometricDef` stores the upper triangle of ``g^{ij}`` as expression
-trees.  Its 2-jet at a point is produced by exact symbolic differentiation —
+trees.  Its 2-jet at a point is exact, one :func:`dsl.jet` per entry —
 no finite differences anywhere on this path.
 
 The catalog bypasses the parser and builds trees directly:
@@ -19,7 +19,7 @@ The catalog bypasses the parser and builds trees directly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,15 +43,12 @@ class CometricDef:
 
     ``entries`` maps 1-based index pairs ``(i, j)`` with ``i <= j`` to
     expression trees; missing off-diagonal entries are zero, missing diagonal
-    entries are an error.  First and second derivatives are differentiated
-    once at construction and cached.
+    entries are an error.
     """
 
     dim: int
     entries: dict[tuple[int, int], Expr]
     name: str = ""
-    _d1: dict = field(default_factory=dict, repr=False, compare=False)
-    _d2: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -65,14 +62,6 @@ class CometricDef:
         for i in range(1, self.dim + 1):
             if (i, i) not in self.entries:
                 raise ConfigurationError(f"diagonal entry ({i},{i}) missing")
-        for (i, j), e in self.entries.items():
-            grads = [dsl.differentiate(e, s) for s in range(1, self.dim + 1)]
-            self._d1[(i, j)] = grads
-            self._d2[(i, j)] = {
-                (s, t): dsl.differentiate(grads[s - 1], t)
-                for s in range(1, self.dim + 1)
-                for t in range(s, self.dim + 1)
-            }
 
     def entry(self, i: int, j: int) -> Expr:
         if i > j:
@@ -81,7 +70,7 @@ class CometricDef:
 
 
 def cometric_jet(defn: CometricDef, x: np.ndarray) -> CometricJet:
-    """Exact 2-jet of the cometric at ``x`` (symbolic differentiation)."""
+    """Exact 2-jet of the cometric at ``x`` (one :func:`dsl.jet` per entry)."""
     x = np.asarray(x, dtype=float)
     d = defn.dim
     if x.shape != (d,):
@@ -90,19 +79,10 @@ def cometric_jet(defn: CometricDef, x: np.ndarray) -> CometricJet:
     dginv = np.zeros((d, d, d))
     ddginv = np.zeros((d, d, d, d))
     for (i, j), e in defn.entries.items():
-        v = dsl.evaluate(e, x)
-        ginv[i - 1, j - 1] = v
-        ginv[j - 1, i - 1] = v
-        grads = defn._d1[(i, j)]
-        for s in range(1, d + 1):
-            gv = dsl.evaluate(grads[s - 1], x)
-            dginv[s - 1, i - 1, j - 1] = gv
-            dginv[s - 1, j - 1, i - 1] = gv
-        for (s, t), e2 in defn._d2[(i, j)].items():
-            hv = dsl.evaluate(e2, x)
-            for ss, tt in ((s, t), (t, s)):
-                ddginv[ss - 1, tt - 1, i - 1, j - 1] = hv
-                ddginv[ss - 1, tt - 1, j - 1, i - 1] = hv
+        v, g, h = dsl.jet(e, x)
+        ginv[i - 1, j - 1] = ginv[j - 1, i - 1] = v
+        dginv[:, i - 1, j - 1] = dginv[:, j - 1, i - 1] = g
+        ddginv[:, :, i - 1, j - 1] = ddginv[:, :, j - 1, i - 1] = h
     return assemble_jet(x, ginv, dginv, ddginv)
 
 

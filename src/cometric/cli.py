@@ -25,7 +25,6 @@ output; randomness only enters through seeded generators.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -59,14 +58,6 @@ def _tol_override(text: str) -> tuple[str, float]:
         return name, float(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"tolerance value must be a number, got {value!r}") from exc
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("GEO_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -279,16 +270,7 @@ def _cmd_validate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites (default 0)")
-    common.add_argument(
-        "--threads", type=int, default=_default_threads(),
-        help="worker threads (default: GEO_THREADS or 1)",
-    )
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
-    common.add_argument(
-        "--tol-override", type=_tol_override, action="append", metavar="NAME=VALUE",
-        help="override a named validation tolerance (repeatable)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="cometric",
@@ -350,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     oc = oneill.add_parser("check", parents=[common], help="submersion residuals at random points")
     oc.add_argument("--case", required=True, choices=("flat", "product", "hopf"))
     oc.add_argument("--trials", type=int, default=10, help="number of random points (default 10)")
+    oc.add_argument("--seed", type=int, default=0, help="seed for the random points (default 0)")
     oc.add_argument("--mode", choices=("exact", "fd"), default="exact",
                     help="lift-bracket derivative mode")
     oc.set_defaults(func=_cmd_oneill_check)
@@ -364,6 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     sm.set_defaults(func=_cmd_shape_make)
 
     va = groups.add_parser("validate", parents=[common], help="run the validation suites")
+    va.add_argument("--seed", type=int, default=0, help="seed for randomized suites (default 0)")
+    va.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    va.add_argument(
+        "--tol-override", type=_tol_override, action="append", metavar="NAME=VALUE",
+        help="override a named validation tolerance (repeatable)",
+    )
     va.add_argument("--quick", action="store_true", help="smaller random suites")
     va.add_argument("--suite", action="append", choices=sorted(validation.SUITES),
                     help="run only this suite (repeatable)")

@@ -7,7 +7,8 @@ tightest first: ``^``, unary minus, ``* /``, ``+ -``.
 
 The module provides structural parsing (:func:`parse`), printing
 (:func:`to_string`, which round-trips through :func:`parse`), evaluation with
-domain checking, and symbolic differentiation with a deliberately minimal,
+domain checking and one-pass value/gradient/Hessian jets (one tree walker),
+and symbolic differentiation with a deliberately minimal,
 idempotent simplifier (constant folding plus ``0*x -> 0``, ``x+0 -> x``,
 ``1*x -> x`` and friends) so printed derivatives stay recognizable.
 
@@ -20,9 +21,9 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import DomainEvaluationError, ParseError
+import numpy as np
 
-FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "tanh")
+from .errors import DomainEvaluationError, ParseError
 
 
 class Expr:
@@ -233,13 +234,11 @@ class _Parser:
         base = self.atom()
         if self._peek() != "^":
             return base
-        caret = self.pos
         self.pos += 1
         expo = self.unary()  # right-associative, may carry its own sign
         if isinstance(expo, Const) and float(expo.value).is_integer() and abs(expo.value) < 2**31:
             return pow_(base, int(expo.value))
         # Non-integer or non-constant exponent: rewrite b^e as exp(e * log(b)).
-        del caret
         return call_("exp", mul_(expo, call_("log", base)))
 
     def atom(self) -> Expr:
@@ -320,43 +319,89 @@ def to_string(e: Expr) -> str:
 
 def evaluate(e: Expr, x) -> float:
     """Evaluate at the point ``x`` (0-based sequence; ``Var(i)`` reads ``x[i-1]``)."""
+    return _walk(e, x, 0)[0]
+
+
+def jet(e: Expr, x) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value, gradient ``(d,)`` and Hessian ``(d, d)`` at ``x`` (``d = len(x)``)
+    by second-order forward arithmetic; raises :class:`DomainEvaluationError`
+    wherever the value or a derivative does not exist (``sqrt`` at 0)."""
+    return _walk(e, x, len(x))
+
+
+# First and second derivative factors from the argument v and the value r.
+_CHAIN = {
+    "exp": lambda v, r: (r, r),
+    "sin": lambda v, r: (math.cos(v), -r),
+    "cos": lambda v, r: (-math.sin(v), -r),
+    "tanh": lambda v, r: (1.0 - r**2, -2.0 * r * (1.0 - r**2)),
+}
+
+
+def _walk(e: Expr, x, n: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value with gradient and Hessian in ``x1 .. xn``; first derivatives take
+    the operations of evaluated :func:`differentiate` trees.  With ``n = 0`` the
+    derivative arrays are empty and only the value's domain is checked."""
     if isinstance(e, Const):
-        return e.value
+        return e.value, np.zeros(n), np.zeros((n, n))
     if isinstance(e, Var):
         if e.index > len(x):
             raise DomainEvaluationError(f"expression uses x{e.index} but the point has dimension {len(x)}")
-        return float(x[e.index - 1])
-    if isinstance(e, Add):
-        return evaluate(e.a, x) + evaluate(e.b, x)
-    if isinstance(e, Sub):
-        return evaluate(e.a, x) - evaluate(e.b, x)
-    if isinstance(e, Mul):
-        return evaluate(e.a, x) * evaluate(e.b, x)
+        unit = (np.arange(n) == e.index - 1).astype(float)
+        return float(x[e.index - 1]), unit, np.zeros((n, n))
+    if isinstance(e, (Add, Sub, Mul)):
+        a, ga, ha = _walk(e.a, x, n)
+        b, gb, hb = _walk(e.b, x, n)
+        if isinstance(e, Add):
+            return a + b, ga + gb, ha + hb
+        if isinstance(e, Sub):
+            return a - b, ga - gb, ha - hb
+        t = np.outer(ga, gb)
+        return a * b, ga * b + a * gb, ha * b + a * hb + (t + t.T)
     if isinstance(e, Div):
-        den = evaluate(e.b, x)
-        if den == 0.0:
+        b, gb, hb = _walk(e.b, x, n)
+        if b == 0.0:
             raise DomainEvaluationError("division by zero")
-        return evaluate(e.a, x) / den
+        a, ga, ha = _walk(e.a, x, n)
+        q = a / b
+        g = (ga * b - a * gb) / (b * b)
+        t = np.outer(g, gb)
+        return q, g, (ha - q * hb - (t + t.T)) / b
     if isinstance(e, Pow):
-        base = evaluate(e.base, x)
-        if base == 0.0 and e.exponent < 0:
+        b, gb, hb = _walk(e.base, x, n)
+        k = e.exponent
+        if b == 0.0 and k < 0:
             raise DomainEvaluationError("zero raised to a negative power")
         try:
-            return float(base**e.exponent)
+            v = float(b**k)
+            c1 = k * b ** (k - 1) if n and k else 0.0
+            c2 = k * (k - 1) * b ** (k - 2) if n and k not in (0, 1) else 0.0
         except OverflowError as exc:
             raise DomainEvaluationError(f"overflow in power: {exc}") from exc
+        return v, c1 * gb, c1 * hb + c2 * np.outer(gb, gb)
     if isinstance(e, Neg):
-        return -evaluate(e.a, x)
+        a, ga, ha = _walk(e.a, x, n)
+        return -a, -ga, -ha
     if isinstance(e, Call):
-        v = evaluate(e.arg, x)
+        v, gv, hv = _walk(e.arg, x, n)
         if e.fn == "log" and v <= 0.0:
             raise DomainEvaluationError(f"log of nonpositive value {v!r}")
         if e.fn == "sqrt" and v < 0.0:
             raise DomainEvaluationError(f"sqrt of negative value {v!r}")
         try:
-            return _FN[e.fn](v)
+            r = _FN[e.fn](v)
         except (ValueError, OverflowError) as exc:
             raise DomainEvaluationError(f"{e.fn}({v!r}): {exc}") from exc
+        if e.fn == "log":
+            g = gv / v
+            return r, g, hv / v - np.outer(g, g)
+        if e.fn == "sqrt":
+            if n and r == 0.0:
+                raise DomainEvaluationError("sqrt has no derivative at 0")
+            g = gv / (2.0 * r)
+            return r, g, (hv - 2.0 * np.outer(g, g)) / (2.0 * r)
+        f1, f2 = _CHAIN[e.fn](v, r)
+        return r, f1 * gv, f1 * hv + f2 * np.outer(gv, gv)
     raise TypeError(f"not an expression: {e!r}")
 
 

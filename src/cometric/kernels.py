@@ -237,8 +237,8 @@ class PairBlock:
 
 def pair_block(spec: KernelSpec, points: np.ndarray, order: int, *, what: str = "points") -> PairBlock:
     """Differences, distances and kernel profiles up to ``order`` (0, 1 or 2)
-    of ``points`` (p, D) in one pass.  Coincident rows are refused as by
-    :func:`check_distinct`, from the same distances."""
+    of ``points`` (p, D) in one pass.  Non-finite and coincident rows are
+    refused as by :func:`check_distinct`, from the same distances."""
     diff, rho = _distinct_pairs(np.asarray(points, dtype=float), what)
     return PairBlock(diff, *_radial_profiles(spec, rho, order))
 
@@ -271,13 +271,15 @@ def spec_to_json(spec: KernelSpec) -> dict:
 
 
 def check_distinct(points: np.ndarray, *, what: str = "points") -> None:
-    """Reject configurations with coincident rows (tolerance 1e-10 * diameter)."""
+    """Reject non-finite coordinates and coincident rows (tolerance 1e-10 * diameter)."""
     _distinct_pairs(np.asarray(points, dtype=float), what)
 
 
 def _distinct_pairs(pts: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Pair differences and distances of the rows of ``pts``, after the test of
-    :func:`check_distinct` on those distances."""
+    """Pair differences and distances of the rows of ``pts``, after the tests of
+    :func:`check_distinct`."""
+    if not np.isfinite(pts).all():
+        raise ConfigurationError(f"{what} contain non-finite coordinates")
     diff = _pair_differences(pts)
     dist = np.sqrt(_pair_dot(diff, diff))
     if len(pts) >= 2:

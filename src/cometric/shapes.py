@@ -177,7 +177,7 @@ def induced_pairing(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
     """``sum_st w_s w_t (a_s . b_t) K(x_s - x_t)``."""
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
-    kv = kernel_value(spec, shape.x[:, None, :] - shape.x[None, :, :])
+    kv = pair_block(spec, shape.x, 0, what="samples").value
     dots = (a @ b.T) * shape.w[:, None] * shape.w[None, :]
     return float(np.einsum("st,st->", dots, kv))
 

@@ -14,8 +14,8 @@ the squared metric norm of the vertical part of the bracket of the two
 horizontal lift fields.  ``oneill_check`` reports all three and the residual.
 
 The bracket derivative is exact by default (the lift fields differentiate
-through the jet and the symbolic Jacobian); ``mode="fd"`` keeps the plain
-central-difference route for cross-checks.
+through the jet and the projection's :func:`dsl.jet`); ``mode="fd"`` keeps the
+plain central-difference route for cross-checks.
 
 Catalog: ``flat`` (plane onto a line), ``product`` (curved x flat-ish factor
 with zero vertical term), ``hopf`` (round 3-sphere onto the radius-1/2 sphere;
@@ -26,7 +26,7 @@ catalog tests use ``|x| <= 0.6``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,15 +42,12 @@ _EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 @dataclass(frozen=True)
 class SubmersionCase:
-    """Total cometric, base cometric, projection expressions, and the cached
-    symbolic Jacobian/second-derivative trees."""
+    """Total cometric, base cometric and projection expressions."""
 
     name: str
     total: CometricDef
     base: CometricDef
     proj: tuple[Expr, ...]
-    _jac: tuple = field(default=(), repr=False, compare=False)
-    _jac2: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.proj) != self.base.dim:
@@ -60,32 +57,17 @@ class SubmersionCase:
         for e in self.proj:
             if dsl.max_var(e) > self.total.dim:
                 raise ConfigurationError("projection uses more variables than the total space has")
-        jac = tuple(
-            tuple(dsl.differentiate(e, s) for s in range(1, self.total.dim + 1)) for e in self.proj
-        )
-        jac2 = tuple(
-            tuple(tuple(dsl.differentiate(jac[r][s], t + 1) for t in range(self.total.dim)) for s in range(self.total.dim))
-            for r in range(self.base.dim)
-        )
-        object.__setattr__(self, "_jac", jac)
-        object.__setattr__(self, "_jac2", jac2)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.array([dsl.evaluate(e, x) for e in self.proj])
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """``J[r, s] = d_s p^r`` at ``x`` (shape (base_dim, total_dim))."""
-        return np.array([[dsl.evaluate(d, x) for d in row] for row in self._jac])
+        return np.array([dsl.jet(e, x)[1] for e in self.proj])
 
     def jacobian_derivative(self, x: np.ndarray) -> np.ndarray:
         """``dJ[s, r, t] = d_s d_t p^r`` at ``x``."""
-        b, e = self.base.dim, self.total.dim
-        out = np.empty((e, b, e))
-        for r in range(b):
-            for s in range(e):
-                for t in range(e):
-                    out[s, r, t] = dsl.evaluate(self._jac2[r][s][t], x)
-        return out
+        return np.stack([dsl.jet(e, x)[2] for e in self.proj], axis=1)
 
 
 def check_case(case: SubmersionCase, x: np.ndarray, tol: float = 1e-8) -> float:

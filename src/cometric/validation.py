@@ -187,8 +187,8 @@ def _christoffel_cases(
 def suite_christoffel(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool, str]:
     """Coordinate curvature numerator against the Christoffel/Riemann oracle.
 
-    Runs both oracle modes: exact symbolic metric jets, and finite-difference
-    Christoffel derivatives (fully independent of the symbolic second
+    Runs both oracle modes: exact metric jets, and finite-difference
+    Christoffel derivatives (fully independent of the forward-mode second
     derivatives that feed the numerator).
     """
     tol = tols["christoffel"]

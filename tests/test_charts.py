@@ -141,8 +141,10 @@ def test_catalog_names():
 
 
 def test_landmark_cometric_def_matches_direct_kernel():
-    """The symbolic landmark chart evaluates to the same Gram blocks."""
+    """The symbolic landmark chart evaluates to the same Gram blocks, and its
+    full 2-jet matches the direct kernel-jet assembly."""
     from cometric.kernels import kernel_value
+    from cometric.landmark import LandmarkMetric, landmark_cometric_jet
 
     spec = KernelSpec("sobolev_bessel", n=3, l=3, A=0.7, c=1.2)
     defn = charts.landmark_cometric_def(spec, p=2, D=2)
@@ -156,3 +158,14 @@ def test_landmark_cometric_def_matches_direct_kernel():
     want[:2, 2:] = k01 * np.eye(2)
     want[2:, :2] = k01 * np.eye(2)
     assert np.allclose(jet.ginv, want, rtol=1e-12, atol=1e-15)
+
+    rng = np.random.default_rng(8)
+    for spec in (spec, KernelSpec("sobolev_bessel", n=3, l=4, A=1.3, c=0.7), KernelSpec("gaussian", n=3, A=0.9, c=1.2)):
+        for p, D in ((2, 1), (2, 2), (3, 1), (3, 2)):
+            q = rng.uniform(-0.5, 0.5, size=(p, D))
+            q[:, 0] += 0.8 * np.arange(p)
+            symbolic = charts.cometric_jet(charts.landmark_cometric_def(spec, p, D), q.reshape(-1))
+            direct = landmark_cometric_jet(LandmarkMetric(spec, p, D), q)
+            for name in ("ginv", "dginv", "ddginv"):
+                want = getattr(direct, name)
+                assert np.abs(getattr(symbolic, name) - want).max() <= 1e-12 * (1.0 + np.abs(want).max())

@@ -133,6 +133,11 @@ def test_validate_quick_suite(capsys):
     out = capsys.readouterr().out
     assert "kernel_oracle" in out and "m0_reduction" in out
     assert "PASS" in out and "FAIL" not in out
+    code = main(["validate", "--quick", "--suite", "constant_curvature", "--suite", "m0_reduction",
+                 "--threads", "2"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "constant_curvature" in out and "m0_reduction" in out and "FAIL" not in out
 
 
 def test_validate_tolerance_override_fails_suite(capsys):
@@ -151,6 +156,12 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit) as info:
         main(["kernel"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    # --threads, --seed and --tol-override exist only where they are read
+    with pytest.raises(SystemExit) as info:
+        main(["curvature", "chart", "--cometric", "catalog:sphere", "--point", "0.1,0.2",
+              "--alpha", "1,0", "--beta", "0,1", "--threads", "2"])
     assert info.value.code == 2
     capsys.readouterr()
 

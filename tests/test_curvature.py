@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cometric import charts
 from cometric.curvature import (
@@ -97,13 +98,15 @@ def test_three_forms_agree_on_random_cometrics():
         assert abs(coord.r3 - fs.r3) / scale < 1e-11
 
 
-def test_numerator_symmetries():
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4))
+def test_numerator_symmetries(seed, d):
     """R(u,v,v,u)-type symmetry and quadratic scaling in each argument."""
-    rng = np.random.default_rng(14)
-    defn, x = random_cometric(rng, 3)
+    rng = np.random.default_rng(seed)
+    defn, x = random_cometric(rng, d)
     jet = charts.cometric_jet(defn, x)
-    alpha = rng.standard_normal(3)
-    beta = rng.standard_normal(3)
+    alpha = rng.standard_normal(d)
+    beta = rng.standard_normal(d)
     ab = numerator_coordinate(jet, alpha, beta).total
     ba = numerator_coordinate(jet, beta, alpha).total
     assert ab == pytest.approx(ba, rel=1e-12, abs=1e-12)

@@ -1,10 +1,12 @@
-"""Expression DSL: parsing, printing, evaluation, differentiation."""
+"""Expression DSL: parsing, printing, evaluation, jets, differentiation."""
 
 import numpy as np
 import pytest
 
 from cometric import dsl
 from cometric.errors import DomainEvaluationError, ParseError
+from cometric.submersion import hopf_case
+from cometric.validation import random_cometric
 
 
 def test_parse_basic_arithmetic():
@@ -109,16 +111,64 @@ def test_smart_constructors_fold_constants():
 
 
 def test_evaluate_domain_errors():
+    for walker in (dsl.evaluate, dsl.jet):
+        with pytest.raises(DomainEvaluationError):
+            walker(dsl.parse("log(x1)"), [-1.0])
+        with pytest.raises(DomainEvaluationError):
+            walker(dsl.parse("log(x1)"), [0.0])
+        with pytest.raises(DomainEvaluationError):
+            walker(dsl.parse("sqrt(x1)"), [-0.5])
+        with pytest.raises(DomainEvaluationError):
+            walker(dsl.parse("1 / x1"), [0.0])
+        with pytest.raises(DomainEvaluationError):
+            walker(dsl.parse("x1 ^ (-1)"), [0.0])
+        with pytest.raises(DomainEvaluationError):
+            walker(dsl.parse("exp(x1)"), [1e6])  # overflow
+
+
+def test_sqrt_at_zero_has_a_value_but_no_jet():
+    e = dsl.parse("sqrt(x1)")
+    assert dsl.evaluate(e, [0.0]) == 0.0
     with pytest.raises(DomainEvaluationError):
-        dsl.evaluate(dsl.parse("log(x1)"), [-1.0])
+        dsl.jet(e, [0.0])
+    # the evaluated derivative tree refuses the same point
     with pytest.raises(DomainEvaluationError):
-        dsl.evaluate(dsl.parse("sqrt(x1)"), [-0.5])
-    with pytest.raises(DomainEvaluationError):
-        dsl.evaluate(dsl.parse("1 / x1"), [0.0])
-    with pytest.raises(DomainEvaluationError):
-        dsl.evaluate(dsl.parse("x1 ^ (-1)"), [0.0])
-    with pytest.raises(DomainEvaluationError):
-        dsl.evaluate(dsl.parse("exp(x1)"), [1e6])  # overflow
+        dsl.evaluate(dsl.differentiate(e, 1), [0.0])
+
+
+def _tree_jet(e, x):
+    """Gradient and Hessian from evaluated :func:`dsl.differentiate` trees."""
+    d = len(x)
+    grads = [dsl.differentiate(e, s) for s in range(1, d + 1)]
+    g = np.array([dsl.evaluate(t, x) for t in grads])
+    h = np.array([[dsl.evaluate(dsl.differentiate(t, u), x) for u in range(1, d + 1)] for t in grads])
+    return g, h
+
+
+def test_jet_matches_evaluated_derivative_trees():
+    """Forward arithmetic against the symbolic route, on random cometric
+    entries (d = 2..4), the hopf projection components and every function
+    of the language."""
+    rng = np.random.default_rng(3)
+    texts = ["sqrt(3 + x1 * x2) * log(2 + x2 * x2)", "exp(x1 - x2 ^ 3) / (2 + cos(x1))",
+             "tanh(x1 * x2) ^ (-2) - sin(x2) / x1", "x1 ^ 0.5 * (x1 + x2) ^ 4"]
+    cases = [(dsl.parse(t), rng.uniform(0.2, 1.2, size=2)) for t in texts for _ in range(5)]
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        defn, x = random_cometric(rng, 2 + seed % 3)
+        cases += [(e, x) for e in defn.entries.values()]
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        x = rng.standard_normal(3)
+        x *= rng.uniform(0.1, 0.6) / np.linalg.norm(x)
+        cases += [(e, x) for e in hopf_case().proj]
+    for e, x in cases:
+        value, grad, hess = dsl.jet(e, x)
+        assert value == dsl.evaluate(e, x)
+        g, h = _tree_jet(e, x)
+        assert np.abs(grad - g).max() <= 1e-13 * (1.0 + np.abs(g).max())
+        assert np.abs(hess - h).max() <= 1e-13 * (1.0 + np.abs(h).max())
+        assert np.array_equal(hess, hess.T)
 
 
 def test_differentiate_against_finite_differences():

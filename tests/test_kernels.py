@@ -198,6 +198,14 @@ def test_check_distinct():
     bad = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-14]])
     with pytest.raises(DegenerateConfigurationError):
         check_distinct(bad)
+    spec = KernelSpec("sobolev_bessel", n=3, l=3)
+    for value in (np.nan, np.inf):
+        for points in (good[:1].copy(), good.copy()):
+            points[-1, 1] = value
+            with pytest.raises(ConfigurationError, match="landmarks contain non-finite coordinates"):
+                check_distinct(points, what="landmarks")
+            with pytest.raises(ConfigurationError, match="points contain non-finite coordinates"):
+                gram_matrix(spec, points)
 
 
 def test_gram_matrix_is_spd():

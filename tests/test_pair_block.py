@@ -335,6 +335,21 @@ def test_coincident_samples_refused_inside_curvature_terms():
     assert str(info.value) == _message(shape.x, "samples")
 
 
+def test_non_finite_coordinates_refused():
+    """A NaN row is refused by name, not left to a NaN Gram matrix and an
+    eigenvalue failure."""
+    spec = SPECS[0]
+    q = np.array([[0.0, 0.0], [1.0, 0.5], [-0.7, 0.2]])
+    q[1, 0] = np.nan
+    with pytest.raises(ConfigurationError, match="landmarks contain non-finite coordinates"):
+        landmark.curvature(LandmarkMetric(spec, 3, 2), q, np.ones_like(q), -np.ones_like(q))
+    shape = shapes.make_circle(10)
+    a = 0.2 * shape.x
+    shape.x[4, 1] = np.nan  # set after construction, past the constructor's check
+    with pytest.raises(ConfigurationError, match="samples contain non-finite coordinates"):
+        shapes.curvature_terms(spec, shape, a, -a)
+
+
 def test_ill_conditioned_gram_still_refused():
     """Landmarks 1e-7 apart pass the distinctness test, not the Gram guard."""
     spec = SPECS[1]
