@@ -133,7 +133,10 @@ def pow_(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if _is_const(base) and (exponent >= 0 or base.value != 0.0):
-        return Const(float(base.value**exponent))
+        try:
+            return Const(float(base.value**exponent))
+        except OverflowError as exc:
+            raise DomainEvaluationError(f"overflow in power: {exc}") from exc
     return Pow(base, exponent)
 
 

@@ -128,10 +128,8 @@ def shape_system(spec: KernelSpec, shape0: shapes_mod.DiscreteSubmanifold) -> Ha
     w = shape0.w.copy()
 
     def unpack(y: np.ndarray) -> shapes_mod.DiscreteSubmanifold:
-        x = y[: s * n].reshape(s, n)
-        return shapes_mod.DiscreteSubmanifold(
-            x=x, w=w, tangents=shape0.tangents, projectors=shape0.projectors
-        )
+        # distinctness is tested once, by the pair block of geodesic_rhs or induced_pairing
+        return shapes_mod._unchecked(y[: s * n].reshape(s, n), w, shape0.tangents, shape0.projectors)
 
     def rhs(y: np.ndarray) -> np.ndarray:
         shp = unpack(y)

@@ -19,7 +19,8 @@ Two families:
 
 Gradients and Hessians use the recurrence ``d/dt E_nu = -t E_(nu-1)``, which is
 free of cancellation; nothing here evaluates a Bessel function numerically.
-The only scipy dependency is ``scipy.special.jv`` inside the quadrature oracle.
+The only scipy dependency is ``scipy.special.spherical_jn`` inside the
+quadrature oracle, whose Bessel order ``n/2 - 1`` is a half-integer.
 
 Smoothness grades: a spec is *value-grade* when ``2l > n`` (continuous kernel)
 and *curvature-grade* when ``2l > n + 2`` (C^2 kernel, i.e. Matern order
@@ -317,10 +318,15 @@ def kernel_fourier_oracle(spec: KernelSpec, r: np.ndarray, quad_points: int = 10
         K(rho) = (2 pi)^(-n/2) rho^(1-n/2) * int_0^inf s^(n/2) (1+A s^2)^(-l) J_(n/2-1)(rho s) ds
 
     evaluated with composite 16-point Gauss-Legendre panels on [0, S], S chosen
-    so the analytic tail bound is below 1e-10.  Slow by design; this is the
-    measurement the closed form is validated against, not a production path.
+    so the analytic tail bound is below 1e-10.  For odd ``n`` the order is
+    ``n/2 - 1 = k + 1/2`` and the Bessel function is elementary (DLMF 10.16.1,
+    10.47.3): ``J_(k+1/2)(z) = sqrt(2/(pi z)) R_k(z)`` with ``R_(-1)(z) = cos z``
+    and ``R_k(z) = z j_k(z)`` (spherical Bessel ``j_k``) for ``k >= 0``.  Still a
+    full quadrature on ``quad_points`` nodes; this is the measurement the closed
+    form is validated against, not a production path, and it shares nothing
+    with the closed form.
     """
-    from scipy.special import jv
+    from scipy.special import spherical_jn
 
     if spec.family != BESSEL_FAMILY:
         raise UnsupportedError(f"kernel family {spec.family!r} has no Fourier-integral definition")
@@ -343,6 +349,8 @@ def kernel_fourier_oracle(spec: KernelSpec, r: np.ndarray, quad_points: int = 10
     else:
         mu = n / 2 - 1
         pref = c * (2 * math.pi) ** (-n / 2) * rho ** (1 - n / 2)
+        # s^(n/2) J_mu(rho s) = sqrt(2/(pi rho)) s^((n-1)/2) R_k(rho s), k = mu - 1/2
+        amp = pref * math.sqrt(2 / (math.pi * rho))
         if mu >= 0:
             # |J_mu| <= 1: tail pref * A^-l S^(n/2+1-2l) / (2l - n/2 - 1)
             expo = 2 * l - n / 2 - 1
@@ -350,17 +358,21 @@ def kernel_fourier_oracle(spec: KernelSpec, r: np.ndarray, quad_points: int = 10
         else:
             # n = 1, mu = -1/2: |J_mu(z)| <= sqrt(2/(pi z))
             expo = 2 * l - n / 2 - 0.5
-            amp = pref * math.sqrt(2 / (math.pi * rho))
             s_max = (amp * A ** (-l) / (expo * 1e-10)) ** (1.0 / expo)
         s_max = max(s_max, 50.0 / math.sqrt(A))
+        k = (n - 3) // 2
 
         def integrand(s: np.ndarray) -> np.ndarray:
-            return pref * s ** (n / 2) * (1.0 + A * s * s) ** (-l) * jv(mu, rho * s)
+            z = rho * s
+            riccati = np.cos(z) if k < 0 else spherical_jn(k, z) * z
+            del z  # not needed below; the product would otherwise hold one more node-sized array
+            return amp * s ** ((n - 1) // 2) * (1.0 + A * s * s) ** (-l) * riccati
 
     panels = max(4, quad_points // 16)
     edges = np.linspace(0.0, s_max, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    values = integrand(nodes.ravel())  # before the weights exist: lower peak memory
     weights = half[:, None] * _GL_WEIGHTS[None, :]
-    return float(np.sum(integrand(nodes.ravel()) * weights.ravel()))
+    return float(np.sum(values * weights.ravel()))

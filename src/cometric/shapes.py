@@ -20,7 +20,7 @@ kernel Gram solve to the normal bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,6 +72,15 @@ class DiscreteSubmanifold:
     @property
     def samples(self) -> int:
         return self.x.shape[0]
+
+
+def _unchecked(x: np.ndarray, w: np.ndarray, tangents: np.ndarray, projectors: np.ndarray) -> DiscreteSubmanifold:
+    """A shape built without ``__post_init__``, for fields already validated:
+    samples taken from a checked shape, or samples about to meet a pair block,
+    which tests the same distances (one check per configuration, not two)."""
+    shape = object.__new__(DiscreteSubmanifold)
+    shape.__dict__.update(x=x, w=w, tangents=tangents, projectors=projectors)
+    return shape
 
 
 def landmark_shape(q: np.ndarray) -> DiscreteSubmanifold:
@@ -129,7 +138,7 @@ def rederive_frames(shape: DiscreteSubmanifold) -> tuple[DiscreteSubmanifold, fl
     if shape.m != 1:
         raise ConfigurationError(f"frame re-derivation implemented for curves (m=1), got m={shape.m}")
     tangents, projectors, quality = _closed_curve_frames(shape.x)
-    return replace(shape, tangents=tangents, projectors=projectors), quality
+    return _unchecked(shape.x, shape.w, tangents, projectors), quality
 
 
 def make_circle(samples: int, radius: float = 1.0, center: tuple[float, float] = (0.0, 0.0)) -> DiscreteSubmanifold:

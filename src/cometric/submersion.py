@@ -58,16 +58,23 @@ class SubmersionCase:
             if dsl.max_var(e) > self.total.dim:
                 raise ConfigurationError("projection uses more variables than the total space has")
 
+    def _jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``project``, ``jacobian`` and ``jacobian_derivative`` at ``x`` from one
+        :func:`dsl.jet` per component (its value equals :func:`dsl.evaluate`)."""
+        parts = [dsl.jet(e, x) for e in self.proj]
+        return (np.array([v for v, _, _ in parts]), np.array([g for _, g, _ in parts]),
+                np.stack([h for _, _, h in parts], axis=1))
+
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.array([dsl.evaluate(e, x) for e in self.proj])
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """``J[r, s] = d_s p^r`` at ``x`` (shape (base_dim, total_dim))."""
-        return np.array([dsl.jet(e, x)[1] for e in self.proj])
+        return self._jet(x)[1]
 
     def jacobian_derivative(self, x: np.ndarray) -> np.ndarray:
         """``dJ[s, r, t] = d_s d_t p^r`` at ``x``."""
-        return np.stack([dsl.jet(e, x)[2] for e in self.proj], axis=1)
+        return self._jet(x)[2]
 
 
 def check_case(case: SubmersionCase, x: np.ndarray, tol: float = 1e-8) -> float:
@@ -98,12 +105,10 @@ def pullback_sharp(case: SubmersionCase, x: np.ndarray, alpha: np.ndarray) -> np
     return jet_e.ginv @ (case.jacobian(x).T @ alpha)
 
 
-def _lift_bracket_exact(case: SubmersionCase, jet_e: CometricJet, x: np.ndarray,
+def _lift_bracket_exact(jet_e: CometricJet, jac: np.ndarray, djac: np.ndarray,
                         alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """[L_alpha, L_beta](x) with exact field derivatives:
-    ``d_s L_gamma = (d_s G_E) J^T gamma + G_E (d_s J)^T gamma``."""
-    jac = case.jacobian(x)
-    djac = case.jacobian_derivative(x)  # [s, r, t]
+    ``d_s L_gamma = (d_s G_E) J^T gamma + G_E (d_s J)^T gamma``; ``djac[s, r, t]``."""
     la = jet_e.ginv @ (jac.T @ alpha)
     lb = jet_e.ginv @ (jac.T @ beta)
     dla = np.einsum("sij,rj,r->si", jet_e.dginv, jac, alpha) + np.einsum(
@@ -154,15 +159,14 @@ def oneill_check(case: SubmersionCase, x: np.ndarray, alpha: np.ndarray, beta: n
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     jet_e = cometric_jet(case.total, x)
-    y = case.project(x)
+    y, jac, djac = case._jet(x)
     jet_b = cometric_jet(case.base, y)
-    jac = case.jacobian(x)
 
     base_bd = numerator_coordinate(jet_b, alpha, beta)
     total_bd = numerator_coordinate(jet_e, jac.T @ alpha, jac.T @ beta)
 
     if mode == "exact":
-        w = _lift_bracket_exact(case, jet_e, x, alpha, beta)
+        w = _lift_bracket_exact(jet_e, jac, djac, alpha, beta)
     elif mode == "fd":
         w = _lift_bracket_fd(case, x, alpha, beta)
     else:

@@ -176,6 +176,17 @@ def test_computation_error_exits_1(tmp_path, spec_file, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_overflowing_cometric_entry_exits_1(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 2, "entries": {"1,1": "1 + 1e300^2", "2,2": "1"}}))
+    code = main(["curvature", "chart", "--cometric", str(path),
+                 "--point", "0,0", "--alpha", "1,0", "--beta", "0,1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: overflow in power")
+    assert "Traceback" not in err
+
+
 def test_non_finite_shape_file_exits_1(tmp_path, spec_file, capsys):
     """A NaN sample is refused at load, not left to fail inside an SVD."""
     path = tmp_path / "c.json"

@@ -110,6 +110,13 @@ def test_smart_constructors_fold_constants():
     assert dsl.neg_(dsl.neg_(x)) == x
 
 
+def test_constant_power_overflow_is_a_domain_error():
+    with pytest.raises(DomainEvaluationError, match="overflow in power"):
+        dsl.parse("1e300^2")
+    with pytest.raises(DomainEvaluationError, match="overflow in power"):
+        dsl.pow_(dsl.Const(1e-300), -2)
+
+
 def test_evaluate_domain_errors():
     for walker in (dsl.evaluate, dsl.jet):
         with pytest.raises(DomainEvaluationError):

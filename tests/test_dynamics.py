@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cometric import shapes
+from cometric import kernels, shapes
 from cometric.dynamics import (
     HamiltonianSystem,
     IntegratorConfig,
@@ -13,8 +13,13 @@ from cometric.dynamics import (
     shape_system,
     shoot,
 )
-from cometric.errors import ConditioningError, ConfigurationError, DivergenceError
-from cometric.kernels import KernelSpec, gram_matrix, kernel_value
+from cometric.errors import (
+    ConditioningError,
+    ConfigurationError,
+    DegenerateConfigurationError,
+    DivergenceError,
+)
+from cometric.kernels import KernelSpec, check_distinct, gram_matrix, kernel_value
 from cometric.landmark import LandmarkMetric
 
 SPEC = KernelSpec("sobolev_bessel", n=3, l=3, A=0.8, c=1.0)
@@ -187,3 +192,44 @@ def test_shape_geodesic_stays_normal():
     assert report.normality_max < 1e-4
     assert report.frame_quality is not None
     assert min(report.frame_quality) > 0.9
+
+
+def _system(kind):
+    """A landmark or a curve system, a configuration for it and its ``what``."""
+    circle = shapes.make_circle(8)
+    if kind == "landmark":
+        return landmark_system(LandmarkMetric(SPEC, 4, 2)), circle.x[::2].copy(), "landmarks"
+    return shape_system(SPEC, circle), circle.x.copy(), "samples"
+
+
+@pytest.mark.parametrize("kind", ["landmark", "curve"])
+def test_rhs_and_observe_refuse_coincident_points(kind):
+    """A collision inside the state (not at entry) is refused by both callbacks
+    with ``check_distinct``'s error and message."""
+    system, x, what = _system(kind)
+    x[2] = x[0]
+    with pytest.raises(DegenerateConfigurationError) as want:
+        check_distinct(x, what=what)
+    y = np.concatenate([x.reshape(-1), 0.1 * x.reshape(-1)])
+    for call in (system.rhs, system.observe):
+        with pytest.raises(DegenerateConfigurationError) as got:
+            call(y)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kind", ["landmark", "curve"])
+def test_one_distinctness_test_per_stage_and_per_step(kind, monkeypatch):
+    system, x, _ = _system(kind)
+    calls = []
+    inner = kernels._distinct_pairs
+
+    def counting(pts, what):
+        calls.append(what)
+        return inner(pts, what)
+
+    monkeypatch.setattr(kernels, "_distinct_pairs", counting)
+    y = np.concatenate([x.reshape(-1), 0.1 * x.reshape(-1)])
+    system.rhs(y)
+    assert len(calls) == 1
+    system.observe(y)
+    assert len(calls) == 2

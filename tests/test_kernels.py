@@ -1,7 +1,10 @@
 """Kernel closed forms, jets, and the Fourier quadrature oracle."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from cometric.errors import (
     ConfigurationError,
@@ -183,6 +186,55 @@ def test_fourier_oracle_matches_closed_form():
         closed = float(kernel_value(spec, np.array([r, 0.0, 0.0])))
         quad = kernel_fourier_oracle(spec, r)
         assert closed == pytest.approx(quad, abs=1e-8)
+
+
+def _jv_oracle(spec, r, quad_points=100_000):
+    """The oracle's earlier body, general-order ``jv`` integrand, same nodes."""
+    rho = float(np.linalg.norm(np.asarray(r, dtype=float)))
+    n, l, A, c = spec.n, spec.l, spec.A, spec.c
+
+    if rho < 1e-12:
+        pref = c * (2 * math.pi) ** (-n) * (2 * math.pi ** (n / 2) / math.gamma(n / 2))
+        expo = 2 * l - n
+        s_max = (pref * A ** (-l) / (expo * 1e-10)) ** (1.0 / expo)
+        s_max = max(s_max, 50.0 / math.sqrt(A))
+
+        def integrand(s):
+            return pref * s ** (n - 1) * (1.0 + A * s * s) ** (-l)
+
+    else:
+        mu = n / 2 - 1
+        pref = c * (2 * math.pi) ** (-n / 2) * rho ** (1 - n / 2)
+        if mu >= 0:
+            expo = 2 * l - n / 2 - 1
+            s_max = (pref * A ** (-l) / (expo * 1e-10)) ** (1.0 / expo)
+        else:
+            expo = 2 * l - n / 2 - 0.5
+            amp = pref * math.sqrt(2 / (math.pi * rho))
+            s_max = (amp * A ** (-l) / (expo * 1e-10)) ** (1.0 / expo)
+        s_max = max(s_max, 50.0 / math.sqrt(A))
+
+        def integrand(s):
+            return pref * s ** (n / 2) * (1.0 + A * s * s) ** (-l) * jv(mu, rho * s)
+
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(16)
+    panels = max(4, quad_points // 16)
+    edges = np.linspace(0.0, s_max, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = mid[:, None] + half[:, None] * gl_nodes[None, :]
+    weights = half[:, None] * gl_weights[None, :]
+    return float(np.sum(integrand(nodes.ravel()) * weights.ravel()))
+
+
+@pytest.mark.parametrize("n,l,A,c", [(1, 2, 1.0, 1.0), (3, 3, 0.8, 1.0), (5, 4, 1.3, 0.7)])
+def test_fourier_oracle_matches_general_order_bessel_reference(n, l, A, c):
+    """The elementary half-integer Bessel functions (cos for n = 1, z j_k(z)
+    for n = 3, 5) give the general-order integrand's sums on the same nodes."""
+    spec = KernelSpec("sobolev_bessel", n=n, l=l, A=A, c=c)
+    for rho in (0.0, 0.05, 0.3, 1.0, 2.5, 4.0):
+        want = _jv_oracle(spec, rho)
+        assert abs(kernel_fourier_oracle(spec, rho) - want) <= 1e-13 * (1.0 + abs(want))
 
 
 def test_fourier_oracle_rejects_gaussian_and_tiny_grids():

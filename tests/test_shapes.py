@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cometric import shapes
-from cometric.errors import ConfigurationError
+from cometric.errors import ConfigurationError, DegenerateConfigurationError
 from cometric.kernels import KernelSpec
 from cometric.landmark import (
     LandmarkMetric,
@@ -64,6 +64,18 @@ def test_shape_validation():
             tangents=np.zeros((3, 2, 2)),
             projectors=np.zeros((3, 2, 2)),
         )
+
+
+def test_coincident_samples_refused_at_construction_and_load():
+    circle = shapes.make_circle(6)
+    x = circle.x.copy()
+    x[3] = x[1]
+    with pytest.raises(DegenerateConfigurationError, match="coincident samples 1 and 3"):
+        shapes.DiscreteSubmanifold(x=x, w=circle.w, tangents=circle.tangents, projectors=circle.projectors)
+    obj = shapes.shape_to_json(circle)
+    obj["samples"][3] = obj["samples"][1]
+    with pytest.raises(DegenerateConfigurationError, match="coincident samples 1 and 3"):
+        shapes.shape_from_json(obj)
 
 
 def test_closed_curve_frames_approximate_circle_tangents():

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from cometric import submersion
+from cometric import dsl, submersion, validation
+from cometric.charts import cometric_jet
+from cometric.cli import main
+from cometric.curvature import numerator_coordinate
 from cometric.errors import ConfigurationError, GeometryError, MetricDegeneracyError
 
 
@@ -117,3 +120,66 @@ def test_catalog_case_names():
     assert submersion.catalog_case("product").name == "product"
     with pytest.raises(ConfigurationError):
         submersion.catalog_case("torus")
+
+
+def _reference_oneill_check(case, x, alpha, beta, *, mode="exact"):
+    """The earlier ``oneill_check``: each projection component walked for the
+    value, the Jacobian (twice) and the Jacobian derivative separately."""
+    x = np.asarray(x, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+
+    def jacobian(z):
+        return np.array([dsl.jet(e, z)[1] for e in case.proj])
+
+    def jacobian_derivative(z):
+        return np.stack([dsl.jet(e, z)[2] for e in case.proj], axis=1)
+
+    jet_e = cometric_jet(case.total, x)
+    y = np.array([dsl.evaluate(e, x) for e in case.proj])
+    jet_b = cometric_jet(case.base, y)
+    jac = jacobian(x)
+    base_bd = numerator_coordinate(jet_b, alpha, beta)
+    total_bd = numerator_coordinate(jet_e, jac.T @ alpha, jac.T @ beta)
+    assert mode == "exact"
+    jac2 = jacobian(x)
+    djac = jacobian_derivative(x)
+    la = jet_e.ginv @ (jac2.T @ alpha)
+    lb = jet_e.ginv @ (jac2.T @ beta)
+    dla = np.einsum("sij,rj,r->si", jet_e.dginv, jac2, alpha) + np.einsum(
+        "ij,srj,r->si", jet_e.ginv, djac, alpha
+    )
+    dlb = np.einsum("sij,rj,r->si", jet_e.dginv, jac2, beta) + np.einsum(
+        "ij,srj,r->si", jet_e.ginv, djac, beta
+    )
+    w = la @ dlb - lb @ dla
+    mid = jac @ jet_e.ginv @ jac.T
+    w_hor = jet_e.ginv @ (jac.T @ np.linalg.solve(mid, jac @ w))
+    w_ver = w - w_hor
+    vertical = float(w_ver @ jet_e.gcov @ w_ver)
+    return submersion.OneillRecord(
+        x=x, y=y,
+        base_numerator=base_bd.total,
+        total_numerator=total_bd.total,
+        vertical_term=vertical,
+        residual=base_bd.total - total_bd.total - 0.75 * vertical,
+        denominator=base_bd.denominator,
+        base_sectional=base_bd.sectional,
+        total_sectional=total_bd.sectional,
+    )
+
+
+def test_one_jet_per_component_is_byte_identical(capsys, monkeypatch):
+    """``oneill check`` output and the ``oneill`` suite detail equal, byte for
+    byte, those of the four-walk route."""
+    runs = []
+    for route in (submersion.oneill_check, _reference_oneill_check):
+        monkeypatch.setattr(submersion, "oneill_check", route)
+        outs = []
+        for case in ("flat", "product", "hopf"):
+            assert main(["oneill", "check", "--case", case, "--seed", "0"]) == 0
+            outs.append(capsys.readouterr().out)
+        outs.append(validation.suite_oneill(validation.TOLERANCES, 0, False))
+        runs.append(outs)
+    assert runs[0] == runs[1]
+    assert runs[0][-1][0]
