@@ -6,24 +6,26 @@ monitoring: Hamiltonian, linear momentum, the antisymmetric angular-momentum
 components, and — for shapes — the normality defect of the transported
 momenta together with a frame-rederivation quality indicator.
 
-Shooting propagates a landmark state and reports the endpoint sensitivity to
-the initial momenta by central differences; matching wraps it in a
-Gauss-Newton loop with Levenberg damping (and an optional Tikhonov energy
-term).  ``match`` never raises on exhaustion — it reports ``converged=False``
-with the residual history.
+All routes step through one checked loop, ``_states``; a failure raises
+``DivergenceError`` at the time of the last state that passed.  Shot endpoints
+are differentiated by central differences in ``_endpoint_jacobian``, for
+``shoot`` and for ``match`` (which never calls ``shoot``): Gauss-Newton with
+Levenberg damping and an optional Tikhonov term.  ``match`` never raises on
+exhaustion or on a diverging trial step (rejected like one that does not
+lower the residual): it reports ``converged=False`` with the residuals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import ConditioningError, ConfigurationError, DivergenceError
 from .landmark import LandmarkMetric, geodesic_rhs, hamiltonian
-from .kernels import KernelSpec
+from .kernels import KernelSpec, gram_matrix
 from . import shapes as shapes_mod
 
 
@@ -90,18 +92,18 @@ class HamiltonianSystem:
     size: int
 
 
-def _angular_components(q: np.ndarray, p: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """All ``sum_a w_a (q_a^i p_a^j - q_a^j p_a^i)`` for i < j."""
-    d = q.shape[1]
+def _angular_components(q: np.ndarray, p: np.ndarray, pairs: tuple, w: np.ndarray | None = None) -> np.ndarray:
+    """All ``sum_a w_a (q_a^i p_a^j - q_a^j p_a^i)`` for the i < j in ``pairs``."""
     if w is None:
         mom = np.einsum("ai,aj->ij", q, p)
     else:
         mom = np.einsum("a,ai,aj->ij", w, q, p)
-    return np.array([mom[i, j] - mom[j, i] for i in range(d) for j in range(i + 1, d)])
+    return mom[pairs] - mom.T[pairs]
 
 
 def landmark_system(metric: LandmarkMetric) -> HamiltonianSystem:
     p, d = metric.p, metric.D
+    pairs = np.triu_indices(d, 1)  # once per system: it costs ten times the gather
 
     def rhs(y: np.ndarray) -> np.ndarray:
         q = y[: p * d].reshape(p, d)
@@ -115,7 +117,7 @@ def landmark_system(metric: LandmarkMetric) -> HamiltonianSystem:
         return {
             "H": hamiltonian(metric, q, mom),
             "linear": mom.sum(axis=0),
-            "angular": _angular_components(q, mom),
+            "angular": _angular_components(q, mom, pairs),
         }
 
     return HamiltonianSystem(rhs=rhs, observe=observe, size=2 * p * d)
@@ -125,6 +127,7 @@ def shape_system(spec: KernelSpec, shape0: shapes_mod.DiscreteSubmanifold) -> Ha
     """Horizontal shape geodesics; weights stay frozen at their initial values,
     frames are re-derived from the moving samples for monitoring."""
     s, n = shape0.x.shape
+    pairs = np.triu_indices(n, 1)
     w = shape0.w.copy()
 
     def unpack(y: np.ndarray) -> shapes_mod.DiscreteSubmanifold:
@@ -143,7 +146,7 @@ def shape_system(spec: KernelSpec, shape0: shapes_mod.DiscreteSubmanifold) -> Ha
         out = {
             "H": 0.5 * shapes_mod.induced_pairing(spec, shp, a, a),
             "linear": np.einsum("s,si->i", w, a),
-            "angular": _angular_components(shp.x, a, w),
+            "angular": _angular_components(shp.x, a, pairs, w),
         }
         if shape0.m > 0:
             fresh, quality = shapes_mod.rederive_frames(shp)
@@ -185,22 +188,34 @@ def _check_state(y: np.ndarray, t: float, max_norm: float) -> None:
         raise DivergenceError("trajectory blew up", t)
 
 
+def _states(rhs: Callable, y0: np.ndarray, config: IntegratorConfig) -> Iterator[np.ndarray]:
+    """The one stepping loop: yields each state after ``y0`` before stepping on.
+    A failed check reports ``k * dt``, the time of the last state that passed."""
+    y = y0
+    for k in range(config.steps):
+        y = _step(rhs, y, config.dt, config.method)
+        _check_state(y, k * config.dt, config.max_norm)
+        yield y
+
+
+def _endpoint(rhs: Callable, y0: np.ndarray, config: IntegratorConfig) -> np.ndarray:
+    for y in _states(rhs, y0, config):
+        pass
+    return y
+
+
 def integrate(system: HamiltonianSystem, y0: np.ndarray, config: IntegratorConfig
               ) -> tuple[np.ndarray, np.ndarray, ConservationReport]:
     """Propagate and record every step.  Returns (times, states, report)."""
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (system.size,):
         raise ConfigurationError(f"state must have shape ({system.size},), got {y0.shape}")
-    n = config.steps
-    ts = np.linspace(0.0, config.t_final, n + 1)
-    ys = np.empty((n + 1, system.size))
+    ts = np.linspace(0.0, config.t_final, config.steps + 1)
+    ys = np.empty((config.steps + 1, system.size))
     ys[0] = y0
     obs = [system.observe(y0)]
-    y = y0
-    for k in range(n):
-        y = _step(system.rhs, y, config.dt, config.method)
-        _check_state(y, ts[k + 1], config.max_norm)
-        ys[k + 1] = y
+    for k, y in enumerate(_states(system.rhs, y0, config), 1):
+        ys[k] = y
         obs.append(system.observe(y))
     report = ConservationReport(
         t=ts,
@@ -213,12 +228,17 @@ def integrate(system: HamiltonianSystem, y0: np.ndarray, config: IntegratorConfi
     return ts, ys, report
 
 
-def _propagate(rhs: Callable, y0: np.ndarray, nsteps: int, dt: float, method: str, max_norm: float) -> np.ndarray:
-    y = y0
-    for k in range(nsteps):
-        y = _step(rhs, y, dt, method)
-    _check_state(y, nsteps * dt, max_norm)
-    return y
+def _endpoint_jacobian(rhs: Callable, q: np.ndarray, p: np.ndarray, config: IntegratorConfig) -> np.ndarray:
+    """``d(q_T)/d(p0)`` of flat ``q``, ``p`` by central differences with step
+    ``1e-6 * (1 + max|p0|)``, column ``j`` from shots with ``p[j]`` bumped."""
+    nq = q.size
+    delta = 1e-6 * (1.0 + float(np.abs(p).max()))
+    sens = np.empty((nq, nq))
+    for j, bump in enumerate(delta * np.eye(nq)):
+        yp = _endpoint(rhs, np.concatenate([q, p + bump]), config)
+        ym = _endpoint(rhs, np.concatenate([q, p - bump]), config)
+        sens[:, j] = (yp[:nq] - ym[:nq]) / (2.0 * delta)
+    return sens
 
 
 @dataclass(frozen=True)
@@ -235,24 +255,13 @@ def shoot(metric: LandmarkMetric, q0: np.ndarray, p0: np.ndarray, config: Integr
     system = landmark_system(metric)
     q0 = np.asarray(q0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
-    y0 = np.concatenate([q0.reshape(-1), p0.reshape(-1)])
-    _, ys, report = integrate(system, y0, config)
+    _, ys, report = integrate(system, np.concatenate([q0.reshape(-1), p0.reshape(-1)]), config)
     yT = ys[-1]
     nq = metric.p * metric.D
-    delta = 1e-6 * (1.0 + float(np.abs(p0).max()))
-    sens = np.empty((nq, nq))
-    for j in range(nq):
-        bump = np.zeros(nq)
-        bump[j] = delta
-        yp = _propagate(system.rhs, np.concatenate([q0.reshape(-1), p0.reshape(-1) + bump]),
-                        config.steps, config.dt, config.method, config.max_norm)
-        ym = _propagate(system.rhs, np.concatenate([q0.reshape(-1), p0.reshape(-1) - bump]),
-                        config.steps, config.dt, config.method, config.max_norm)
-        sens[:, j] = (yp[:nq] - ym[:nq]) / (2.0 * delta)
     return ShootResult(
         q_final=yT[:nq].reshape(metric.p, metric.D),
         p_final=yT[nq:].reshape(metric.p, metric.D),
-        sensitivity=sens,
+        sensitivity=_endpoint_jacobian(system.rhs, q0.reshape(-1), p0.reshape(-1), config),
         report=report,
     )
 
@@ -291,19 +300,13 @@ def match(
     target = q_target.reshape(-1)
 
     def endpoint(p_flat: np.ndarray) -> np.ndarray:
-        y = _propagate(system.rhs, np.concatenate([q0.reshape(-1), p_flat]),
-                       config.steps, config.dt, config.method, config.max_norm)
-        return y[:nq]
+        return _endpoint(system.rhs, np.concatenate([q0.reshape(-1), p_flat]), config)[:nq]
 
-    from .kernels import gram_matrix  # local import to keep module deps one-way
-    gram = None
-    if tikhonov > 0.0:
-        base = gram_matrix(metric.kernel, q0)
-        gram = np.kron(base, np.eye(metric.D))
+    gram = np.kron(gram_matrix(metric.kernel, q0), np.eye(metric.D)) if tikhonov > 0.0 else None
 
     p_flat = np.zeros(nq)
-    r = endpoint(p_flat) - target
-    residuals = [float(np.linalg.norm(r))]
+    q_end = endpoint(p_flat)
+    residuals = [float(np.linalg.norm(q_end - target))]
     lam = 1e-3
     converged = residuals[-1] <= tol
     iterations = 0
@@ -312,36 +315,33 @@ def match(
         if converged:
             break
         iterations += 1
-        res = shoot(metric, q0, p_flat.reshape(metric.p, metric.D), config)
-        jac = res.sensitivity
-        grad = jac.T @ r
+        jac = _endpoint_jacobian(system.rhs, q0.reshape(-1), p_flat, config)
+        grad = jac.T @ (q_end - target)
         hess = jac.T @ jac
         if gram is not None:
             grad = grad + tikhonov * (gram @ p_flat)
             hess = hess + tikhonov * gram
-        accepted = False
         for _ in range(12):
             try:
                 dp = np.linalg.solve(hess + lam * np.eye(nq), -grad)
-            except np.linalg.LinAlgError:
+                q_try = endpoint(p_flat + dp)
+            except (np.linalg.LinAlgError, DivergenceError):
                 lam *= 10.0
                 continue
-            r_try = endpoint(p_flat + dp) - target
-            if float(np.linalg.norm(r_try)) < residuals[-1]:
-                p_flat = p_flat + dp
-                r = r_try
-                residuals.append(float(np.linalg.norm(r)))
+            residual = float(np.linalg.norm(q_try - target))
+            if residual < residuals[-1]:
+                p_flat, q_end = p_flat + dp, q_try
+                residuals.append(residual)
                 lam = max(lam / 3.0, 1e-12)
-                accepted = True
                 break
             lam *= 10.0
-        if not accepted:
+        else:  # no trial lowered the residual
             break
         converged = residuals[-1] <= tol
 
     return MatchResult(
         p0=p_flat.reshape(metric.p, metric.D),
-        q_final=(endpoint(p_flat)).reshape(metric.p, metric.D),
+        q_final=q_end.reshape(metric.p, metric.D),
         residuals=residuals,
         iterations=iterations,
         converged=bool(converged),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cometric import kernels, shapes
+from cometric import dynamics, kernels, shapes
 from cometric.dynamics import (
     HamiltonianSystem,
     IntegratorConfig,
@@ -21,6 +21,7 @@ from cometric.errors import (
 )
 from cometric.kernels import KernelSpec, check_distinct, gram_matrix, kernel_value
 from cometric.landmark import LandmarkMetric
+from cometric.validation import _normalized_bessel
 
 SPEC = KernelSpec("sobolev_bessel", n=3, l=3, A=0.8, c=1.0)
 
@@ -101,12 +102,20 @@ def test_implicit_midpoint_non_convergence_raises():
 
 
 def test_divergence_reports_last_good_time():
+    """|p| = 50 already exceeds ``max_norm`` after the first step, so the last
+    state that passed is y0: every route reports t_last = 0, whether it
+    observes each state (``integrate``) or keeps only the endpoint (the shots
+    of ``shoot``'s and ``match``'s Jacobian)."""
     metric = LandmarkMetric(SPEC, 1, 2)
     system = landmark_system(metric)
     y0 = np.array([0.0, 0.0, 50.0, 0.0])
+    config = IntegratorConfig(dt=0.1, t_final=10.0, max_norm=1.0)
     with pytest.raises(DivergenceError) as info:
-        integrate(system, y0, IntegratorConfig(dt=0.1, t_final=10.0, max_norm=1.0))
-    assert 0.0 <= info.value.t_last < 10.0
+        integrate(system, y0, config)
+    assert info.value.t_last == 0.0
+    with pytest.raises(DivergenceError) as info:
+        dynamics._endpoint_jacobian(system.rhs, y0[:2], y0[2:], config)
+    assert info.value.t_last == 0.0
 
 
 def test_shoot_sensitivity_against_finite_differences():
@@ -168,6 +177,67 @@ def test_match_round_trip():
     assert result.converged
     assert result.iterations <= 25
     assert np.allclose(result.p0, p_true, atol=1e-6)
+
+
+def _criterion_10_pair(dt):
+    """Criterion 10's two-landmark round trip: metric, source, target, config."""
+    pair = LandmarkMetric(_normalized_bessel(3, 3, 1.0), 2, 2)
+    config = IntegratorConfig(dt=dt, t_final=1.0)
+    q0 = np.array([[0.0, 0.0], [1.0, 0.0]])
+    target = shoot(pair, q0, np.array([[0.3, 0.2], [-0.1, 0.25]]), config).q_final
+    return pair, q0, target, config
+
+
+def test_match_integrates_once_per_shot(monkeypatch):
+    """Criterion 10's pair converges in 4 iterations; each runs 8 Jacobian shots
+    and 1 accepted trial, plus the start: 37 shots of 100 RK4 steps.  No shot
+    is monitored, so H is never evaluated."""
+    pair, q0, target, config = _criterion_10_pair(1e-2)
+    calls = {"rhs": 0, "H": 0}
+    rhs, ham = dynamics.geodesic_rhs, dynamics.hamiltonian
+
+    def counting_rhs(*args):
+        calls["rhs"] += 1
+        return rhs(*args)
+
+    def counting_hamiltonian(*args):
+        calls["H"] += 1
+        return ham(*args)
+
+    monkeypatch.setattr(dynamics, "geodesic_rhs", counting_rhs)
+    monkeypatch.setattr(dynamics, "hamiltonian", counting_hamiltonian)
+    result = match(pair, q0, target, config)
+    assert result.iterations == 4 and len(result.residuals) == 5
+    assert calls == {"rhs": 37 * 4 * 100, "H": 0}
+
+
+def test_match_rejects_a_diverging_trial():
+    """Far Levenberg trials of this swap blow past ``max_norm``; they are
+    rejected like trials that do not lower the residual, so ``match`` runs to
+    its cap and reports ``converged=False`` instead of raising."""
+    metric = LandmarkMetric(KernelSpec("sobolev_bessel", n=3, l=3, A=0.8), 2, 2)
+    result = match(metric, [[0, 0], [1, 0]], [[1, 0], [0, 0]], IntegratorConfig(dt=0.05, t_final=1.0),
+                   max_iter=30)
+    assert not result.converged
+    assert result.iterations == 30
+    assert np.all(np.isfinite(result.residuals)) and np.all(np.diff(result.residuals) < 0)
+    assert result.residuals[-1] == pytest.approx(0.7071, abs=1e-3)
+
+
+def test_match_invariant_under_rigid_motion():
+    """Moving source and target by one rigid motion keeps the iteration count
+    and the residual history.  The central-difference Jacobian is taken along
+    the coordinate axes, so its round-off (about eps * |q| / step) moves with
+    the frame: over 30 random motions with shifts up to 3, the first accepted
+    residual moved by at most 1.1e-9, later ones by at most 2e-11.
+    Tolerance: 1e-8 * r_0 (6.1e-9)."""
+    pair, q0, target, config = _criterion_10_pair(0.05)
+    base = match(pair, q0, target, config)
+    for theta, shift in [(2.3, (0.0, 0.0)), (0.0, (2.7, -1.9)), (-1.1, (-3.0, 2.2))]:
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        moved = match(pair, q0 @ rot.T + shift, target @ rot.T + shift, config)
+        assert moved.converged and moved.iterations == base.iterations
+        assert np.allclose(moved.residuals, base.residuals, rtol=0.0, atol=1e-8 * base.residuals[0])
 
 
 def test_match_shape_mismatch():
