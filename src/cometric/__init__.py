@@ -12,7 +12,7 @@ from .charts import (
     hyperbolic_half_plane,
     sphere_stereographic,
 )
-from .christoffel import christoffel, riemann, sectional_curvature, sectional_numerator_oracle
+from .christoffel import christoffel, riemann, sectional_numerator_oracle
 from .curvature import (
     CurvatureBreakdown,
     force,
@@ -36,7 +36,6 @@ from .errors import (
     ConditioningError,
     ConfigurationError,
     DegenerateConfigurationError,
-    DegeneratePlaneError,
     DivergenceError,
     DomainEvaluationError,
     GeometryError,
@@ -68,8 +67,8 @@ __all__ = [
     "LandmarkMetric", "MatchResult", "ShootResult", "SubmersionCase",
     "SuiteResult", "TOLERANCES",
     "GeometryError", "ConfigurationError", "ParseError", "DomainEvaluationError",
-    "MetricDegeneracyError", "DegenerateConfigurationError", "DegeneratePlaneError",
-    "ConditioningError", "DivergenceError", "UnsupportedError",
+    "MetricDegeneracyError", "DegenerateConfigurationError", "ConditioningError",
+    "DivergenceError", "UnsupportedError",
     "assemble_jet", "catalog_case", "catalog_cometric", "christoffel",
     "closed_curve", "cometric_from_json", "cometric_jet", "cometric_to_json",
     "euclidean", "force", "gram_matrix", "hopf_case", "hyperbolic_half_plane",
@@ -78,7 +77,7 @@ __all__ = [
     "landmark_system", "make_circle", "match", "numerator_coordinate",
     "numerator_covariant", "numerator_force_stress", "oneill_check",
     "product_case", "render_table", "riemann", "run_suites",
-    "sectional_curvature", "sectional_numerator_oracle", "shape_system",
+    "sectional_numerator_oracle", "shape_system",
     "shoot", "spec_from_json", "spec_to_json", "sphere_stereographic",
     "stress", "__version__",
 ]

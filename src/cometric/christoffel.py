@@ -11,7 +11,13 @@ Two modes for the Christoffel derivative:
   (zero truncation error; the right choice whenever exact jets exist, which
   covers symbolic charts and landmark configurations alike).
 * ``fd``     — fourth-order five-point central differences of ``Gamma``
-  with step ``h = 2e-5 (1 + |x|)``, needing only a jet provider ``x -> jet``.
+  with the fixed step ``h = 2e-5 (1 + |x|)``, needing only a jet provider
+  ``x -> jet``.
+
+The oracle returns the numerator only; dividing by the plane's Gram
+determinant (and deciding when the plane is degenerate) is
+:class:`cometric.curvature.CurvatureBreakdown`'s job.
+
 Convention: ``R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z``
 and the numerator is ``g(R(u,v)v, u)``, positive on round spheres.
 """
@@ -23,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DegeneratePlaneError
+from .errors import ConfigurationError
 from .jets import CometricJet
 
 _FD_STEP = 2e-5  # relative step balancing O(h^4) truncation against O(eps/h) rounding
@@ -71,14 +77,12 @@ def christoffel_derivative_exact(jet: CometricJet, mj: MetricJet) -> np.ndarray:
     )
 
 
-def christoffel_derivative_fd(
-    jet_fn: Callable[[np.ndarray], CometricJet], x: np.ndarray, h: float | None = None
-) -> np.ndarray:
-    """Five-point central differences of ``Gamma`` around ``x`` using a jet provider."""
+def christoffel_derivative_fd(jet_fn: Callable[[np.ndarray], CometricJet], x: np.ndarray) -> np.ndarray:
+    """Five-point central differences of ``Gamma`` around ``x`` using a jet
+    provider, with step ``h = 2e-5 (1 + |x|)``."""
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
-    if h is None:
-        h = _FD_STEP * (1.0 + float(np.linalg.norm(x)))
+    h = _FD_STEP * (1.0 + float(np.linalg.norm(x)))
     gamma_at = lambda y: christoffel(metric_jet_from_cometric(jet_fn(y)))
     out = np.empty((d, d, d, d))
     for s in range(d):
@@ -106,13 +110,12 @@ def sectional_numerator_oracle(
     *,
     mode: str = "exact",
     jet_fn: Callable[[np.ndarray], CometricJet] | None = None,
-    h: float | None = None,
 ) -> float:
     """``g(R(u,v)v, u)`` for chart *vectors* ``u``, ``v``.
 
     ``mode="exact"`` differentiates the Christoffel symbols from the jet's own
-    second-order data; ``mode="fd"`` uses central differences and requires
-    ``jet_fn``.
+    second-order data; ``mode="fd"`` uses five-point central differences with
+    step ``2e-5 (1 + |x|)`` and requires ``jet_fn``.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -126,21 +129,9 @@ def sectional_numerator_oracle(
     elif mode == "fd":
         if jet_fn is None:
             raise ConfigurationError("mode='fd' needs a jet provider jet_fn")
-        dgamma = christoffel_derivative_fd(jet_fn, jet.x, h)
+        dgamma = christoffel_derivative_fd(jet_fn, jet.x)
     else:
         raise ConfigurationError(f"unknown oracle mode {mode!r} (want 'exact' or 'fd')")
     rm = riemann(gamma, dgamma)
     return float(np.einsum("lijk,l,i,j,k->", rm, mj.gcov @ u, u, v, v))
 
-
-def sectional_curvature(jet: CometricJet, u: np.ndarray, v: np.ndarray, numerator: float) -> float:
-    """Divide a numerator by the Gram determinant of the plane (vectors)."""
-    g = jet.gcov
-    guu = float(u @ g @ u)
-    gvv = float(v @ g @ v)
-    guv = float(u @ g @ v)
-    den = guu * gvv - guv * guv
-    scale = max(guu * gvv, 1e-300)
-    if den <= 1e-12 * scale:
-        raise DegeneratePlaneError(f"plane is degenerate (gram determinant {den:.3e}, scale {scale:.3e})")
-    return numerator / den

@@ -25,13 +25,14 @@ output; randomness only enters through seeded generators.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from . import charts, jsonio, shapes, submersion, validation
 from .christoffel import sectional_numerator_oracle
-from .curvature import CurvatureBreakdown, numerator_coordinate
+from .curvature import numerator_coordinate
 from .dynamics import IntegratorConfig, integrate, landmark_system, match, shoot
 from .errors import ConfigurationError, GeometryError
 from .kernels import kernel_grad, kernel_hess, kernel_value, spec_from_json, spec_to_json
@@ -66,18 +67,6 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def _breakdown_json(br: CurvatureBreakdown) -> dict:
-    return {
-        "r11": br.r11,
-        "r12": br.r12,
-        "r2": br.r2,
-        "r3": br.r3,
-        "total": br.total,
-        "denominator": br.denominator,
-        "sectional": br.sectional,
-    }
 
 
 def _quarter_turn(a: np.ndarray) -> np.ndarray:
@@ -126,7 +115,7 @@ def _cmd_curvature_chart(args) -> int:
         "point": x,
         "alpha": alpha,
         "beta": beta,
-        "breakdown": _breakdown_json(br),
+        "breakdown": dataclasses.asdict(br),
         "oracle_numerator": oracle,
         "discrepancy": abs(br.total - oracle),
     }
@@ -145,7 +134,7 @@ def _cmd_curvature_landmark(args) -> int:
         "q": q,
         "alpha": alpha,
         "beta": beta,
-        "breakdown": _breakdown_json(br),
+        "breakdown": dataclasses.asdict(br),
     }
     _emit(jsonio.dumps(payload), args.out)
     return 0
@@ -162,7 +151,7 @@ def _cmd_curvature_shape(args) -> int:
         "samples": shape.samples,
         "alpha": mom,
         "beta": beta,
-        "breakdown": _breakdown_json(br),
+        "breakdown": dataclasses.asdict(br),
     }
     _emit(jsonio.dumps(payload), args.out)
     return 0
@@ -215,11 +204,7 @@ def _cmd_oneill_check(args) -> int:
     records = []
     worst = 0.0
     for _ in range(args.trials):
-        if case.name == "hopf":
-            direction = rng.standard_normal(case.total.dim)
-            x = direction / np.linalg.norm(direction) * rng.uniform(0.1, 0.6)
-        else:
-            x = rng.uniform(-0.8, 0.8, size=case.total.dim)
+        x = submersion.random_point(case, rng)
         alpha = rng.standard_normal(case.base.dim)
         beta = rng.standard_normal(case.base.dim)
         rec = submersion.oneill_check(case, x, alpha, beta, mode=args.mode)

@@ -2,8 +2,9 @@
 
 For covectors ``alpha``, ``beta`` (constant coforms in the chart) the
 numerator of the sectional curvature of the plane they span is assembled from
-the 2-jet of ``g^{-1}`` alone.  The three routes below share no helper code
-and contract the jet in structurally different ways:
+the 2-jet of ``g^{-1}`` alone.  The three routes below share only the input
+check and the final bookkeeping, and contract the jet in structurally
+different ways:
 
 * :func:`numerator_coordinate` — raw index contractions.  With
   ``w_{ik} = alpha_i beta_k - alpha_k beta_i``,
@@ -19,7 +20,8 @@ and contract the jet in structurally different ways:
 
 * :func:`numerator_force_stress` — everything through the force covector
   ``F(alpha,beta)_s = 1/2 alpha_i beta_j g^ij_,s`` and the stress vector
-  ``D(alpha,beta)^t = alpha_i g^is beta_k g^kt_,s``.
+  ``D(alpha,beta)^t = alpha_i g^is beta_k g^kt_,s``, computed by
+  :func:`force` and :func:`stress` themselves.
 
 All three agree to machine precision; the acceptance suite enforces pairwise
 agreement at ``1e-9 * (1 + |value|)`` and agreement with the independent
@@ -27,6 +29,11 @@ Christoffel-symbol oracle at ``1e-7 * (1 + |value|)``.
 
 The numerators are tensorial in ``alpha``, ``beta`` even though the
 computation fixes their chart components.
+
+Two decisions have their one owner here and are shared by the landmark and
+shape routes: non-finite coforms are refused (:func:`_check_finite`), and
+:func:`_breakdown` sums the terms and decides when the plane is degenerate
+(``sectional`` is then ``None``).
 """
 
 from __future__ import annotations
@@ -70,9 +77,13 @@ def _check_coforms(jet: CometricJet, alpha: np.ndarray, beta: np.ndarray) -> tup
     d = jet.dim
     if alpha.shape != (d,) or beta.shape != (d,):
         raise ConfigurationError(f"coforms must have shape ({d},), got {alpha.shape} and {beta.shape}")
+    _check_finite(alpha, beta)
+    return alpha, beta
+
+
+def _check_finite(alpha: np.ndarray, beta: np.ndarray) -> None:
     if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
         raise ConfigurationError("coforms must be finite")
-    return alpha, beta
 
 
 def _breakdown(r11: float, r12: float, r2: float, r3: float, den: float, scale: float) -> CurvatureBreakdown:
@@ -172,17 +183,13 @@ def numerator_force_stress(jet: CometricJet, alpha: np.ndarray, beta: np.ndarray
     """Force/stress form: every term beyond R11 is a pairing of force
     covectors and stress vectors."""
     a, b = _check_coforms(jet, alpha, beta)
-    G, dG, ddG = jet.ginv, jet.dginv, jet.ddginv
+    G, ddG = jet.ginv, jet.ddginv
     u = G @ a
     v = G @ b
 
-    f_aa = 0.5 * np.einsum("i,j,sij->s", a, a, dG)
-    f_bb = 0.5 * np.einsum("i,j,sij->s", b, b, dG)
-    f_ab = 0.5 * np.einsum("i,j,sij->s", a, b, dG)
-    d_aa = np.einsum("i,is,skt,k->t", a, G, dG, a)
-    d_bb = np.einsum("i,is,skt,k->t", b, G, dG, b)
-    d_ab = np.einsum("i,is,skt,k->t", a, G, dG, b)
-    d_ba = np.einsum("i,is,skt,k->t", b, G, dG, a)
+    f_aa, f_bb, f_ab = force(jet, a, a), force(jet, b, b), force(jet, a, b)
+    d_aa, d_bb = stress(jet, a, a), stress(jet, b, b)
+    d_ab, d_ba = stress(jet, a, b), stress(jet, b, a)
 
     hess_aa = np.einsum("i,j,stij->st", a, a, ddG)
     hess_bb = np.einsum("i,j,stij->st", b, b, ddG)

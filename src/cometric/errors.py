@@ -41,11 +41,6 @@ class DegenerateConfigurationError(GeometryError):
     (coincident landmarks/samples)."""
 
 
-class DegeneratePlaneError(GeometryError):
-    """The two covectors handed to a sectional-curvature routine span a
-    degenerate plane (Gram determinant numerically zero)."""
-
-
 class ConditioningError(GeometryError):
     """A linear solve required by an operation is too ill-conditioned to
     trust."""

@@ -27,12 +27,13 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    """Serialize to JSON text with deterministic float formatting."""
+def dumps(obj: Any) -> str:
+    """Serialize to JSON text with deterministic float formatting and a
+    two-space indent."""
 
     def emit(o: Any, depth: int) -> str:
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
+        pad = "  " * depth
+        pad_in = "  " * (depth + 1)
         if o is None:
             return "null"
         if isinstance(o, bool):

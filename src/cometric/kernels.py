@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConditioningError,
     ConfigurationError,
     DegenerateConfigurationError,
     UnsupportedError,
@@ -304,6 +305,18 @@ def gram_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     if pts.ndim != 2:
         raise ConfigurationError(f"points must be a (p, d) array, got shape {pts.shape}")
     return pair_block(spec, pts, 0).value
+
+
+# Above this condition number a kernel Gram solve is not trustworthy and the
+# curvature routines refuse; each caller measures the condition number its own way.
+GRAM_COND_LIMIT = 1e12
+
+
+def check_gram_condition(cond: float, what: str) -> None:
+    """Refuse a ``what`` Gram solve whose condition number ``cond`` is not
+    finite or exceeds :data:`GRAM_COND_LIMIT`."""
+    if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
+        raise ConditioningError(f"{what} matrix condition number {cond:.3e} exceeds {GRAM_COND_LIMIT:.0e}")
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)

@@ -21,14 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import PLANE_TOL, CurvatureBreakdown
-from .errors import ConditioningError, ConfigurationError
+from .curvature import CurvatureBreakdown, _breakdown, _check_finite
+from .errors import ConfigurationError
 from .jets import CometricJet, assemble_jet
-from .kernels import KernelSpec, PairBlock, check_distinct, pair_block
-
-# Above this condition number the kernel Gram solve in the bracket term is
-# not trustworthy and the curvature routine refuses.
-GRAM_COND_LIMIT = 1e12
+from .kernels import GRAM_COND_LIMIT  # noqa: F401  (re-exported: read as landmark.GRAM_COND_LIMIT)
+from .kernels import KernelSpec, PairBlock, check_distinct, check_gram_condition, pair_block
 
 # Largest dense landmark jet, in bytes: its second derivative holds (pD)^4
 # doubles (4 GB at p=50, D=3), so the ceiling is checked before allocation.
@@ -137,7 +134,10 @@ def force(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -
     ``F(a,b)_c = -1/2 sum_t [(a_c.b_t) + (a_t.b_c)] grad K(q_c - q_t)``;
     in particular ``force(q, p, p)`` is exactly the geodesic ``pdot``."""
     blk = _block(metric, q, 1)
-    return _force(blk, _check_mom(metric, a), _check_mom(metric, b))
+    a = _check_mom(metric, a)
+    b = _check_mom(metric, b)
+    _check_finite(a, b)
+    return _force(blk, a, b)
 
 
 def stress(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,6 +147,7 @@ def stress(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) 
     blk = _block(metric, q, 1)
     a = _check_mom(metric, a)
     b = _check_mom(metric, b)
+    _check_finite(a, b)
     return _stress(blk, blk.rate(blk.value @ a)[1], b)
 
 
@@ -154,9 +155,7 @@ def _gram_solve(kv: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Solve ``K xi = w`` per column, guarding against ill-conditioning.  ``K`` is
     exactly symmetric: its 2-norm condition number is ``max|eig| / min|eig|``."""
     lam = np.abs(np.linalg.eigvalsh(kv))
-    cond = float(lam.max() / lam.min()) if lam.min() > 0.0 else np.inf
-    if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
-        raise ConditioningError(f"kernel Gram matrix condition number {cond:.3e} exceeds {GRAM_COND_LIMIT:.0e}")
+    check_gram_condition(float(lam.max() / lam.min()) if lam.min() > 0.0 else np.inf, "kernel Gram")
     return np.linalg.solve(kv, w)
 
 
@@ -173,6 +172,7 @@ def curvature(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarra
     blk = _block(metric, q, 2)
     a = _check_mom(metric, a)
     b = _check_mom(metric, b)
+    _check_finite(a, b)
     kv = blk.value
 
     du, rate_a = blk.rate(kv @ a)
@@ -210,11 +210,7 @@ def curvature(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarra
     paa = float(np.einsum("st,st->", dots_aa, kv))
     pbb = float(np.einsum("st,st->", dots_bb, kv))
     pab = float(np.einsum("st,st->", dots_ab, kv))
-    den = paa * pbb - pab * pab
-    total = r11 + r12 + r2 + r3
-    sectional = total / den if den > PLANE_TOL * max(paa * pbb, 1e-300) else None
-    return CurvatureBreakdown(r11=r11, r12=r12, r2=r2, r3=r3, total=total,
-                              denominator=den, sectional=sectional)
+    return _breakdown(r11, r12, r2, r3, paa * pbb - pab * pab, paa * pbb)
 
 
 # --- state serialization ------------------------------------------------------

@@ -24,11 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import PLANE_TOL, CurvatureBreakdown
-from .errors import ConditioningError, ConfigurationError, DegenerateConfigurationError
-from .kernels import KernelSpec, PairBlock, check_distinct, kernel_value, pair_block
-
-GRAM_COND_LIMIT = 1e12
+from .curvature import CurvatureBreakdown, _breakdown, _check_finite
+from .errors import ConfigurationError, DegenerateConfigurationError
+from .kernels import KernelSpec, PairBlock, check_distinct, check_gram_condition, kernel_value, pair_block
 
 
 @dataclass(frozen=True)
@@ -113,17 +111,14 @@ def _closed_curve_frames(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return t[:, None, :], np.ascontiguousarray(proj), quality
 
 
-def closed_curve(x: np.ndarray, w: np.ndarray | None = None) -> DiscreteSubmanifold:
-    """Shape from ordered samples of a closed curve (m = 1).
-
-    Weights default to the polygon arc-length trapezoid rule.
-    """
+def closed_curve(x: np.ndarray) -> DiscreteSubmanifold:
+    """Shape from ordered samples of a closed curve (m = 1), weighted by the
+    polygon arc-length trapezoid rule."""
     x = np.asarray(x, dtype=float)
     tangents, projectors, _ = _closed_curve_frames(x)
-    if w is None:
-        seg = np.linalg.norm(np.roll(x, -1, axis=0) - x, axis=1)
-        w = 0.5 * (seg + np.roll(seg, 1))
-    return DiscreteSubmanifold(x=x, w=np.asarray(w, dtype=float), tangents=tangents, projectors=projectors)
+    seg = np.linalg.norm(np.roll(x, -1, axis=0) - x, axis=1)
+    w = 0.5 * (seg + np.roll(seg, 1))
+    return DiscreteSubmanifold(x=x, w=w, tangents=tangents, projectors=projectors)
 
 
 def rederive_frames(shape: DiscreteSubmanifold) -> tuple[DiscreteSubmanifold, float]:
@@ -232,6 +227,7 @@ def force_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b:
     ``force_normal(a, a)`` matches the normal part of the geodesic ``adot``."""
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
+    _check_finite(a, b)
     return _force_normal(pair_block(spec, shape.x, 1, what="samples"), shape, a, b)
 
 
@@ -240,6 +236,7 @@ def stress_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b
     ``D_N(a,b)_s = -P_s sum_t w_t [(u_a(x_s) - u_a(x_t)) . grad K(x_s-x_t)] b_t``."""
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
+    _check_finite(a, b)
     blk = pair_block(spec, shape.x, 1, what="samples")
     rate = blk.rate((blk.value * shape.w[None, :]) @ a)[1]
     return _stress_normal(blk, shape, rate, b)
@@ -279,9 +276,7 @@ def _normal_gram_solve(kv: np.ndarray, shape: DiscreteSubmanifold, w_field: np.n
 
 def _guarded_solve(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """``np.linalg.solve`` after an SVD condition-number check (``mat`` is not symmetric)."""
-    cond = float(np.linalg.cond(mat))
-    if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
-        raise ConditioningError(f"{what} matrix condition number {cond:.3e} exceeds {GRAM_COND_LIMIT:.0e}")
+    check_gram_condition(float(np.linalg.cond(mat)), what)
     return np.linalg.solve(mat, rhs)
 
 
@@ -294,6 +289,7 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
     spec.require_curvature_grade()
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
+    _check_finite(a, b)
     w = shape.w
     blk = pair_block(spec, shape.x, 2, what="samples")
     kv = blk.value
@@ -335,11 +331,7 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
     paa = float(np.einsum("st,st->", dots_aa, kv))
     pbb = float(np.einsum("st,st->", dots_bb, kv))
     pab = float(np.einsum("st,st->", dots_ab, kv))
-    den = paa * pbb - pab * pab
-    total = r11 + r12 + r2 + r3
-    sectional = total / den if den > PLANE_TOL * max(paa * pbb, 1e-300) else None
-    return CurvatureBreakdown(r11=r11, r12=r12, r2=r2, r3=r3, total=total,
-                              denominator=den, sectional=sectional)
+    return _breakdown(r11, r12, r2, r3, paa * pbb - pab * pab, paa * pbb)
 
 
 # --- serialization -----------------------------------------------------------

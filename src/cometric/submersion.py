@@ -20,8 +20,8 @@ plain central-difference route for cross-checks.
 Catalog: ``flat`` (plane onto a line), ``product`` (curved x flat-ish factor
 with zero vertical term), ``hopf`` (round 3-sphere onto the radius-1/2 sphere;
 sectional curvatures 4 = 1 + 3).  The hopf chart is singular where
-``|x| = 1`` and ``x3 = 0``; keep sample points away from that ring (the
-catalog tests use ``|x| <= 0.6``).
+``|x| = 1`` and ``x3 = 0``; :func:`random_point` keeps its samples inside
+``|x| <= 0.6``, away from that ring.
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ class SubmersionCase:
                 raise ConfigurationError("projection uses more variables than the total space has")
 
     def _jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``project``, ``jacobian`` and ``jacobian_derivative`` at ``x`` from one
-        :func:`dsl.jet` per component (its value equals :func:`dsl.evaluate`)."""
+        """Projection ``y``, Jacobian ``J[r, s] = d_s p^r`` and its derivative
+        ``dJ[s, r, t] = d_s d_t p^r`` at ``x``, from one :func:`dsl.jet` per
+        component (its value equals :func:`dsl.evaluate`)."""
         parts = [dsl.jet(e, x) for e in self.proj]
         return (np.array([v for v, _, _ in parts]), np.array([g for _, g, _ in parts]),
                 np.stack([h for _, _, h in parts], axis=1))
@@ -72,14 +73,10 @@ class SubmersionCase:
         """``J[r, s] = d_s p^r`` at ``x`` (shape (base_dim, total_dim))."""
         return self._jet(x)[1]
 
-    def jacobian_derivative(self, x: np.ndarray) -> np.ndarray:
-        """``dJ[s, r, t] = d_s d_t p^r`` at ``x``."""
-        return self._jet(x)[2]
 
-
-def check_case(case: SubmersionCase, x: np.ndarray, tol: float = 1e-8) -> float:
-    """Verify rank and the metric-quotient identity at ``x``; returns the
-    worst deviation of ``J G_E J^T`` from ``G_B(p(x))``."""
+def check_case(case: SubmersionCase, x: np.ndarray) -> float:
+    """Verify rank and the metric-quotient identity at ``x`` to ``1e-8``
+    relative; returns the worst deviation of ``J G_E J^T`` from ``G_B(p(x))``."""
     x = np.asarray(x, dtype=float)
     jet_e = cometric_jet(case.total, x)
     jac = case.jacobian(x)
@@ -88,7 +85,7 @@ def check_case(case: SubmersionCase, x: np.ndarray, tol: float = 1e-8) -> float:
     pushed = jac @ jet_e.ginv @ jac.T
     base_g = cometric_jet(case.base, case.project(x)).ginv
     dev = float(np.abs(pushed - base_g).max())
-    if dev > tol * (1.0 + float(np.abs(base_g).max())):
+    if dev > 1e-8 * (1.0 + float(np.abs(base_g).max())):
         raise MetricDegeneracyError(
             f"{case.name}: pushforward deviates from the base cometric by {dev:.3e} at {x.tolist()}"
         )
@@ -120,12 +117,11 @@ def _lift_bracket_exact(jet_e: CometricJet, jac: np.ndarray, djac: np.ndarray,
     return la @ dlb - lb @ dla  # sum_s L_a^s d_s L_b - (a <-> b)
 
 
-def _lift_bracket_fd(case: SubmersionCase, x: np.ndarray,
-                     alpha: np.ndarray, beta: np.ndarray, h: float | None = None) -> np.ndarray:
-    """Same bracket by central differences of the lift fields."""
+def _lift_bracket_fd(case: SubmersionCase, x: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Same bracket by central differences of the lift fields, step
+    ``eps^(1/3) (1 + |x|)``."""
     d = case.total.dim
-    if h is None:
-        h = _EPS_CBRT * (1.0 + float(np.linalg.norm(x)))
+    h = _EPS_CBRT * (1.0 + float(np.linalg.norm(x)))
     la = pullback_sharp(case, x, alpha)
     lb = pullback_sharp(case, x, beta)
     dla = np.empty((d, d))
@@ -203,17 +199,16 @@ def flat_case() -> SubmersionCase:
     )
 
 
-def product_case(factor_a: CometricDef | None = None, factor_b: CometricDef | None = None) -> SubmersionCase:
-    """Product of two charts, projected onto the first factor.  Lifted fields
-    live in the first factor, so the vertical term vanishes identically."""
-    if factor_a is None:
-        factor_a = sphere_stereographic(2)
-    if factor_b is None:
-        factor_b = CometricDef(
-            dim=1,
-            entries={(1, 1): dsl.add_(Const(1.0), dsl.mul_(Const(0.25), dsl.pow_(Var(1), 2)))},
-            name="line(1+x^2/4)",
-        )
+def product_case() -> SubmersionCase:
+    """The round 2-sphere times the line with cometric ``1 + x^2/4``, projected
+    onto the sphere.  Lifted fields live in the first factor, so the vertical
+    term vanishes identically."""
+    factor_a = sphere_stereographic(2)
+    factor_b = CometricDef(
+        dim=1,
+        entries={(1, 1): dsl.add_(Const(1.0), dsl.mul_(Const(0.25), dsl.pow_(Var(1), 2)))},
+        name="line(1+x^2/4)",
+    )
     da = factor_a.dim
     entries: dict[tuple[int, int], Expr] = dict(factor_a.entries)
     for (i, j), e in factor_b.entries.items():
@@ -263,3 +258,16 @@ def catalog_case(name: str) -> SubmersionCase:
     if name == "hopf":
         return hopf_case()
     raise ConfigurationError(f"unknown submersion case {name!r} (know flat, product, hopf)")
+
+
+def random_point(case: SubmersionCase, rng: np.random.Generator) -> np.ndarray:
+    """A random total-space point where the catalog ``case`` is regular.
+
+    For ``hopf``, a uniform direction scaled to a radius in ``[0.1, 0.6]``,
+    away from the chart's singular ring; otherwise uniform in ``[-0.8, 0.8]``
+    per coordinate.
+    """
+    if case.name == "hopf":
+        direction = rng.standard_normal(case.total.dim)
+        return direction / np.linalg.norm(direction) * rng.uniform(0.1, 0.6)
+    return rng.uniform(-0.8, 0.8, size=case.total.dim)

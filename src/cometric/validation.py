@@ -25,7 +25,7 @@ from .curvature import (
     numerator_covariant,
     numerator_force_stress,
 )
-from .dynamics import IntegratorConfig, integrate, landmark_system, match, shape_system, shoot
+from .dynamics import IntegratorConfig, integrate, landmark_system, match, shape_system
 from .errors import GeometryError
 from .jets import CometricJet
 from .kernels import KernelSpec, kernel_fourier_oracle, kernel_value
@@ -93,20 +93,19 @@ def _random_expr(rng: np.random.Generator, dim: int, depth: int) -> dsl.Expr:
     return dsl.neg_(_random_expr(rng, dim, depth - 1))
 
 
-def random_cometric(
-    rng: np.random.Generator, dim: int, depth: int = 4
-) -> tuple[charts.CometricDef, np.ndarray]:
+def random_cometric(rng: np.random.Generator, dim: int) -> tuple[charts.CometricDef, np.ndarray]:
     """Random smooth cometric, positive definite at a random test point.
 
-    Returns the definition and the point.  Positive definiteness is enforced
-    by adding a constant diagonal shift sized from the spectrum of the raw
-    symbol matrix at the point, which preserves all derivatives.
+    Returns the definition and the point.  Each entry is a random tree of
+    depth 2 to 4.  Positive definiteness is enforced by adding a constant
+    diagonal shift sized from the spectrum of the raw symbol matrix at the
+    point, which preserves all derivatives.
     """
     x0 = rng.uniform(-0.7, 0.7, size=dim)
     entries: dict[tuple[int, int], dsl.Expr] = {}
     for i in range(1, dim + 1):
         for j in range(i, dim + 1):
-            entries[(i, j)] = _random_expr(rng, dim, int(rng.integers(2, depth + 1)))
+            entries[(i, j)] = _random_expr(rng, dim, int(rng.integers(2, 5)))
     raw = np.zeros((dim, dim))
     for (i, j), expr in entries.items():
         raw[i - 1, j - 1] = raw[j - 1, i - 1] = dsl.evaluate(expr, x0)
@@ -259,7 +258,7 @@ def suite_oneill(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool, 
     worst_prod = 0.0
     case = submersion.product_case()
     for _ in range(count):
-        x = rng.uniform(-0.8, 0.8, size=case.total.dim)
+        x = submersion.random_point(case, rng)
         alpha = rng.standard_normal(case.base.dim)
         beta = rng.standard_normal(case.base.dim)
         rec = submersion.oneill_check(case, x, alpha, beta)
@@ -268,8 +267,7 @@ def suite_oneill(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool, 
     worst_sec = 0.0
     hopf = submersion.hopf_case()
     for _ in range(count):
-        direction = rng.standard_normal(3)
-        x = direction / np.linalg.norm(direction) * rng.uniform(0.1, 0.6)
+        x = submersion.random_point(hopf, rng)
         alpha = rng.standard_normal(2)
         beta = rng.standard_normal(2)
         rec = submersion.oneill_check(hopf, x, alpha, beta)
@@ -347,11 +345,15 @@ def suite_conservation(tols: dict[str, float], seed: int, quick: bool) -> tuple[
     """Geodesic conservation laws and fourth-order step-halving ratio."""
     parts = []
     ok = True
-    states = conservation_states()
-    for label, metric, q, p in states:
+    ends = []  # the pair's endpoints at dt = 1e-3, 5e-4, 2.5e-4
+    for label, metric, q, p in conservation_states():
         system = landmark_system(metric)
         y0 = np.concatenate([q.reshape(-1), p.reshape(-1)])
-        _, _, report = integrate(system, y0, IntegratorConfig(dt=1e-3, t_final=1.0))
+        _, ys, report = integrate(system, y0, IntegratorConfig(dt=1e-3, t_final=1.0))
+        if label == "pair":
+            ends.append(ys[-1])
+            for dt in (5e-4, 2.5e-4):
+                ends.append(integrate(system, y0, IntegratorConfig(dt=dt, t_final=1.0))[1][-1])
         good = (
             report.energy_drift <= tols["energy_drift"]
             and report.linear_drift <= tols["linear_drift"]
@@ -362,13 +364,6 @@ def suite_conservation(tols: dict[str, float], seed: int, quick: bool) -> tuple[
             f"{label}: dH {report.energy_drift:.2e}, dP {report.linear_drift:.2e}, "
             f"dL {report.angular_drift:.2e}"
         )
-    _, metric, q, p = states[0][0], states[0][1], states[0][2], states[0][3]
-    system = landmark_system(metric)
-    y0 = np.concatenate([q.reshape(-1), p.reshape(-1)])
-    ends = []
-    for dt in (1e-3, 5e-4, 2.5e-4):
-        _, ys, _ = integrate(system, y0, IntegratorConfig(dt=dt, t_final=1.0))
-        ends.append(ys[-1])
     ratio = float(
         np.max(np.abs(ends[0] - ends[1])) / np.max(np.abs(ends[1] - ends[2]))
     )
@@ -462,8 +457,9 @@ def suite_matching(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool
     pair = LandmarkMetric(spec, 2, 2)
     q0_pair = np.array([[0.0, 0.0], [1.0, 0.0]])
     p_true = np.array([[0.3, 0.2], [-0.1, 0.25]])
-    endpoint = shoot(pair, q0_pair, p_true, config)
-    res_pair = match(pair, q0_pair, endpoint.q_final, config)
+    y_true = np.concatenate([q0_pair.reshape(-1), p_true.reshape(-1)])
+    q_end = integrate(landmark_system(pair), y_true, config)[1][-1][:4].reshape(2, 2)
+    res_pair = match(pair, q0_pair, q_end, config)
     err_round = float(np.max(np.abs(res_pair.p0 - p_true)))
     ok = (
         err_single <= tol_single

@@ -176,6 +176,21 @@ def test_computation_error_exits_1(tmp_path, spec_file, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_non_finite_beta_exits_1(tmp_path, spec_file, capsys):
+    """A NaN or Inf second coform is refused by name, before it reaches the JSON emitter."""
+    state = _write_state(tmp_path, "two.json", 2, [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+    assert main(["curvature", "landmark", "--spec", spec_file, "--state", state, "--beta", "nan,0,0,1"]) == 1
+    assert capsys.readouterr().err == "error: coforms must be finite\n"
+    path = tmp_path / "c.json"
+    assert main(["shape", "make", "--samples", "4", "--out", str(path)]) == 0
+    shape = json.loads(path.read_text())
+    shape["momenta"] = (0.1 * np.asarray(shape["samples"])).tolist()
+    path.write_text(json.dumps(shape))
+    code = main(["curvature", "shape", "--spec", spec_file, "--shape", str(path), "--beta", "0,inf,0,0,0,0,0,0"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: coforms must be finite\n"
+
+
 def test_overflowing_cometric_entry_exits_1(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"dim": 2, "entries": {"1,1": "1 + 1e300^2", "2,2": "1"}}))

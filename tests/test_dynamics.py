@@ -118,6 +118,20 @@ def test_divergence_reports_last_good_time():
     assert info.value.t_last == 0.0
 
 
+def test_head_on_collision_ends_in_a_named_error():
+    """Two landmarks shot head-on at each other: ``integrate`` itself reaches the
+    collision and must stop with a named error (a ``DivergenceError`` at a finite
+    time inside the run, or a ``DegenerateConfigurationError``), never hand back
+    a NaN trajectory."""
+    metric = LandmarkMetric(KernelSpec("sobolev_bessel", n=3, l=3, A=0.05), 2, 2)
+    y0 = np.array([-0.5, 0.0, 0.5, 0.0, 5.0, 0.0, -5.0, 0.0])
+    config = IntegratorConfig(dt=1e-2, t_final=2.0)
+    with pytest.raises((DegenerateConfigurationError, DivergenceError)) as info:
+        integrate(landmark_system(metric), y0, config)
+    if isinstance(info.value, DivergenceError):
+        assert np.isfinite(info.value.t_last) and 0.0 <= info.value.t_last <= config.t_final
+
+
 def test_shoot_sensitivity_against_finite_differences():
     rng = np.random.default_rng(40)
     metric = LandmarkMetric(SPEC, 2, 2)

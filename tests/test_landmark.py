@@ -118,6 +118,20 @@ def test_force_and_stress_against_chart_forms():
     assert np.allclose(stress(metric, q, a, b).reshape(-1), -cd, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("op", [curvature, force, stress])
+def test_non_finite_coforms_refused(op, bad):
+    """A NaN or Inf coform is refused before any pair sum, not returned as NaN terms."""
+    metric = LandmarkMetric(SPEC22, 2, 2)
+    q = np.array([[0.0, 0.0], [1.0, 0.0]])
+    good = np.array([[1.0, 0.0], [0.0, 1.0]])
+    spoiled = good.copy()
+    spoiled[1, 0] = bad
+    for a, b in ((spoiled, good), (good, spoiled)):
+        with pytest.raises(ConfigurationError, match="coforms must be finite"):
+            op(metric, q, a, b)
+
+
 def test_single_landmark_curvature_is_exactly_zero():
     metric = LandmarkMetric(SPEC22, 1, 2)
     br = curvature(

@@ -156,6 +156,19 @@ def test_zero_dimensional_shape_reduces_to_landmarks():
     assert sc.r3 == pytest.approx(lc.r3, abs=1e-13)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("op", [shapes.curvature_terms, shapes.force_normal, shapes.stress_normal])
+def test_non_finite_coforms_refused(op, bad):
+    """A NaN or Inf coform is refused before any pair sum, not returned as NaN terms."""
+    shape = shapes.make_circle(8)
+    good = 0.3 * shape.x
+    spoiled = good.copy()
+    spoiled[2, 1] = bad
+    for a, b in ((spoiled, good), (good, spoiled)):
+        with pytest.raises(ConfigurationError, match="coforms must be finite"):
+            op(SPEC, shape, a, b)
+
+
 def test_curvature_terms_euclidean_invariance():
     """Rigid motions of samples, frames, and momenta leave the numbers alone."""
     rng = np.random.default_rng(25)

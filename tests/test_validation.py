@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cometric import charts, validation
+from cometric import charts, dynamics, validation
 from cometric.validation import SUITES, TOLERANCES, render_table, run_suites
 
 
@@ -18,14 +18,29 @@ def test_random_cometrics_are_spd_at_their_test_point():
         assert np.allclose(jet.ginv, jet.ginv.T)
 
 
-def test_registry_covers_every_tolerance():
+def test_registry_covers_every_tolerance(monkeypatch):
+    """Every suite runs, and the two that integrate landmark geodesics (their
+    size does not depend on ``quick``) make only the rhs calls they need:
+    conservation reuses the pair's dt = 1e-3 endpoint for the step-halving
+    ratio (4 000 + 4 000 + 8 000 + 16 000 calls), and matching builds its
+    round-trip target with one ``integrate`` (400 calls) instead of a
+    ``shoot`` whose 8-shot Jacobian (3 200 more) it would discard."""
     assert len(SUITES) == 10
-    used = set()
-    results = run_suites(quick=True)
-    assert len(results) == 10
-    for result in results:
-        used.add(result.name)
-    assert used == set(SUITES)
+    calls = {"rhs": 0}
+    rhs = dynamics.geodesic_rhs
+
+    def counting_rhs(*args):
+        calls["rhs"] += 1
+        return rhs(*args)
+
+    monkeypatch.setattr(dynamics, "geodesic_rhs", counting_rhs)
+    rhs_calls = {}
+    for name in SUITES:
+        calls["rhs"] = 0
+        [result] = run_suites([name], quick=True)
+        assert result.name == name
+        rhs_calls[name] = calls["rhs"]
+    assert rhs_calls == {**dict.fromkeys(SUITES, 0), "conservation": 32_000, "matching": 21_600}
 
 
 def test_unknown_suite_and_tolerance_rejected():
@@ -68,3 +83,4 @@ def test_render_table():
     text = render_table(failed)
     assert "FAIL" in text
     assert "1 suite(s) FAILED" in text
+
