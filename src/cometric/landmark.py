@@ -68,10 +68,10 @@ def _block(metric: LandmarkMetric, q: np.ndarray, order: int) -> PairBlock:
     return pair_block(metric.kernel, q, order, what="landmarks")
 
 
-def _check_mom(metric: LandmarkMetric, a: np.ndarray, name: str = "momenta") -> np.ndarray:
+def _check_mom(metric: LandmarkMetric, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape != (metric.p, metric.D):
-        raise ConfigurationError(f"{name} must have shape ({metric.p}, {metric.D}), got {a.shape}")
+        raise ConfigurationError(f"momenta must have shape ({metric.p}, {metric.D}), got {a.shape}")
     return a
 
 

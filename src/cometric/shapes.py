@@ -150,10 +150,10 @@ def make_circle(samples: int, radius: float = 1.0, center: tuple[float, float] =
     return DiscreteSubmanifold(x=x, w=w, tangents=t, projectors=np.ascontiguousarray(proj))
 
 
-def _check_mom(shape: DiscreteSubmanifold, a: np.ndarray, name: str = "momenta") -> np.ndarray:
+def _check_mom(shape: DiscreteSubmanifold, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape != shape.x.shape:
-        raise ConfigurationError(f"{name} must have shape {shape.x.shape}, got {a.shape}")
+        raise ConfigurationError(f"momenta must have shape {shape.x.shape}, got {a.shape}")
     return a
 
 

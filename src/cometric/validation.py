@@ -458,7 +458,7 @@ def suite_matching(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool
     q0_pair = np.array([[0.0, 0.0], [1.0, 0.0]])
     p_true = np.array([[0.3, 0.2], [-0.1, 0.25]])
     y_true = np.concatenate([q0_pair.reshape(-1), p_true.reshape(-1)])
-    q_end = integrate(landmark_system(pair), y_true, config)[1][-1][:4].reshape(2, 2)
+    q_end = integrate(landmark_system(pair), y_true, config)[1][-1][:q0_pair.size].reshape(q0_pair.shape)
     res_pair = match(pair, q0_pair, q_end, config)
     err_round = float(np.max(np.abs(res_pair.p0 - p_true)))
     ok = (

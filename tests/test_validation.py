@@ -19,12 +19,13 @@ def test_random_cometrics_are_spd_at_their_test_point():
 
 
 def test_registry_covers_every_tolerance(monkeypatch):
-    """Every suite runs, and the two that integrate landmark geodesics (their
-    size does not depend on ``quick``) make only the rhs calls they need:
-    conservation reuses the pair's dt = 1e-3 endpoint for the step-halving
-    ratio (4 000 + 4 000 + 8 000 + 16 000 calls), and matching builds its
-    round-trip target with one ``integrate`` (400 calls) instead of a
-    ``shoot`` whose 8-shot Jacobian (3 200 more) it would discard."""
+    """The default run (no names, as ``cometric validate`` calls it) runs every
+    suite in registry order, and the two that integrate landmark geodesics
+    (their size does not depend on ``quick``) make only the rhs calls they
+    need: conservation reuses the pair's dt = 1e-3 endpoint for the
+    step-halving ratio (4 000 + 4 000 + 8 000 + 16 000 calls), and matching
+    builds its round-trip target with one ``integrate`` (400 calls) instead
+    of a ``shoot`` whose 8-shot Jacobian (3 200 more) it would discard."""
     assert len(SUITES) == 10
     calls = {"rhs": 0}
     rhs = dynamics.geodesic_rhs
@@ -33,13 +34,22 @@ def test_registry_covers_every_tolerance(monkeypatch):
         calls["rhs"] += 1
         return rhs(*args)
 
-    monkeypatch.setattr(dynamics, "geodesic_rhs", counting_rhs)
     rhs_calls = {}
-    for name in SUITES:
-        calls["rhs"] = 0
-        [result] = run_suites([name], quick=True)
-        assert result.name == name
-        rhs_calls[name] = calls["rhs"]
+
+    def counted(name, suite):
+        def run(*args):
+            calls["rhs"] = 0
+            try:
+                return suite(*args)
+            finally:
+                rhs_calls[name] = calls["rhs"]
+        return run
+
+    monkeypatch.setattr(dynamics, "geodesic_rhs", counting_rhs)
+    for name, suite in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, name, counted(name, suite))
+    results = run_suites(quick=True)
+    assert [r.name for r in results] == list(SUITES)
     assert rhs_calls == {**dict.fromkeys(SUITES, 0), "conservation": 32_000, "matching": 21_600}
 
 
