@@ -27,6 +27,7 @@ from . import dsl
 from .dsl import Expr, Const, Var, parse
 from .errors import ConfigurationError
 from .jets import CometricJet, assemble_jet
+from .jsonio import integer
 from .kernels import (
     BESSEL_FAMILY,
     GAUSSIAN_FAMILY,
@@ -62,11 +63,6 @@ class CometricDef:
         for i in range(1, self.dim + 1):
             if (i, i) not in self.entries:
                 raise ConfigurationError(f"diagonal entry ({i},{i}) missing")
-
-    def entry(self, i: int, j: int) -> Expr:
-        if i > j:
-            i, j = j, i
-        return self.entries.get((i, j), Const(0.0))
 
 
 def cometric_jet(defn: CometricDef, x: np.ndarray) -> CometricJet:
@@ -162,8 +158,8 @@ def cometric_from_json(obj: dict) -> CometricDef:
     """
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ConfigurationError("cometric JSON needs 'dim' and 'entries'")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    dim = integer(obj["dim"], "cometric dimension")
+    if dim < 1:
         raise ConfigurationError(f"bad cometric dimension {dim!r}")
     raw = obj["entries"]
     if not isinstance(raw, dict):
@@ -205,12 +201,13 @@ def catalog_cometric(name: str) -> CometricDef:
     ``sphere:radius``, ``hyperbolic``."""
     parts = name.split(":")
     head = parts[0]
-    if head == "euclidean":
-        d = int(parts[1]) if len(parts) > 1 else 2
-        return euclidean(d)
-    if head == "sphere":
-        radius = float(parts[1]) if len(parts) > 1 else 1.0
-        return sphere_stereographic(2, radius)
+    try:
+        if head == "euclidean":
+            return euclidean(int(parts[1]) if len(parts) > 1 else 2)
+        if head == "sphere":
+            return sphere_stereographic(2, float(parts[1]) if len(parts) > 1 else 1.0)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad catalog argument in {name!r}: {exc}") from exc
     if head == "hyperbolic":
         return hyperbolic_half_plane()
     raise ConfigurationError(f"unknown catalog cometric {name!r} (know euclidean[:d], sphere[:radius], hyperbolic)")

@@ -5,14 +5,14 @@ This is the cross-oracle for the jet-contraction forms in
 builds Christoffel symbols and the full (1,3) Riemann tensor, and contracts.
 Everything classical, nothing shared with the other forms.
 
-Two modes for the Christoffel derivative:
+Two modes for the Christoffel derivative, chosen by whether a jet provider
+is given:
 
-* ``exact``  — ``dGamma`` from the same 2-jet via the inversion identities
-  (zero truncation error; the right choice whenever exact jets exist, which
-  covers symbolic charts and landmark configurations alike).
-* ``fd``     — fourth-order five-point central differences of ``Gamma``
-  with the fixed step ``h = 2e-5 (1 + |x|)``, needing only a jet provider
-  ``x -> jet``.
+* exact (no provider) — ``dGamma`` from the same 2-jet via the inversion
+  identities (zero truncation error; the right choice whenever exact jets
+  exist, which covers symbolic charts and landmark configurations alike).
+* fd (a provider ``jet_fn: x -> jet``) — fourth-order five-point central
+  differences of ``Gamma`` with the fixed step ``h = 2e-5 (1 + |x|)``.
 
 The oracle returns the numerator only; dividing by the plane's Gram
 determinant (and deciding when the plane is degenerate) is
@@ -108,14 +108,13 @@ def sectional_numerator_oracle(
     u: np.ndarray,
     v: np.ndarray,
     *,
-    mode: str = "exact",
     jet_fn: Callable[[np.ndarray], CometricJet] | None = None,
 ) -> float:
     """``g(R(u,v)v, u)`` for chart *vectors* ``u``, ``v``.
 
-    ``mode="exact"`` differentiates the Christoffel symbols from the jet's own
-    second-order data; ``mode="fd"`` uses five-point central differences with
-    step ``2e-5 (1 + |x|)`` and requires ``jet_fn``.
+    Without ``jet_fn`` the Christoffel symbols are differentiated from the
+    jet's own second-order data; with it, by five-point central differences of
+    ``jet_fn`` with step ``2e-5 (1 + |x|)``.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -124,14 +123,10 @@ def sectional_numerator_oracle(
         raise ConfigurationError(f"vectors must have shape ({d},), got {u.shape} and {v.shape}")
     mj = metric_jet_from_cometric(jet)
     gamma = christoffel(mj)
-    if mode == "exact":
+    if jet_fn is None:
         dgamma = christoffel_derivative_exact(jet, mj)
-    elif mode == "fd":
-        if jet_fn is None:
-            raise ConfigurationError("mode='fd' needs a jet provider jet_fn")
-        dgamma = christoffel_derivative_fd(jet_fn, jet.x)
     else:
-        raise ConfigurationError(f"unknown oracle mode {mode!r} (want 'exact' or 'fd')")
+        dgamma = christoffel_derivative_fd(jet_fn, jet.x)
     rm = riemann(gamma, dgamma)
     return float(np.einsum("lijk,l,i,j,k->", rm, mj.gcov @ u, u, v, v))
 

@@ -62,11 +62,15 @@ def _tol_override(text: str) -> tuple[str, float]:
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {out}: {exc}") from exc
 
 
 def _quarter_turn(a: np.ndarray) -> np.ndarray:
@@ -76,6 +80,15 @@ def _quarter_turn(a: np.ndarray) -> np.ndarray:
         b[:, 0], b[:, 1] = -a[:, 1], a[:, 0]
         return b
     return np.roll(a, 1, axis=0)
+
+
+def _second_coform(beta: np.ndarray | None, alpha: np.ndarray) -> np.ndarray:
+    """``--beta`` laid out like ``alpha``; without it, the quarter turn of ``alpha``."""
+    if beta is None:
+        return _quarter_turn(alpha)
+    if beta.size != alpha.size:
+        raise ConfigurationError(f"--beta needs {alpha.size} numbers, got {beta.size}")
+    return beta.reshape(alpha.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +123,7 @@ def _cmd_curvature_chart(args) -> int:
     alpha, beta = args.alpha, args.beta
     jet = charts.cometric_jet(defn, x)
     br = numerator_coordinate(jet, alpha, beta)
-    oracle = sectional_numerator_oracle(jet, jet.ginv @ alpha, jet.ginv @ beta, mode="exact")
+    oracle = sectional_numerator_oracle(jet, jet.ginv @ alpha, jet.ginv @ beta)
     payload = {
         "point": x,
         "alpha": alpha,
@@ -128,7 +141,7 @@ def _cmd_curvature_landmark(args) -> int:
     dim, q, p = state_from_json(jsonio.load_file(args.state))
     metric = LandmarkMetric(spec, q.shape[0], dim)
     alpha = p
-    beta = args.beta.reshape(q.shape) if args.beta is not None else _quarter_turn(alpha)
+    beta = _second_coform(args.beta, alpha)
     br = landmark_curvature(metric, q, alpha, beta)
     payload = {
         "q": q,
@@ -145,7 +158,7 @@ def _cmd_curvature_shape(args) -> int:
     shape, mom = shapes.shape_from_json(jsonio.load_file(args.shape))
     if mom is None:
         raise ConfigurationError("shape file carries no momenta to use as the first coform")
-    beta = args.beta.reshape(shape.x.shape) if args.beta is not None else _quarter_turn(mom)
+    beta = _second_coform(args.beta, mom)
     br = shapes.curvature_terms(spec, shape, mom, beta)
     payload = {
         "samples": shape.samples,
@@ -183,10 +196,7 @@ def _cmd_match(args) -> int:
         )
     metric = LandmarkMetric(spec, q0.shape[0], dim)
     config = IntegratorConfig(dt=args.dt, t_final=args.T)
-    result = match(
-        metric, q0, q_target, config,
-        tol=args.tol, max_iter=args.max_iter, tikhonov=args.tikhonov,
-    )
+    result = match(metric, q0, q_target, config, tol=args.tol, max_iter=args.max_iter)
     payload = {
         "p0": result.p0,
         "q_final": result.q_final,
@@ -309,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     ma.add_argument("--dt", type=float, default=1e-2, help="time step (default 1e-2)")
     ma.add_argument("--tol", type=float, default=1e-10, help="endpoint residual tolerance")
     ma.add_argument("--max-iter", type=int, default=50, help="Gauss-Newton iteration cap")
-    ma.add_argument("--tikhonov", type=float, default=0.0, help="metric regularization weight")
     ma.set_defaults(func=_cmd_match)
 
     oneill = groups.add_parser("oneill", help="submersion checks").add_subparsers(

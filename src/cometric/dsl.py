@@ -467,26 +467,3 @@ def max_var(e: Expr) -> int:
     if isinstance(e, Call):
         return max_var(e.arg)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def shift_vars(e: Expr, offset: int) -> Expr:
-    """Rename every ``x{i}`` to ``x{i+offset}`` (used to embed factors in products)."""
-    if isinstance(e, Var):
-        return Var(e.index + offset)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Add):
-        return Add(shift_vars(e.a, offset), shift_vars(e.b, offset))
-    if isinstance(e, Sub):
-        return Sub(shift_vars(e.a, offset), shift_vars(e.b, offset))
-    if isinstance(e, Mul):
-        return Mul(shift_vars(e.a, offset), shift_vars(e.b, offset))
-    if isinstance(e, Div):
-        return Div(shift_vars(e.a, offset), shift_vars(e.b, offset))
-    if isinstance(e, Pow):
-        return Pow(shift_vars(e.base, offset), e.exponent)
-    if isinstance(e, Neg):
-        return Neg(shift_vars(e.a, offset))
-    if isinstance(e, Call):
-        return Call(e.fn, shift_vars(e.arg, offset))
-    raise TypeError(f"not an expression: {e!r}")

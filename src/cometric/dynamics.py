@@ -10,9 +10,9 @@ All routes step through one checked loop, ``_states``; a failure raises
 ``DivergenceError`` at the time of the last state that passed.  Shot endpoints
 are differentiated by central differences in ``_endpoint_jacobian``, for
 ``shoot`` and for ``match`` (which never calls ``shoot``): Gauss-Newton with
-Levenberg damping and an optional Tikhonov term.  ``match`` never raises on
-exhaustion or on a diverging trial step (rejected like one that does not
-lower the residual): it reports ``converged=False`` with the residuals.
+Levenberg damping.  ``match`` never raises on exhaustion or on a diverging
+trial step (rejected like one that does not lower the residual): it reports
+``converged=False`` with the residuals.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConditioningError, ConfigurationError, DivergenceError
 from .landmark import LandmarkMetric, geodesic_rhs, hamiltonian
-from .kernels import KernelSpec, gram_matrix
+from .kernels import KernelSpec
 from . import shapes as shapes_mod
 
 
@@ -34,7 +34,6 @@ class IntegratorConfig:
     dt: float
     t_final: float
     method: str = "rk4"
-    max_norm: float = 1e8
 
     def __post_init__(self) -> None:
         if self.dt <= 0 or not math.isfinite(self.dt):
@@ -177,24 +176,22 @@ def _implicit_midpoint_step(rhs: Callable, y: np.ndarray, dt: float) -> np.ndarr
     raise ConditioningError(f"implicit midpoint fixed point did not converge (last delta {delta:.3e})")
 
 
-def _step(rhs: Callable, y: np.ndarray, dt: float, method: str) -> np.ndarray:
-    if method == "rk4":
-        return _rk4_step(rhs, y, dt)
-    return _implicit_midpoint_step(rhs, y, dt)
+MAX_NORM = 1e8  # a state entry beyond this is a blow-up
 
 
-def _check_state(y: np.ndarray, t: float, max_norm: float) -> None:
-    if not np.all(np.isfinite(y)) or float(np.abs(y).max()) > max_norm:
+def _check_state(y: np.ndarray, t: float) -> None:
+    if not np.all(np.isfinite(y)) or float(np.abs(y).max()) > MAX_NORM:
         raise DivergenceError("trajectory blew up", t)
 
 
 def _states(rhs: Callable, y0: np.ndarray, config: IntegratorConfig) -> Iterator[np.ndarray]:
     """The one stepping loop: yields each state after ``y0`` before stepping on.
     A failed check reports ``k * dt``, the time of the last state that passed."""
+    step = _rk4_step if config.method == "rk4" else _implicit_midpoint_step
     y = y0
     for k in range(config.steps):
-        y = _step(rhs, y, config.dt, config.method)
-        _check_state(y, k * config.dt, config.max_norm)
+        y = step(rhs, y, config.dt)
+        _check_state(y, k * config.dt)
         yield y
 
 
@@ -244,25 +241,21 @@ def _endpoint_jacobian(rhs: Callable, q: np.ndarray, p: np.ndarray, config: Inte
 @dataclass(frozen=True)
 class ShootResult:
     q_final: np.ndarray
-    p_final: np.ndarray
     sensitivity: np.ndarray  # d(flat q_final) / d(flat p0), shape (pD, pD)
-    report: ConservationReport
 
 
 def shoot(metric: LandmarkMetric, q0: np.ndarray, p0: np.ndarray, config: IntegratorConfig) -> ShootResult:
-    """Propagate ``(q0, p0)`` and differentiate the endpoint positions in the
-    initial momenta by central differences (step ``1e-6 * (1 + max|p0|)``)."""
-    system = landmark_system(metric)
-    q0 = np.asarray(q0, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    _, ys, report = integrate(system, np.concatenate([q0.reshape(-1), p0.reshape(-1)]), config)
-    yT = ys[-1]
-    nq = metric.p * metric.D
+    """The endpoint map: the positions reached from ``(q0, p0)`` at ``t_final``,
+    and their derivative in the initial momenta by central differences (step
+    ``1e-6 * (1 + max|p0|)``).  Nothing is monitored; ``integrate`` records a
+    trajectory."""
+    rhs = landmark_system(metric).rhs
+    q = np.asarray(q0, dtype=float).reshape(-1)
+    p = np.asarray(p0, dtype=float).reshape(-1)
+    q_final = _endpoint(rhs, np.concatenate([q, p]), config)[: q.size]
     return ShootResult(
-        q_final=yT[:nq].reshape(metric.p, metric.D),
-        p_final=yT[nq:].reshape(metric.p, metric.D),
-        sensitivity=_endpoint_jacobian(system.rhs, q0.reshape(-1), p0.reshape(-1), config),
-        report=report,
+        q_final=q_final.reshape(metric.p, metric.D),
+        sensitivity=_endpoint_jacobian(rhs, q, p, config),
     )
 
 
@@ -283,13 +276,11 @@ def match(
     *,
     tol: float = 1e-10,
     max_iter: int = 50,
-    tikhonov: float = 0.0,
 ) -> MatchResult:
     """Find initial momenta shooting ``q0`` onto ``q_target`` at ``t_final``.
 
     Gauss-Newton on the endpoint residual with Levenberg damping, starting
-    from zero momenta.  With ``tikhonov > 0`` the objective gains
-    ``tikhonov * H(q0, p0)`` (regularizing toward short geodesics).
+    from zero momenta.
     """
     system = landmark_system(metric)
     q0 = np.asarray(q0, dtype=float)
@@ -301,8 +292,6 @@ def match(
 
     def endpoint(p_flat: np.ndarray) -> np.ndarray:
         return _endpoint(system.rhs, np.concatenate([q0.reshape(-1), p_flat]), config)[:nq]
-
-    gram = np.kron(gram_matrix(metric.kernel, q0), np.eye(metric.D)) if tikhonov > 0.0 else None
 
     p_flat = np.zeros(nq)
     q_end = endpoint(p_flat)
@@ -318,9 +307,6 @@ def match(
         jac = _endpoint_jacobian(system.rhs, q0.reshape(-1), p_flat, config)
         grad = jac.T @ (q_end - target)
         hess = jac.T @ jac
-        if gram is not None:
-            grad = grad + tikhonov * (gram @ p_flat)
-            hess = hess + tikhonov * gram
         for _ in range(12):
             try:
                 dp = np.linalg.solve(hess + lam * np.eye(nq), -grad)

@@ -70,7 +70,7 @@ def dumps(obj: Any) -> str:
 def loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
         raise ConfigurationError(f"invalid JSON: {exc}") from exc
 
 
@@ -78,8 +78,30 @@ def load_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return loads(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+
+
+def integer(value: Any, what: str) -> int:
+    """A JSON integer; a float (even ``3.0``) or ``true`` is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def number(value: Any, what: str) -> float:
+    """A JSON number read as a float; anything else (a string, ``true``) is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def float_array(value: Any, what: str) -> np.ndarray:
+    """Nested JSON lists of numbers as a float array; ragged or non-numeric lists are refused."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what} must be a rectangular array of numbers") from exc
 
 
 def trajectory_csv(

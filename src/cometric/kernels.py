@@ -42,6 +42,7 @@ from .errors import (
     DegenerateConfigurationError,
     UnsupportedError,
 )
+from .jsonio import integer, number
 
 BESSEL_FAMILY = "sobolev_bessel"
 GAUSSIAN_FAMILY = "gaussian"
@@ -256,10 +257,10 @@ def spec_from_json(obj: dict) -> KernelSpec:
     l = obj.get("l")
     return KernelSpec(
         family=obj["family"],
-        n=int(obj["n"]),
-        l=None if l is None else int(l),
-        A=float(obj.get("A", 1.0)),
-        c=float(obj.get("c", 1.0)),
+        n=integer(obj["n"], "kernel dimension n"),
+        l=None if l is None else integer(l, "kernel exponent l"),
+        A=number(obj.get("A", 1.0), "kernel scale A"),
+        c=number(obj.get("c", 1.0), "kernel amplitude c"),
     )
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .curvature import CurvatureBreakdown, _breakdown, _check_finite
 from .errors import ConfigurationError
 from .jets import CometricJet, assemble_jet
+from .jsonio import float_array, integer
 from .kernels import GRAM_COND_LIMIT  # noqa: F401  (re-exported: read as landmark.GRAM_COND_LIMIT)
 from .kernels import KernelSpec, PairBlock, check_distinct, check_gram_condition, pair_block
 
@@ -219,14 +220,14 @@ def state_from_json(obj: dict) -> tuple[int, np.ndarray, np.ndarray]:
     """Read ``{"D": D, "q": [[...]], "p": [[...]]}``; returns ``(D, q, p)``."""
     if not isinstance(obj, dict) or "D" not in obj or "q" not in obj:
         raise ConfigurationError("landmark state JSON needs 'D' and 'q'")
-    D = obj["D"]
-    if not isinstance(D, int) or D < 1:
+    D = integer(obj["D"], "ambient dimension D")
+    if D < 1:
         raise ConfigurationError(f"bad ambient dimension {D!r}")
-    q = np.asarray(obj["q"], dtype=float)
+    q = float_array(obj["q"], "positions q")
     if q.ndim != 2 or q.shape[1] != D:
         raise ConfigurationError(f"positions must be a (p, {D}) array, got shape {q.shape}")
     if "p" in obj:
-        mom = np.asarray(obj["p"], dtype=float)
+        mom = float_array(obj["p"], "momenta p")
         if mom.shape != q.shape:
             raise ConfigurationError(f"momenta shape {mom.shape} does not match positions {q.shape}")
     else:

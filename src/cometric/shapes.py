@@ -26,13 +26,17 @@ import numpy as np
 
 from .curvature import CurvatureBreakdown, _breakdown, _check_finite
 from .errors import ConfigurationError, DegenerateConfigurationError
+from .jsonio import float_array, integer
 from .kernels import KernelSpec, PairBlock, check_distinct, check_gram_condition, kernel_value, pair_block
+
+FRAME_TOL = 1e-10  # largest entry error of a frame's Gram or projector accepted as orthonormal
 
 
 @dataclass(frozen=True)
 class DiscreteSubmanifold:
     """Samples (S, n), weights (S,), orthonormal tangent frames (S, m, n),
-    normal projectors (S, n, n)."""
+    normal projectors (S, n, n).  Frames and projectors are checked to
+    :data:`FRAME_TOL` entry by entry."""
 
     x: np.ndarray
     w: np.ndarray
@@ -57,6 +61,12 @@ class DiscreteSubmanifold:
             raise ConfigurationError(f"tangent dimension m={t.shape[1]} must be < n={n}")
         if pr.shape != (s, n, n):
             raise ConfigurationError(f"projectors must have shape ({s}, {n}, {n}), got {pr.shape}")
+        gram_err = np.abs(np.einsum("sai,sbi->sab", t, t) - np.eye(t.shape[1])).max(initial=0.0)
+        if not gram_err <= FRAME_TOL:  # also refuses NaN
+            raise ConfigurationError(f"tangent frames are not orthonormal: |T T^T - I| = {gram_err:.3e}")
+        proj_err = np.abs(pr - (np.eye(n) - np.einsum("sai,saj->sij", t, t))).max(initial=0.0)
+        if not proj_err <= FRAME_TOL:
+            raise ConfigurationError(f"projectors are not I - sum t t^T: max deviation {proj_err:.3e}")
         check_distinct(x, what="samples")
 
     @property
@@ -243,11 +253,8 @@ def stress_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b
 
 
 def _normal_basis(shape: DiscreteSubmanifold) -> np.ndarray:
-    """Orthonormal normal frames (S, n-m, n) from the projectors."""
-    s, n = shape.x.shape
-    m = shape.m
-    if m == 0:
-        return np.broadcast_to(np.eye(n), (s, n, n)).copy()
+    """Orthonormal normal frames (S, n-m, n) from the projectors (m >= 1)."""
+    m, n = shape.m, shape.n
     if m == 1 and n == 2:
         t = shape.tangents[:, 0, :]
         nu = np.stack([-t[:, 1], t[:, 0]], axis=1)
@@ -345,13 +352,15 @@ def _require_finite(**arrays: np.ndarray) -> None:
 def shape_from_json(obj: dict) -> tuple[DiscreteSubmanifold, np.ndarray | None]:
     """Read ``{"n":..,"m":..,"samples":..,"weights":..,"tangents":..,"momenta":..}``;
     momenta are optional."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError("shape JSON must be an object")
     for key in ("n", "m", "samples", "weights", "tangents"):
         if key not in obj:
             raise ConfigurationError(f"shape JSON is missing {key!r}")
-    n, m = obj["n"], obj["m"]
-    x = np.asarray(obj["samples"], dtype=float)
-    w = np.asarray(obj["weights"], dtype=float)
-    t = np.asarray(obj["tangents"], dtype=float)
+    n, m = integer(obj["n"], "shape n"), integer(obj["m"], "shape m")
+    x = float_array(obj["samples"], "shape samples")
+    w = float_array(obj["weights"], "shape weights")
+    t = float_array(obj["tangents"], "shape tangents")
     if x.ndim != 2 or x.shape[1] != n:
         raise ConfigurationError(f"samples must be (S, {n}), got {x.shape}")
     if t.shape != (x.shape[0], m, n):
@@ -361,7 +370,7 @@ def shape_from_json(obj: dict) -> tuple[DiscreteSubmanifold, np.ndarray | None]:
     shape = DiscreteSubmanifold(x=x, w=w, tangents=t, projectors=np.ascontiguousarray(proj))
     mom = None
     if obj.get("momenta") is not None:
-        mom = np.asarray(obj["momenta"], dtype=float)
+        mom = float_array(obj["momenta"], "shape momenta")
         if mom.shape != x.shape:
             raise ConfigurationError(f"momenta must be {x.shape}, got {mom.shape}")
         _require_finite(momenta=mom)

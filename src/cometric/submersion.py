@@ -203,24 +203,11 @@ def product_case() -> SubmersionCase:
     """The round 2-sphere times the line with cometric ``1 + x^2/4``, projected
     onto the sphere.  Lifted fields live in the first factor, so the vertical
     term vanishes identically."""
-    factor_a = sphere_stereographic(2)
-    factor_b = CometricDef(
-        dim=1,
-        entries={(1, 1): dsl.add_(Const(1.0), dsl.mul_(Const(0.25), dsl.pow_(Var(1), 2)))},
-        name="line(1+x^2/4)",
-    )
-    da = factor_a.dim
-    entries: dict[tuple[int, int], Expr] = dict(factor_a.entries)
-    for (i, j), e in factor_b.entries.items():
-        entries[(i + da, j + da)] = dsl.shift_vars(e, da)
-    total = CometricDef(dim=da + factor_b.dim, entries=entries,
-                        name=f"product({factor_a.name}, {factor_b.name})")
-    return SubmersionCase(
-        name="product",
-        total=total,
-        base=factor_a,
-        proj=tuple(Var(i) for i in range(1, da + 1)),
-    )
+    sphere = sphere_stereographic(2)
+    line = dsl.add_(Const(1.0), dsl.mul_(Const(0.25), dsl.pow_(Var(3), 2)))  # the line factor, in x3
+    total = CometricDef(dim=3, entries={**sphere.entries, (3, 3): line},
+                        name=f"product({sphere.name}, line(1+x^2/4))")
+    return SubmersionCase(name="product", total=total, base=sphere, proj=(Var(1), Var(2)))
 
 
 def hopf_case() -> SubmersionCase:

@@ -13,7 +13,6 @@ from cometric.christoffel import (
     sectional_numerator_oracle,
 )
 from cometric.curvature import numerator_coordinate
-from cometric.errors import ConfigurationError
 from cometric.validation import TOLERANCES, random_cometric, suite_christoffel
 
 
@@ -97,15 +96,9 @@ def test_oracle_modes_agree():
     defn, x = random_cometric(rng, 3)
     jet = charts.cometric_jet(defn, x)
     u, v = rng.standard_normal(3), rng.standard_normal(3)
-    exact = sectional_numerator_oracle(jet, u, v, mode="exact")
-    fd = sectional_numerator_oracle(
-        jet, u, v, mode="fd", jet_fn=lambda y: charts.cometric_jet(defn, y)
-    )
+    exact = sectional_numerator_oracle(jet, u, v)
+    fd = sectional_numerator_oracle(jet, u, v, jet_fn=lambda y: charts.cometric_jet(defn, y))
     assert exact == pytest.approx(fd, rel=1e-6, abs=1e-7)
-    with pytest.raises(ConfigurationError):
-        sectional_numerator_oracle(jet, u, v, mode="fd")  # jet_fn required
-    with pytest.raises(ConfigurationError):
-        sectional_numerator_oracle(jet, u, v, mode="nope")
 
 
 def test_christoffel_suite_passes_at_seed_32():

@@ -220,3 +220,79 @@ def test_out_writes_file(tmp_path, spec_file, capsys):
     assert capsys.readouterr().out == ""
     payload = jsonio.load_file(str(out))
     assert payload["radii"] == [1.0]
+
+
+def test_default_beta_rolls_rows_in_one_dimension(tmp_path, spec_file, capsys):
+    """With D = 1 there is no quarter turn: the default second coform rolls
+    the momenta across landmarks."""
+    state = _write_state(tmp_path, "line.json", 1, [[0.0], [1.0], [2.5]], [[1.0], [2.0], [3.0]])
+    assert main(["curvature", "landmark", "--spec", spec_file, "--state", state]) == 0
+    assert json.loads(capsys.readouterr().out)["beta"] == [[3.0], [1.0], [2.0]]
+
+
+def _spec(tmp_path, **fields):
+    path = tmp_path / "bad_spec.json"
+    path.write_text(json.dumps({"family": "sobolev_bessel", "n": 3, "l": 3, "A": 0.8, **fields}))
+    return str(path)
+
+
+def _shape(tmp_path, **fields):
+    path = tmp_path / "bad_shape.json"
+    obj = {"n": 2, "m": 1, "samples": [[1, 0], [0, 1], [-1, 0]], "weights": [1, 1, 1],
+           "tangents": [[[0, 1]], [[-1, 0]], [[0, -1]]], "momenta": [[1, 0], [0, 1], [-1, 0]]}
+    path.write_text(json.dumps({**obj, **fields}))
+    return str(path)
+
+
+def _state(tmp_path, q, p=None):
+    path = tmp_path / "bad_state.json"
+    path.write_text(json.dumps({"D": 2, "q": q, **({} if p is None else {"p": p})}))
+    return str(path)
+
+
+def _raw(tmp_path, data):
+    path = tmp_path / "raw.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+PAIR = [[0.0, 0.0], [1.0, 0.0]]
+CHART = ["--point", "0.1,0.2", "--alpha", "1,0", "--beta", "0,1"]
+MALFORMED = {
+    "beta size": (lambda d, s: ["curvature", "landmark", "--spec", s, "--state", _state(d, PAIR, PAIR),
+                                "--beta", "1,2,3"], "error: --beta needs 4 numbers, got 3"),
+    "catalog argument": (lambda d, s: ["curvature", "chart", "--cometric", "catalog:euclidean:x", *CHART],
+                         "error: bad catalog argument in 'euclidean:x'"),
+    "ragged state": (lambda d, s: ["geodesic", "shoot", "--spec", s, "--state", _state(d, [[0, 0], [1]])],
+                     "error: positions q must be a rectangular array of numbers"),
+    "non-numeric state": (lambda d, s: ["geodesic", "shoot", "--spec", s, "--state", _state(d, [[0, 0], ["a", 1]])],
+                          "error: positions q must be a rectangular array of numbers"),
+    "float shape n": (lambda d, s: ["curvature", "shape", "--spec", s, "--shape", _shape(d, n=2.0)],
+                      "error: shape n must be an integer, got 2.0"),
+    "string spec A": (lambda d, s: ["geodesic", "shoot", "--spec", _spec(d, A="x"), "--state", _state(d, PAIR)],
+                      "error: kernel scale A must be a number, got 'x'"),
+    "fractional spec n, l": (lambda d, s: ["geodesic", "shoot", "--spec", _spec(d, n=3.5, l=3.7),
+                                           "--state", _state(d, PAIR)],
+                             "error: kernel dimension n must be an integer, got 3.5"),
+    "missing out directory": (lambda d, s: ["curvature", "chart", "--cometric", "catalog:sphere", *CHART,
+                                            "--out", str(d / "missing" / "x.json")],
+                              "error: cannot write "),
+    "shape file not an object": (lambda d, s: ["curvature", "shape", "--spec", s, "--shape", _raw(d, b"[1, 2]")],
+                                 "error: shape JSON must be an object"),
+    "nesting too deep": (lambda d, s: ["geodesic", "shoot", "--spec", s, "--state", _raw(d, b"[" * 10**5 + b"]" * 10**5)],
+                         "error: invalid JSON: "),
+    "binary input": (lambda d, s: ["geodesic", "shoot", "--spec", s, "--state", _raw(d, b"\xff\xfe\x00")],
+                     "error: cannot read "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_1_without_traceback(case, tmp_path, spec_file, capsys):
+    """Bad outside input is refused where it enters, as a named error: exit 1
+    and one ``error:`` line, never an escaping ``ValueError``/``TypeError``/
+    ``OSError`` or a silently truncated value."""
+    argv, message = MALFORMED[case]
+    assert main(argv(tmp_path, spec_file)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1

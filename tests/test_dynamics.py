@@ -102,14 +102,15 @@ def test_implicit_midpoint_non_convergence_raises():
 
 
 def test_divergence_reports_last_good_time():
-    """|p| = 50 already exceeds ``max_norm`` after the first step, so the last
+    """|p| = 1e9 already exceeds ``MAX_NORM`` after the first step, so the last
     state that passed is y0: every route reports t_last = 0, whether it
     observes each state (``integrate``) or keeps only the endpoint (the shots
     of ``shoot``'s and ``match``'s Jacobian)."""
     metric = LandmarkMetric(SPEC, 1, 2)
     system = landmark_system(metric)
-    y0 = np.array([0.0, 0.0, 50.0, 0.0])
-    config = IntegratorConfig(dt=0.1, t_final=10.0, max_norm=1.0)
+    y0 = np.array([0.0, 0.0, 1e9, 0.0])
+    assert y0.max() > dynamics.MAX_NORM
+    config = IntegratorConfig(dt=0.1, t_final=10.0)
     with pytest.raises(DivergenceError) as info:
         integrate(system, y0, config)
     assert info.value.t_last == 0.0
@@ -193,6 +194,19 @@ def test_match_round_trip():
     assert np.allclose(result.p0, p_true, atol=1e-6)
 
 
+def test_match_stops_when_no_trial_lowers_the_residual():
+    """With ``tol = 0`` the single-landmark match reaches rounding level, then
+    rejects trials that do not lower the residual until all 12 of one
+    iteration have failed, and stops there, unconverged."""
+    metric = LandmarkMetric(KernelSpec("sobolev_bessel", n=3, l=3, A=0.8), 1, 2)
+    result = match(metric, [[0.1, 0.2]], [[0.4, -0.1]], IntegratorConfig(dt=0.02, t_final=1.0), tol=0.0)
+    assert not result.converged
+    assert result.iterations == 12
+    assert len(result.residuals) == 12  # the start and 11 accepted steps: the last iteration accepted none
+    assert np.all(np.diff(result.residuals) < 0)
+    assert result.residuals[-1] < 1e-14
+
+
 def _criterion_10_pair(dt):
     """Criterion 10's two-landmark round trip: metric, source, target, config."""
     pair = LandmarkMetric(_normalized_bessel(3, 3, 1.0), 2, 2)
@@ -226,7 +240,7 @@ def test_match_integrates_once_per_shot(monkeypatch):
 
 
 def test_match_rejects_a_diverging_trial():
-    """Far Levenberg trials of this swap blow past ``max_norm``; they are
+    """Far Levenberg trials of this swap blow past ``MAX_NORM``; they are
     rejected like trials that do not lower the residual, so ``match`` runs to
     its cap and reports ``converged=False`` instead of raising."""
     metric = LandmarkMetric(KernelSpec("sobolev_bessel", n=3, l=3, A=0.8), 2, 2)

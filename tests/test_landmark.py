@@ -176,7 +176,7 @@ def test_curvature_matches_fd_oracle():
     u = jet.ginv @ a.reshape(-1)
     v = jet.ginv @ b.reshape(-1)
     oracle = sectional_numerator_oracle(
-        jet, u, v, mode="fd",
+        jet, u, v,
         jet_fn=lambda y: landmark_cometric_jet(metric, y.reshape(2, 2)),
     )
     assert curvature(metric, q, a, b).total == pytest.approx(oracle, rel=1e-7, abs=1e-9)
@@ -190,6 +190,13 @@ def test_state_json_round_trip():
     assert dim == 2
     assert np.array_equal(q, q2)
     assert np.array_equal(p, p2)
+
+
+def test_state_json_without_momenta_gives_zero_momenta():
+    dim, q, p = state_from_json({"D": 2, "q": [[0.0, 0.0], [1.0, 0.5]]})
+    assert dim == 2
+    assert np.array_equal(q, [[0.0, 0.0], [1.0, 0.5]])
+    assert p.shape == q.shape and np.all(p == 0.0)
 
 
 def test_state_json_errors():

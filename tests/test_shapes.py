@@ -66,6 +66,45 @@ def test_shape_validation():
         )
 
 
+def test_non_orthonormal_frames_refused():
+    """A frame read back with its tangents scaled by 3 has projectors with
+    eigenvalues (-8, 1); it is refused at construction, on every route in."""
+    obj = shapes.shape_to_json(shapes.make_circle(16))
+    obj["tangents"] = (3.0 * np.asarray(obj["tangents"])).tolist()
+    with pytest.raises(ConfigurationError, match="tangent frames are not orthonormal"):
+        shapes.shape_from_json(obj)
+    circle = shapes.make_circle(16)
+    with pytest.raises(ConfigurationError, match="projectors are not I - sum t t"):
+        shapes.DiscreteSubmanifold(x=circle.x, w=circle.w, tangents=circle.tangents,
+                                   projectors=np.broadcast_to(np.eye(2), (16, 2, 2)).copy())
+    nan_frames = circle.tangents.copy()
+    nan_frames[2, 0, 0] = np.nan
+    with pytest.raises(ConfigurationError, match="not orthonormal"):
+        shapes.DiscreteSubmanifold(x=circle.x, w=circle.w, tangents=nan_frames, projectors=circle.projectors)
+
+
+def test_constructors_build_orthonormal_frames():
+    """Every constructor, and a rigidly moved circle built field by field,
+    passes the frame check with room to spare."""
+    theta = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+    angle, shift = 0.7, np.array([3.0, -4.5])
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    circle = shapes.make_circle(512, radius=30.0, center=(0.4, -0.2))
+    moved = shapes.DiscreteSubmanifold(
+        x=circle.x @ rot.T + shift, w=circle.w,
+        tangents=circle.tangents @ rot.T,
+        projectors=np.einsum("ij,sjk,lk->sil", rot, circle.projectors, rot),
+    )
+    for shape in (circle, moved,
+                  shapes.closed_curve(np.stack([2.0 * np.cos(theta), np.sin(theta)], axis=1)),
+                  shapes.landmark_shape(np.array([[0.0, 0.0], [1.0, 0.5]]))):
+        m, n = shape.m, shape.n
+        gram = np.einsum("sai,sbi->sab", shape.tangents, shape.tangents)
+        assert np.abs(gram - np.eye(m)).max(initial=0.0) <= 1e-3 * shapes.FRAME_TOL
+        tt = np.einsum("sai,saj->sij", shape.tangents, shape.tangents)
+        assert np.abs(shape.projectors - (np.eye(n) - tt)).max() <= 1e-3 * shapes.FRAME_TOL
+
+
 def test_coincident_samples_refused_at_construction_and_load():
     circle = shapes.make_circle(6)
     x = circle.x.copy()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cometric import charts, dynamics, validation
+from cometric.errors import ConditioningError
 from cometric.validation import SUITES, TOLERANCES, render_table, run_suites
 
 
@@ -81,6 +82,18 @@ def test_threads_give_same_verdicts():
     assert [(r.name, r.passed, r.detail) for r in serial] == [
         (r.name, r.passed, r.detail) for r in threaded
     ]
+
+
+def test_suite_raising_a_geometry_error_becomes_a_fail_row(monkeypatch):
+    def broken(tols, seed, quick):
+        raise ConditioningError("Gram matrix is ill-conditioned")
+
+    monkeypatch.setitem(SUITES, "kernel_oracle", broken)
+    [result] = run_suites(["kernel_oracle"])
+    assert not result.passed
+    assert result.detail == "error: Gram matrix is ill-conditioned"
+    row = render_table([result]).splitlines()[0]
+    assert row.startswith("kernel_oracle  FAIL") and row.endswith("  error: Gram matrix is ill-conditioned")
 
 
 def test_render_table():
