@@ -97,7 +97,16 @@ def number(value: Any, what: str) -> float:
 
 
 def float_array(value: Any, what: str) -> np.ndarray:
-    """Nested JSON lists of numbers as a float array; ragged or non-numeric lists are refused."""
+    """Nested JSON lists of numbers as a float array; ragged lists are refused,
+    and so is any string, boolean or ``null`` among the numbers, which
+    ``np.asarray`` would read as a number (``"1e0"`` and ``true`` as 1.0)."""
+    leaves = [value]
+    while leaves:
+        leaf = leaves.pop()
+        if isinstance(leaf, list):
+            leaves.extend(leaf)
+        elif isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise ConfigurationError(f"{what} must be a rectangular array of numbers, got {repr(leaf)[:32]}")
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:

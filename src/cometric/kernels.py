@@ -309,15 +309,19 @@ def gram_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
 
 
 # Above this condition number a kernel Gram solve is not trustworthy and the
-# curvature routines refuse; each caller measures the condition number its own way.
+# curvature routines refuse.
 GRAM_COND_LIMIT = 1e12
 
 
-def check_gram_condition(cond: float, what: str) -> None:
-    """Refuse a ``what`` Gram solve whose condition number ``cond`` is not
-    finite or exceeds :data:`GRAM_COND_LIMIT`."""
+def gram_solve(gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve ``gram x = rhs`` for a symmetric ``what`` Gram matrix, refused when
+    its 2-norm condition number ``max|eig| / min|eig|`` is not finite or exceeds
+    :data:`GRAM_COND_LIMIT`.  The one guarded kernel-Gram solve."""
+    lam = np.abs(np.linalg.eigvalsh(gram))
+    cond = float(lam.max() / lam.min()) if lam.min() > 0.0 else np.inf
     if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
         raise ConditioningError(f"{what} matrix condition number {cond:.3e} exceeds {GRAM_COND_LIMIT:.0e}")
+    return np.linalg.solve(gram, rhs)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)

@@ -26,7 +26,7 @@ from .errors import ConfigurationError
 from .jets import CometricJet, assemble_jet
 from .jsonio import float_array, integer
 from .kernels import GRAM_COND_LIMIT  # noqa: F401  (re-exported: read as landmark.GRAM_COND_LIMIT)
-from .kernels import KernelSpec, PairBlock, check_distinct, check_gram_condition, pair_block
+from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, pair_block
 
 # Largest dense landmark jet, in bytes: its second derivative holds (pD)^4
 # doubles (4 GB at p=50, D=3), so the ceiling is checked before allocation.
@@ -152,14 +152,6 @@ def stress(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) 
     return _stress(blk, blk.rate(blk.value @ a)[1], b)
 
 
-def _gram_solve(kv: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve ``K xi = w`` per column, guarding against ill-conditioning.  ``K`` is
-    exactly symmetric: its 2-norm condition number is ``max|eig| / min|eig|``."""
-    lam = np.abs(np.linalg.eigvalsh(kv))
-    check_gram_condition(float(lam.max() / lam.min()) if lam.min() > 0.0 else np.inf, "kernel Gram")
-    return np.linalg.solve(kv, w)
-
-
 def curvature(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> CurvatureBreakdown:
     """Sectional-curvature numerator terms over landmark pairs.
 
@@ -205,7 +197,7 @@ def curvature(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarra
     if float(np.abs(w).max()) == 0.0:
         r3 = 0.0
     else:
-        xi = _gram_solve(kv, w)
+        xi = gram_solve(kv, w, "kernel Gram")
         r3 = -0.75 * float(np.einsum("sm,sm->", xi, w))
 
     paa = float(np.einsum("st,st->", dots_aa, kv))

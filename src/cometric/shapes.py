@@ -27,7 +27,7 @@ import numpy as np
 from .curvature import CurvatureBreakdown, _breakdown, _check_finite
 from .errors import ConfigurationError, DegenerateConfigurationError
 from .jsonio import float_array, integer
-from .kernels import KernelSpec, PairBlock, check_distinct, check_gram_condition, kernel_value, pair_block
+from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, kernel_value, pair_block
 
 FRAME_TOL = 1e-10  # largest entry error of a frame's Gram or projector accepted as orthonormal
 
@@ -254,37 +254,29 @@ def stress_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b
 
 def _normal_basis(shape: DiscreteSubmanifold) -> np.ndarray:
     """Orthonormal normal frames (S, n-m, n) from the projectors (m >= 1)."""
-    m, n = shape.m, shape.n
-    if m == 1 and n == 2:
-        t = shape.tangents[:, 0, :]
-        nu = np.stack([-t[:, 1], t[:, 0]], axis=1)
-        return nu[:, None, :]
     vals, vecs = np.linalg.eigh(shape.projectors)
-    basis = vecs[:, :, m:]  # eigenvalue ~1 block
+    basis = vecs[:, :, shape.m:]  # eigenvalue ~1 block
     return np.ascontiguousarray(np.swapaxes(basis, 1, 2))
 
 
 def _normal_gram_solve(kv: np.ndarray, shape: DiscreteSubmanifold, w_field: np.ndarray) -> np.ndarray:
-    """Solve ``sum_t K_st w_t xi_t = W_s`` for a normal covector field ``xi``.
+    """Solve ``sum_t K_st zeta_t = W_s`` for a normal covector field ``zeta``.
 
-    With ``m = 0`` this is the plain per-component kernel Gram solve; otherwise
-    the system is reduced to normal coordinates so the solution stays normal.
+    ``zeta = w xi`` for the field ``xi`` of ``sum_t K_st w_t xi_t = W_s``: the
+    weights cancel against the ones the bracket term contracts with, so both
+    systems are symmetric.  With ``m = 0`` this is the plain per-component
+    kernel Gram solve; otherwise the system is reduced to normal coordinates
+    so the solution stays normal.
     """
     if shape.m == 0:
-        return _guarded_solve(kv * shape.w[None, :], w_field, "kernel Gram")
+        return gram_solve(kv, w_field, "kernel Gram")
     basis = _normal_basis(shape)  # (S, n-m, n)
     s, r, n = basis.shape
     w_hat = np.einsum("sri,si->sr", basis, w_field)
     cross = np.einsum("sri,tqi->srtq", basis, basis)  # V_s V_t^T blocks
-    mat = (kv[:, None, :, None] * shape.w[None, None, :, None] * cross).reshape(s * r, s * r)
-    xi_hat = _guarded_solve(mat, w_hat.reshape(-1), "normal-bundle Gram").reshape(s, r)
-    return np.einsum("sri,sr->si", basis, xi_hat)
-
-
-def _guarded_solve(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """``np.linalg.solve`` after an SVD condition-number check (``mat`` is not symmetric)."""
-    check_gram_condition(float(np.linalg.cond(mat)), what)
-    return np.linalg.solve(mat, rhs)
+    mat = (kv[:, None, :, None] * cross).reshape(s * r, s * r)
+    zeta_hat = gram_solve(mat, w_hat.reshape(-1), "normal-bundle Gram").reshape(s, r)
+    return np.einsum("sri,sr->si", basis, zeta_hat)
 
 
 def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> CurvatureBreakdown:
@@ -332,8 +324,8 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
     if float(np.abs(w_br).max()) == 0.0:
         r3 = 0.0
     else:
-        xi = _normal_gram_solve(kv, shape, w_br)
-        r3 = -0.75 * float(np.einsum("sm,sm->", xi * w[:, None], w_br))
+        zeta = _normal_gram_solve(kv, shape, w_br)
+        r3 = -0.75 * float(np.einsum("sm,sm->", zeta, w_br))
 
     paa = float(np.einsum("st,st->", dots_aa, kv))
     pbb = float(np.einsum("st,st->", dots_bb, kv))

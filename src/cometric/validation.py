@@ -25,7 +25,7 @@ from .curvature import (
     numerator_covariant,
     numerator_force_stress,
 )
-from .dynamics import IntegratorConfig, integrate, landmark_system, match, shape_system
+from .dynamics import IntegratorConfig, _endpoint, integrate, landmark_system, match, shape_system
 from .errors import GeometryError
 from .jets import CometricJet
 from .kernels import KernelSpec, kernel_fourier_oracle, kernel_value
@@ -353,7 +353,7 @@ def suite_conservation(tols: dict[str, float], seed: int, quick: bool) -> tuple[
         if label == "pair":
             ends.append(ys[-1])
             for dt in (5e-4, 2.5e-4):
-                ends.append(integrate(system, y0, IntegratorConfig(dt=dt, t_final=1.0))[1][-1])
+                ends.append(_endpoint(system.rhs, y0, IntegratorConfig(dt=dt, t_final=1.0)))
         good = (
             report.energy_drift <= tols["energy_drift"]
             and report.linear_drift <= tols["linear_drift"]
@@ -458,7 +458,7 @@ def suite_matching(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool
     q0_pair = np.array([[0.0, 0.0], [1.0, 0.0]])
     p_true = np.array([[0.3, 0.2], [-0.1, 0.25]])
     y_true = np.concatenate([q0_pair.reshape(-1), p_true.reshape(-1)])
-    q_end = integrate(landmark_system(pair), y_true, config)[1][-1][:q0_pair.size].reshape(q0_pair.shape)
+    q_end = _endpoint(landmark_system(pair).rhs, y_true, config)[:q0_pair.size].reshape(q0_pair.shape)
     res_pair = match(pair, q0_pair, q_end, config)
     err_round = float(np.max(np.abs(res_pair.p0 - p_true)))
     ok = (

@@ -1,9 +1,13 @@
-"""The traced benchmark (``perfbench/run.py --trace 1``) wraps library
-functions that ``perfbench/layers.py`` looks up by name.  Renaming or removing
-one of them breaks that run with ``AttributeError``; this test notices it
-without running a workload."""
+"""The benchmark reaches into the library by name: its set-up
+(``perfbench/workloads.py``, ``perfbench/run.py``) calls ``cm.<module>.<name>``
+with keyword arguments, and the traced run (``perfbench/run.py --trace 1``)
+wraps functions that ``perfbench/layers.py`` looks up.  Renaming or removing
+one of them breaks the benchmark with ``AttributeError`` or ``TypeError``;
+these tests notice it without running a workload."""
 
+import ast
 import importlib
+import inspect
 import importlib.util
 import sys
 from pathlib import Path
@@ -11,7 +15,8 @@ from types import SimpleNamespace
 
 from cometric import charts, validation
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
 MODULES = ("cli", "charts", "dynamics", "jsonio", "kernels", "landmark", "shapes", "validation")
 
 
@@ -47,3 +52,34 @@ def test_benchmark_wrappers_install_and_uninstall():
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def _library_reads():
+    """``(module, name, call)`` for every ``cm.<module>.<name>`` in the
+    benchmark's sources; ``call`` is the ``ast.Call`` when it is called."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                    and isinstance(node.value.value, ast.Name) and node.value.value.id == "cm"):
+                yield node.value.attr, node.attr, calls.get(id(node))
+
+
+def test_benchmark_set_up_reads_resolve():
+    """Every library name the benchmark reads exists, and every keyword it
+    passes is a parameter of the callee."""
+    names, keywords = set(), set()
+    for module, name, call in _library_reads():
+        target = getattr(importlib.import_module(f"cometric.{module}"), name)
+        names.add((module, name))
+        if call is None:
+            continue
+        params = inspect.signature(target).parameters
+        for kw in call.keywords:
+            if kw.arg is not None:  # ``**mapping`` is not checked
+                assert kw.arg in params, f"cm.{module}.{name} takes no keyword {kw.arg!r}"
+                keywords.add((name, kw.arg))
+    assert {("landmark", "GRAM_COND_LIMIT"), ("shapes", "DiscreteSubmanifold"),
+            ("kernels", "kernel_fourier_oracle")} <= names
+    assert {("DiscreteSubmanifold", "projectors"), ("kernel_fourier_oracle", "quad_points")} <= keywords

@@ -108,6 +108,17 @@ def test_smart_constructors_fold_constants():
     assert dsl.pow_(x, 1) == x
     assert dsl.pow_(x, 0) == one
     assert dsl.neg_(dsl.neg_(x)) == x
+    assert dsl.div_(x, one) == x
+    assert dsl.call_("exp", zero) == one
+
+
+def test_call_keeps_a_constant_outside_the_domain_unfolded():
+    """``log(-1)`` is not folded to a number: the call stays in the tree and
+    evaluating it is the domain error."""
+    bad = dsl.call_("log", dsl.Const(-1.0))
+    assert bad == dsl.Call("log", dsl.Const(-1.0))
+    with pytest.raises(DomainEvaluationError):
+        dsl.evaluate(bad, [])
 
 
 def test_constant_power_overflow_is_a_domain_error():

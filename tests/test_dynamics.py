@@ -61,6 +61,7 @@ def test_symmetric_collision_course_conserves_energy():
     ts, ys, report = integrate(system, y0, IntegratorConfig(dt=1e-3, t_final=1.0))
     assert report.energy_drift <= 1e-8
     assert report.linear_drift <= 1e-12
+    assert report.angular.shape == (len(ts), 0) and report.angular_drift == 0.0  # no rotations in 1-D
     gaps = ys[:, 1] - ys[:, 0]
     assert np.all(gaps > 0)          # the pair compresses but never crosses
     assert gaps[-1] < gaps[0]

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from cometric import jsonio
+from cometric import jsonio, shapes
 from cometric.errors import ConfigurationError
+from cometric.landmark import state_from_json
 
 
 def test_float_round_trip_is_lossless():
@@ -60,6 +61,42 @@ def test_bad_keys_and_types_rejected():
         jsonio.dumps({1: "one"})
     with pytest.raises(ConfigurationError):
         jsonio.dumps({"x": object()})
+
+
+def test_empty_containers_serialize():
+    assert jsonio.dumps([]) == "[]\n"
+    assert jsonio.dumps({}) == "{}\n"
+    assert jsonio.dumps({"a": [], "b": {}}) == '{\n  "a": [],\n  "b": {}\n}\n'
+
+
+def _state_obj():
+    return {"D": 2, "q": [[0.0, 0.0], [1.0, 0.5]], "p": [[0.1, 0.2], [0.3, 0.4]]}
+
+
+def _shape_obj():
+    circle = shapes.make_circle(6)
+    return shapes.shape_to_json(circle, 0.1 * circle.x)
+
+
+@pytest.mark.parametrize("bad", ["0", "1e0", True, False, None])
+@pytest.mark.parametrize("load, make, key", [
+    (state_from_json, _state_obj, "q"),
+    (state_from_json, _state_obj, "p"),
+    (shapes.shape_from_json, _shape_obj, "samples"),
+    (shapes.shape_from_json, _shape_obj, "weights"),
+    (shapes.shape_from_json, _shape_obj, "tangents"),
+    (shapes.shape_from_json, _shape_obj, "momenta"),
+], ids=["q", "p", "samples", "weights", "tangents", "momenta"])
+def test_non_number_leaves_refused_at_any_depth(load, make, key, bad):
+    """``np.asarray(..., dtype=float)`` reads ``"1e0"`` and ``true`` as 1.0 (and
+    ``[[0, 0], [True, 1]]`` even as an int array), so every leaf is inspected."""
+    obj = make()
+    entry = obj[key]
+    while isinstance(entry[-1], list):
+        entry = entry[-1]
+    entry[-1] = bad
+    with pytest.raises(ConfigurationError, match="must be a rectangular array of numbers, got "):
+        load(obj)
 
 
 def test_loads_wraps_decode_errors():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cometric import shapes
-from cometric.errors import ConfigurationError, DegenerateConfigurationError
+from cometric.errors import ConditioningError, ConfigurationError, DegenerateConfigurationError
 from cometric.kernels import KernelSpec
 from cometric.landmark import (
     LandmarkMetric,
@@ -151,6 +151,54 @@ def test_normality_defect_and_projection():
     assert np.allclose(projected, 0.0, atol=1e-14)
     # idempotent on the radial field
     assert np.allclose(shapes.project_normal(shape, radial), radial, atol=1e-14)
+
+
+def test_normality_defect_is_zero_without_frames_or_momenta():
+    cloud = shapes.landmark_shape(np.array([[0.0, 0.0], [1.0, 0.5]]))
+    assert shapes.normality_defect(cloud, np.array([[1.0, 2.0], [-0.3, 0.4]])) == 0.0
+    circle = shapes.make_circle(8)
+    assert shapes.normality_defect(circle, np.zeros((8, 2))) == 0.0
+
+
+def test_vanishing_bracket_field_skips_the_gram_solve(monkeypatch):
+    """With ``b = a`` the stresses ``D(a, b)`` and ``D(b, a)`` are the same
+    numbers, so the bracket field is exactly zero and no Gram is solved."""
+    def refuse(*args):
+        raise AssertionError("bracket Gram solved for a zero field")
+
+    monkeypatch.setattr(shapes, "_normal_gram_solve", refuse)
+    circle = shapes.make_circle(16)
+    a = (0.5 + np.cos(np.arctan2(circle.x[:, 1], circle.x[:, 0])))[:, None] * circle.x
+    br = shapes.curvature_terms(SPEC, circle, a, a)
+    assert br.r3 == 0.0
+
+
+def _near_coincident_cloud():
+    return shapes.landmark_shape(np.array([[0.0, 0.0], [1e-7, 0.0], [0.9, 0.4]]))
+
+
+def _near_coincident_circle():
+    """``make_circle(12)`` with sample 1 moved 1e-7 along sample 0's tangent,
+    sample 0's frame copied to it."""
+    circle = shapes.make_circle(12)
+    x, t, pr = circle.x.copy(), circle.tangents.copy(), circle.projectors.copy()
+    x[1] = x[0] + 1e-7 * t[0, 0]
+    t[1], pr[1] = t[0], pr[0]
+    return shapes.DiscreteSubmanifold(x=x, w=circle.w, tangents=t, projectors=pr)
+
+
+@pytest.mark.parametrize("make, what", [(_near_coincident_cloud, "kernel Gram"),
+                                        (_near_coincident_circle, "normal-bundle Gram")], ids=["m0", "m1"])
+def test_ill_conditioned_shape_gram_refused(make, what):
+    """Samples 1e-7 apart pass the distinctness test, not the Gram guard, on
+    both branches of the bracket solve."""
+    spec = KernelSpec("sobolev_bessel", n=3, l=4, A=1.3, c=0.7)
+    shape = make()
+    rng = np.random.default_rng(5)
+    a = shapes.project_normal(shape, rng.standard_normal(shape.x.shape))
+    b = shapes.project_normal(shape, rng.standard_normal(shape.x.shape))
+    with pytest.raises(ConditioningError, match=f"{what} matrix condition number"):
+        shapes.curvature_terms(spec, shape, a, b)
 
 
 def test_induced_pairing_symmetric_positive():
