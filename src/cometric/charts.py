@@ -29,7 +29,6 @@ from .errors import ConfigurationError
 from .jets import CometricJet, assemble_jet
 from .jsonio import integer
 from .kernels import (
-    BESSEL_FAMILY,
     GAUSSIAN_FAMILY,
     KernelSpec,
     _bessel_const,

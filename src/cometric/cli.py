@@ -33,7 +33,7 @@ import numpy as np
 from . import charts, jsonio, shapes, submersion, validation
 from .christoffel import sectional_numerator_oracle
 from .curvature import numerator_coordinate
-from .dynamics import IntegratorConfig, integrate, landmark_system, match, shoot
+from .dynamics import IntegratorConfig, integrate, landmark_system, match
 from .errors import ConfigurationError, GeometryError
 from .kernels import kernel_grad, kernel_hess, kernel_value, spec_from_json, spec_to_json
 from .landmark import LandmarkMetric, curvature as landmark_curvature, state_from_json
@@ -175,13 +175,8 @@ def _cmd_geodesic_shoot(args) -> int:
     dim, q0, p0 = state_from_json(jsonio.load_file(args.state))
     metric = LandmarkMetric(spec, q0.shape[0], dim)
     config = IntegratorConfig(dt=args.dt, t_final=args.T, method=args.method)
-    system = landmark_system(metric)
-    y0 = np.concatenate([q0.reshape(-1), p0.reshape(-1)])
-    ts, ys, report = integrate(system, y0, config)
-    k = q0.size
-    qs = ys[:, :k].reshape(len(ts), q0.shape[0], dim)
-    ps = ys[:, k:].reshape(len(ts), q0.shape[0], dim)
-    csv = jsonio.trajectory_csv(ts, qs, ps, report.hamiltonian, report.linear, report.angular)
+    ys, report = integrate(landmark_system(metric), np.array((q0, p0)), config)
+    csv = jsonio.trajectory_csv(report.t, ys[:, 0], ys[:, 1], report.hamiltonian, report.linear, report.angular)
     _emit(csv, args.out)
     return 0
 

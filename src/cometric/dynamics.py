@@ -1,10 +1,12 @@
 """Hamiltonian integration, shooting and endpoint matching.
 
 Fixed-step integrators (classical RK4 by default, an implicit midpoint rule
-for cross-checks) over flattened states, with per-step conservation
-monitoring: Hamiltonian, linear momentum, the antisymmetric angular-momentum
-components, and — for shapes — the normality defect of the transported
-momenta together with a frame-rederivation quality indicator.
+for cross-checks) over stacked states ``y = (q, p)`` of shape
+``(2, *configuration)`` — ``y[0]`` holds positions or samples, ``y[1]`` the
+momenta — with per-step conservation monitoring: Hamiltonian, linear
+momentum, the antisymmetric angular-momentum components, and — for shapes —
+the normality defect of the transported momenta together with a
+frame-rederivation quality indicator.
 
 All routes step through one checked loop, ``_states``; a failure raises
 ``DivergenceError`` at the time of the last state that passed.  Shot endpoints
@@ -84,11 +86,12 @@ class ConservationReport:
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
-    """Flattened autonomous system with an observation hook."""
+    """Autonomous system on stacked states of ``shape`` ``(2, *configuration)``,
+    with an observation hook."""
 
     rhs: Callable[[np.ndarray], np.ndarray]
     observe: Callable[[np.ndarray], dict]
-    size: int
+    shape: tuple[int, ...]
 
 
 def _angular_components(q: np.ndarray, p: np.ndarray, pairs: tuple, w: np.ndarray | None = None) -> np.ndarray:
@@ -105,43 +108,36 @@ def landmark_system(metric: LandmarkMetric) -> HamiltonianSystem:
     pairs = np.triu_indices(d, 1)  # once per system: it costs ten times the gather
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        q = y[: p * d].reshape(p, d)
-        mom = y[p * d:].reshape(p, d)
-        qdot, pdot = geodesic_rhs(metric, q, mom)
-        return np.concatenate([qdot.reshape(-1), pdot.reshape(-1)])
+        qdot, pdot = geodesic_rhs(metric, y[0], y[1])
+        return np.array((qdot, pdot))  # not np.stack, which costs about four times as much per call
 
     def observe(y: np.ndarray) -> dict:
-        q = y[: p * d].reshape(p, d)
-        mom = y[p * d:].reshape(p, d)
+        q, mom = y
         return {
             "H": hamiltonian(metric, q, mom),
             "linear": mom.sum(axis=0),
             "angular": _angular_components(q, mom, pairs),
         }
 
-    return HamiltonianSystem(rhs=rhs, observe=observe, size=2 * p * d)
+    return HamiltonianSystem(rhs=rhs, observe=observe, shape=(2, p, d))
 
 
 def shape_system(spec: KernelSpec, shape0: shapes_mod.DiscreteSubmanifold) -> HamiltonianSystem:
     """Horizontal shape geodesics; weights stay frozen at their initial values,
     frames are re-derived from the moving samples for monitoring."""
-    s, n = shape0.x.shape
-    pairs = np.triu_indices(n, 1)
+    pairs = np.triu_indices(shape0.n, 1)
     w = shape0.w.copy()
 
-    def unpack(y: np.ndarray) -> shapes_mod.DiscreteSubmanifold:
+    def unpack(x: np.ndarray) -> shapes_mod.DiscreteSubmanifold:
         # distinctness is tested once, by the pair block of geodesic_rhs or induced_pairing
-        return shapes_mod._unchecked(y[: s * n].reshape(s, n), w, shape0.tangents, shape0.projectors)
+        return shapes_mod._unchecked(x, w, shape0.tangents, shape0.projectors)
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        shp = unpack(y)
-        a = y[s * n:].reshape(s, n)
-        xdot, adot = shapes_mod.geodesic_rhs(spec, shp, a)
-        return np.concatenate([xdot.reshape(-1), adot.reshape(-1)])
+        xdot, adot = shapes_mod.geodesic_rhs(spec, unpack(y[0]), y[1])
+        return np.array((xdot, adot))
 
     def observe(y: np.ndarray) -> dict:
-        shp = unpack(y)
-        a = y[s * n:].reshape(s, n)
+        shp, a = unpack(y[0]), y[1]
         out = {
             "H": 0.5 * shapes_mod.induced_pairing(spec, shp, a, a),
             "linear": np.einsum("s,si->i", w, a),
@@ -153,7 +149,7 @@ def shape_system(spec: KernelSpec, shape0: shapes_mod.DiscreteSubmanifold) -> Ha
             out["frame_quality"] = quality
         return out
 
-    return HamiltonianSystem(rhs=rhs, observe=observe, size=2 * s * n)
+    return HamiltonianSystem(rhs=rhs, observe=observe, shape=(2, *shape0.x.shape))
 
 
 def _rk4_step(rhs: Callable, y: np.ndarray, dt: float) -> np.ndarray:
@@ -202,39 +198,42 @@ def _endpoint(rhs: Callable, y0: np.ndarray, config: IntegratorConfig) -> np.nda
 
 
 def integrate(system: HamiltonianSystem, y0: np.ndarray, config: IntegratorConfig
-              ) -> tuple[np.ndarray, np.ndarray, ConservationReport]:
-    """Propagate and record every step.  Returns (times, states, report)."""
+              ) -> tuple[np.ndarray, ConservationReport]:
+    """Propagate and record every step.  Returns the states, shape
+    ``(steps + 1, *system.shape)``, and the report, whose ``t`` is the time grid."""
     y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (system.size,):
-        raise ConfigurationError(f"state must have shape ({system.size},), got {y0.shape}")
-    ts = np.linspace(0.0, config.t_final, config.steps + 1)
-    ys = np.empty((config.steps + 1, system.size))
+    if y0.shape != system.shape:
+        raise ConfigurationError(f"state must have shape {system.shape}, got {y0.shape}")
+    ys = np.empty((config.steps + 1, *system.shape))
     ys[0] = y0
     obs = [system.observe(y0)]
     for k, y in enumerate(_states(system.rhs, y0, config), 1):
         ys[k] = y
         obs.append(system.observe(y))
     report = ConservationReport(
-        t=ts,
+        t=np.linspace(0.0, config.t_final, config.steps + 1),
         hamiltonian=np.array([o["H"] for o in obs]),
         linear=np.array([o["linear"] for o in obs]),
         angular=np.array([o["angular"] for o in obs]),
         normality=np.array([o["normality"] for o in obs]) if "normality" in obs[0] else None,
         frame_quality=np.array([o["frame_quality"] for o in obs]) if "frame_quality" in obs[0] else None,
     )
-    return ts, ys, report
+    return ys, report
 
 
-def _endpoint_jacobian(rhs: Callable, q: np.ndarray, p: np.ndarray, config: IntegratorConfig) -> np.ndarray:
-    """``d(q_T)/d(p0)`` of flat ``q``, ``p`` by central differences with step
-    ``1e-6 * (1 + max|p0|)``, column ``j`` from shots with ``p[j]`` bumped."""
-    nq = q.size
-    delta = 1e-6 * (1.0 + float(np.abs(p).max()))
-    sens = np.empty((nq, nq))
-    for j, bump in enumerate(delta * np.eye(nq)):
-        yp = _endpoint(rhs, np.concatenate([q, p + bump]), config)
-        ym = _endpoint(rhs, np.concatenate([q, p - bump]), config)
-        sens[:, j] = (yp[:nq] - ym[:nq]) / (2.0 * delta)
+def _endpoint_jacobian(rhs: Callable, y0: np.ndarray, config: IntegratorConfig) -> np.ndarray:
+    """``d(flat q_T)/d(flat p0)`` at the stacked state ``y0`` by central
+    differences with step ``1e-6 * (1 + max|p0|)``, column ``j`` from shots
+    with ``y0[1].flat[j]`` bumped on a copy."""
+    n = y0[1].size
+    delta = 1e-6 * (1.0 + float(np.abs(y0[1]).max()))
+    sens = np.empty((n, n))
+    for j in range(n):
+        plus, minus = y0.copy(), y0.copy()
+        plus[1].flat[j] += delta
+        minus[1].flat[j] -= delta
+        diff = _endpoint(rhs, plus, config)[0] - _endpoint(rhs, minus, config)[0]
+        sens[:, j] = diff.reshape(-1) / (2.0 * delta)
     return sens
 
 
@@ -249,13 +248,14 @@ def shoot(metric: LandmarkMetric, q0: np.ndarray, p0: np.ndarray, config: Integr
     and their derivative in the initial momenta by central differences (step
     ``1e-6 * (1 + max|p0|)``).  Nothing is monitored; ``integrate`` records a
     trajectory."""
+    q0, p0 = np.asarray(q0, dtype=float), np.asarray(p0, dtype=float)
+    if p0.shape != q0.shape:
+        raise ConfigurationError(f"momenta shape {p0.shape} does not match positions {q0.shape}")
     rhs = landmark_system(metric).rhs
-    q = np.asarray(q0, dtype=float).reshape(-1)
-    p = np.asarray(p0, dtype=float).reshape(-1)
-    q_final = _endpoint(rhs, np.concatenate([q, p]), config)[: q.size]
+    y0 = np.array((q0, p0))
     return ShootResult(
-        q_final=q_final.reshape(metric.p, metric.D),
-        sensitivity=_endpoint_jacobian(rhs, q, p, config),
+        q_final=_endpoint(rhs, y0, config)[0],
+        sensitivity=_endpoint_jacobian(rhs, y0, config),
     )
 
 
@@ -282,20 +282,18 @@ def match(
     Gauss-Newton on the endpoint residual with Levenberg damping, starting
     from zero momenta.
     """
-    system = landmark_system(metric)
+    rhs = landmark_system(metric).rhs
     q0 = np.asarray(q0, dtype=float)
     q_target = np.asarray(q_target, dtype=float)
     if q_target.shape != q0.shape:
         raise ConfigurationError(f"target shape {q_target.shape} does not match source {q0.shape}")
-    nq = metric.p * metric.D
-    target = q_target.reshape(-1)
 
-    def endpoint(p_flat: np.ndarray) -> np.ndarray:
-        return _endpoint(system.rhs, np.concatenate([q0.reshape(-1), p_flat]), config)[:nq]
+    def endpoint(mom: np.ndarray) -> np.ndarray:
+        return _endpoint(rhs, np.array((q0, mom)), config)[0]
 
-    p_flat = np.zeros(nq)
-    q_end = endpoint(p_flat)
-    residuals = [float(np.linalg.norm(q_end - target))]
+    mom = np.zeros_like(q0)
+    q_end = endpoint(mom)
+    residuals = [float(np.linalg.norm(q_end - q_target))]
     lam = 1e-3
     converged = residuals[-1] <= tol
     iterations = 0
@@ -304,19 +302,19 @@ def match(
         if converged:
             break
         iterations += 1
-        jac = _endpoint_jacobian(system.rhs, q0.reshape(-1), p_flat, config)
-        grad = jac.T @ (q_end - target)
+        jac = _endpoint_jacobian(rhs, np.array((q0, mom)), config)
+        grad = jac.T @ (q_end - q_target).reshape(-1)
         hess = jac.T @ jac
         for _ in range(12):
             try:
-                dp = np.linalg.solve(hess + lam * np.eye(nq), -grad)
-                q_try = endpoint(p_flat + dp)
+                dp = np.linalg.solve(hess + lam * np.eye(mom.size), -grad).reshape(mom.shape)
+                q_try = endpoint(mom + dp)
             except (np.linalg.LinAlgError, DivergenceError):
                 lam *= 10.0
                 continue
-            residual = float(np.linalg.norm(q_try - target))
+            residual = float(np.linalg.norm(q_try - q_target))
             if residual < residuals[-1]:
-                p_flat, q_end = p_flat + dp, q_try
+                mom, q_end = mom + dp, q_try
                 residuals.append(residual)
                 lam = max(lam / 3.0, 1e-12)
                 break
@@ -326,8 +324,8 @@ def match(
         converged = residuals[-1] <= tol
 
     return MatchResult(
-        p0=p_flat.reshape(metric.p, metric.D),
-        q_final=q_end.reshape(metric.p, metric.D),
+        p0=mom,
+        q_final=q_end,
         residuals=residuals,
         iterations=iterations,
         converged=bool(converged),

@@ -21,14 +21,13 @@ from .errors import MetricDegeneracyError
 @dataclass(frozen=True)
 class CometricJet:
     """Value, first and second derivatives of ``g^{-1}`` at ``x``, plus the
-    inverse matrix ``gcov`` and the condition number of ``ginv``."""
+    inverse matrix ``gcov``."""
 
     x: np.ndarray       # (d,)
     ginv: np.ndarray    # (d, d)
     dginv: np.ndarray   # (d, d, d)
     ddginv: np.ndarray  # (d, d, d, d)
     gcov: np.ndarray    # (d, d), exact inverse of ginv
-    cond: float
 
     @property
     def dim(self) -> int:
@@ -85,5 +84,4 @@ def assemble_jet(x: np.ndarray, ginv: np.ndarray, dginv: np.ndarray, ddginv: np.
         dginv=_freeze(dginv),
         ddginv=_freeze(ddginv),
         gcov=_freeze(gcov),
-        cond=cond,
     )

@@ -97,8 +97,8 @@ def number(value: Any, what: str) -> float:
 
 
 def float_array(value: Any, what: str) -> np.ndarray:
-    """Nested JSON lists of numbers as a float array; ragged lists are refused,
-    and so is any string, boolean or ``null`` among the numbers, which
+    """Nested JSON lists of finite numbers as a float array; ragged lists are
+    refused, and so is any string, boolean or ``null`` among the numbers, which
     ``np.asarray`` would read as a number (``"1e0"`` and ``true`` as 1.0)."""
     leaves = [value]
     while leaves:
@@ -108,9 +108,15 @@ def float_array(value: Any, what: str) -> np.ndarray:
         elif isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
             raise ConfigurationError(f"{what} must be a rectangular array of numbers, got {repr(leaf)[:32]}")
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
+        finite = bool(np.isfinite(arr).all())
+    except OverflowError:  # an integer beyond the float range
+        finite = False
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{what} must be a rectangular array of numbers") from exc
+    if not finite:
+        raise ConfigurationError(f"{what} contain non-finite entries")
+    return arr
 
 
 def trajectory_csv(

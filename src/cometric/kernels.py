@@ -100,6 +100,13 @@ class KernelSpec:
                 f"kernel (n={self.n}, l={self.l}) is not C^2; differential operations need 2l > n+2"
             )
 
+    def require_ambient(self, d: int) -> None:
+        """Refuse points of ``R^d`` wider than the kernel's ``R^n``: restricting a
+        positive-definite radial profile to a subspace keeps it positive
+        definite, extending it does not."""
+        if d > self.n:
+            raise ConfigurationError(f"ambient dimension D={d} exceeds the kernel dimension n={self.n}")
+
 
 @functools.cache
 def _bessel_poly(k: int) -> tuple[float, ...]:
@@ -240,9 +247,12 @@ class PairBlock:
 
 def pair_block(spec: KernelSpec, points: np.ndarray, order: int, *, what: str = "points") -> PairBlock:
     """Differences, distances and kernel profiles up to ``order`` (0, 1 or 2)
-    of ``points`` (p, D) in one pass.  Non-finite and coincident rows are
-    refused as by :func:`check_distinct`, from the same distances."""
-    diff, rho = _distinct_pairs(np.asarray(points, dtype=float), what)
+    of ``points`` (p, D) in one pass.  Points wider than the kernel are refused
+    by :meth:`KernelSpec.require_ambient`; non-finite and coincident rows as by
+    :func:`check_distinct`, from the same distances."""
+    pts = np.asarray(points, dtype=float)
+    spec.require_ambient(pts.shape[1])
+    diff, rho = _distinct_pairs(pts, what)
     return PairBlock(diff, *_radial_profiles(spec, rho, order))
 
 

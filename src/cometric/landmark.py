@@ -38,9 +38,8 @@ class LandmarkMetric:
     """Kernel + landmark count + ambient dimension.
 
     Differential operations need a curvature-grade kernel (``2l > n + 2``)
-    whose dimension dominates the ambient one (``D <= n``); restricting a
-    positive-definite radial profile to a subspace keeps it positive definite,
-    extending it does not.
+    whose dimension dominates the ambient one (``D <= n``, see
+    :meth:`KernelSpec.require_ambient`).
     """
 
     kernel: KernelSpec
@@ -52,10 +51,7 @@ class LandmarkMetric:
             raise ConfigurationError(f"need at least one landmark, got p={self.p}")
         if self.D < 1:
             raise ConfigurationError(f"ambient dimension must be >= 1, got D={self.D}")
-        if self.D > self.kernel.n:
-            raise ConfigurationError(
-                f"ambient dimension D={self.D} exceeds the kernel dimension n={self.kernel.n}"
-            )
+        self.kernel.require_ambient(self.D)
 
     @property
     def dim(self) -> int:
@@ -224,8 +220,6 @@ def state_from_json(obj: dict) -> tuple[int, np.ndarray, np.ndarray]:
             raise ConfigurationError(f"momenta shape {mom.shape} does not match positions {q.shape}")
     else:
         mom = np.zeros_like(q)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(mom))):
-        raise ConfigurationError("landmark state contains non-finite entries")
     check_distinct(q, what="landmarks")
     return D, q, mom
 

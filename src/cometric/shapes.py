@@ -203,6 +203,7 @@ def horizontal_velocity(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndar
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     ys = y[None, :] if single else y
+    spec.require_ambient(shape.n)
     kv = kernel_value(spec, ys[:, None, :] - shape.x[None, :, :])
     u = (kv * shape.w[None, :]) @ a
     return u[0] if single else u
@@ -335,12 +336,6 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
 
 # --- serialization -----------------------------------------------------------
 
-def _require_finite(**arrays: np.ndarray) -> None:
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError(f"shape {name} contain non-finite entries")
-
-
 def shape_from_json(obj: dict) -> tuple[DiscreteSubmanifold, np.ndarray | None]:
     """Read ``{"n":..,"m":..,"samples":..,"weights":..,"tangents":..,"momenta":..}``;
     momenta are optional."""
@@ -357,7 +352,6 @@ def shape_from_json(obj: dict) -> tuple[DiscreteSubmanifold, np.ndarray | None]:
         raise ConfigurationError(f"samples must be (S, {n}), got {x.shape}")
     if t.shape != (x.shape[0], m, n):
         raise ConfigurationError(f"tangents must be ({x.shape[0]}, {m}, {n}), got {t.shape}")
-    _require_finite(samples=x, weights=w, tangents=t)
     proj = np.broadcast_to(np.eye(n), (x.shape[0], n, n)) - np.einsum("smi,smj->sij", t, t)
     shape = DiscreteSubmanifold(x=x, w=w, tangents=t, projectors=np.ascontiguousarray(proj))
     mom = None
@@ -365,7 +359,6 @@ def shape_from_json(obj: dict) -> tuple[DiscreteSubmanifold, np.ndarray | None]:
         mom = float_array(obj["momenta"], "shape momenta")
         if mom.shape != x.shape:
             raise ConfigurationError(f"momenta must be {x.shape}, got {mom.shape}")
-        _require_finite(momenta=mom)
     return shape, mom
 
 

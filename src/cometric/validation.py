@@ -348,8 +348,8 @@ def suite_conservation(tols: dict[str, float], seed: int, quick: bool) -> tuple[
     ends = []  # the pair's endpoints at dt = 1e-3, 5e-4, 2.5e-4
     for label, metric, q, p in conservation_states():
         system = landmark_system(metric)
-        y0 = np.concatenate([q.reshape(-1), p.reshape(-1)])
-        _, ys, report = integrate(system, y0, IntegratorConfig(dt=1e-3, t_final=1.0))
+        y0 = np.array((q, p))
+        ys, report = integrate(system, y0, IntegratorConfig(dt=1e-3, t_final=1.0))
         if label == "pair":
             ends.append(ys[-1])
             for dt in (5e-4, 2.5e-4):
@@ -430,8 +430,7 @@ def suite_refinement(tols: dict[str, float], seed: int, quick: bool) -> tuple[bo
     nu = shape0.x / np.linalg.norm(shape0.x, axis=1, keepdims=True)
     a0 = 0.2 * np.cos(2.0 * theta)[:, None] * nu
     system = shape_system(spec, shape0)
-    y0 = np.concatenate([shape0.x.reshape(-1), a0.reshape(-1)])
-    _, _, report = integrate(system, y0, IntegratorConfig(dt=1e-3, t_final=1.0))
+    _, report = integrate(system, np.array((shape0.x, a0)), IntegratorConfig(dt=1e-3, t_final=1.0))
     defect = report.normality_max
     ok = monotone and defect is not None and defect <= tol_norm
     return ok, (
@@ -457,8 +456,7 @@ def suite_matching(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool
     pair = LandmarkMetric(spec, 2, 2)
     q0_pair = np.array([[0.0, 0.0], [1.0, 0.0]])
     p_true = np.array([[0.3, 0.2], [-0.1, 0.25]])
-    y_true = np.concatenate([q0_pair.reshape(-1), p_true.reshape(-1)])
-    q_end = _endpoint(landmark_system(pair).rhs, y_true, config)[:q0_pair.size].reshape(q0_pair.shape)
+    q_end = _endpoint(landmark_system(pair).rhs, np.array((q0_pair, p_true)), config)[0]
     res_pair = match(pair, q0_pair, q_end, config)
     err_round = float(np.max(np.abs(res_pair.p0 - p_true)))
     ok = (

@@ -214,6 +214,30 @@ def test_non_finite_shape_file_exits_1(tmp_path, spec_file, capsys):
     assert capsys.readouterr().err.startswith("error: shape samples contain non-finite entries")
 
 
+def test_kernel_narrower_than_the_configuration_exits_1(tmp_path, capsys):
+    """``curvature shape`` and ``curvature landmark`` refuse a kernel on R^1
+    for points in the plane with the same single error line."""
+    spec = tmp_path / "narrow.json"
+    spec.write_text(json.dumps({"family": "sobolev_bessel", "n": 1, "l": 3}))
+    path = tmp_path / "c.json"
+    assert main(["shape", "make", "--samples", "32", "--out", str(path)]) == 0
+    shape = json.loads(path.read_text())
+    shape["momenta"] = (0.1 * np.asarray(shape["samples"])).tolist()
+    path.write_text(json.dumps(shape))
+    state = _write_state(tmp_path, "s.json", 2, shape["samples"], shape["momenta"])
+    for argv in (["curvature", "shape", "--shape", str(path)], ["curvature", "landmark", "--state", state]):
+        assert main([*argv, "--spec", str(spec)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: ambient dimension D=2 exceeds the kernel dimension n=1\n"
+
+
+def test_non_finite_landmark_state_exits_1(tmp_path, spec_file, capsys):
+    state = _write_state(tmp_path, "s.json", 2, [[0.0, 0.0], [1.0, float("inf")]], [[0.0, 0.0], [0.0, 0.0]])
+    assert main(["geodesic", "shoot", "--spec", spec_file, "--state", state]) == 1
+    assert capsys.readouterr().err == "error: positions q contain non-finite entries\n"
+
+
 def test_out_writes_file(tmp_path, spec_file, capsys):
     out = tmp_path / "vals.json"
     assert main(["kernel", "eval", "--spec", spec_file, "--r", "1", "--out", str(out)]) == 0

@@ -40,15 +40,13 @@ def test_single_landmark_travels_in_a_straight_line():
     """One landmark feels no interaction: q(T) = q(0) + K(0) p T exactly."""
     metric = LandmarkMetric(SPEC, 1, 2)
     system = landmark_system(metric)
-    q0 = np.array([0.2, -0.4])
-    p0 = np.array([0.7, 0.3])
+    q0 = np.array([[0.2, -0.4]])
+    p0 = np.array([[0.7, 0.3]])
     k0 = float(kernel_value(SPEC, np.zeros(2)))
-    ts, ys, report = integrate(
-        system, np.concatenate([q0, p0]), IntegratorConfig(dt=1e-2, t_final=1.0)
-    )
-    assert len(ts) == 101
-    assert np.allclose(ys[-1][:2], q0 + k0 * p0, atol=1e-12)
-    assert np.allclose(ys[-1][2:], p0, atol=1e-14)
+    ys, report = integrate(system, np.array((q0, p0)), IntegratorConfig(dt=1e-2, t_final=1.0))
+    assert len(report.t) == 101 and ys.shape == (101, 2, 1, 2)
+    assert np.allclose(ys[-1, 0], q0 + k0 * p0, atol=1e-12)
+    assert np.allclose(ys[-1, 1], p0, atol=1e-14)
     assert report.energy_drift < 1e-14
 
 
@@ -57,12 +55,12 @@ def test_symmetric_collision_course_conserves_energy():
     spec = KernelSpec("sobolev_bessel", n=1, l=2)
     metric = LandmarkMetric(spec, 2, 1)
     system = landmark_system(metric)
-    y0 = np.array([-0.7, 0.7, 1.2, -1.2])  # q then p, flattened
-    ts, ys, report = integrate(system, y0, IntegratorConfig(dt=1e-3, t_final=1.0))
+    y0 = np.array([[[-0.7], [0.7]], [[1.2], [-1.2]]])  # q, then p
+    ys, report = integrate(system, y0, IntegratorConfig(dt=1e-3, t_final=1.0))
     assert report.energy_drift <= 1e-8
     assert report.linear_drift <= 1e-12
-    assert report.angular.shape == (len(ts), 0) and report.angular_drift == 0.0  # no rotations in 1-D
-    gaps = ys[:, 1] - ys[:, 0]
+    assert report.angular.shape == (len(report.t), 0) and report.angular_drift == 0.0  # no rotations in 1-D
+    gaps = ys[:, 0, 1, 0] - ys[:, 0, 0, 0]
     assert np.all(gaps > 0)          # the pair compresses but never crosses
     assert gaps[-1] < gaps[0]
 
@@ -70,19 +68,20 @@ def test_symmetric_collision_course_conserves_energy():
 def test_conservation_report_monotone_time():
     metric = LandmarkMetric(SPEC, 2, 2)
     system = landmark_system(metric)
-    y0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, -1.0])
-    ts, _, report = integrate(system, y0, IntegratorConfig(dt=0.05, t_final=0.5))
+    y0 = np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, -1.0]]])
+    ys, report = integrate(system, y0, IntegratorConfig(dt=0.05, t_final=0.5))
     assert np.all(np.diff(report.t) > 0)
-    assert len(report.hamiltonian) == len(ts)
-    assert report.linear.shape == (len(ts), 2)
-    assert report.angular.shape == (len(ts), 1)
+    assert len(report.t) == len(ys) == 11
+    assert len(report.hamiltonian) == len(report.t)
+    assert report.linear.shape == (len(report.t), 2)
+    assert report.angular.shape == (len(report.t), 1)
 
 
 def test_implicit_midpoint_conserves_reasonably():
     metric = LandmarkMetric(SPEC, 2, 2)
     system = landmark_system(metric)
-    y0 = np.array([-0.25, 0.0, 0.25, 0.0, 0.0, 1.5, 0.0, -1.5])
-    _, _, report = integrate(
+    y0 = np.array([[[-0.25, 0.0], [0.25, 0.0]], [[0.0, 1.5], [0.0, -1.5]]])
+    _, report = integrate(
         system, y0, IntegratorConfig(dt=1e-2, t_final=1.0, method="implicit_midpoint")
     )
     assert report.energy_drift < 1e-6
@@ -94,12 +93,12 @@ def test_implicit_midpoint_non_convergence_raises():
     neither converges nor diverges, so the 100-iteration cap is what stops it."""
     system = HamiltonianSystem(
         rhs=lambda y: -2.0 * y,
-        observe=lambda y: {"H": 0.0, "linear": y, "angular": np.zeros(0)},
-        size=2,
+        observe=lambda y: {"H": 0.0, "linear": y[1], "angular": np.zeros(0)},
+        shape=(2, 1),
     )
     config = IntegratorConfig(dt=1.0, t_final=1.0, method="implicit_midpoint")
     with pytest.raises(ConditioningError, match="did not converge"):
-        integrate(system, np.array([1.0, -0.5]), config)
+        integrate(system, np.array([[1.0], [-0.5]]), config)
 
 
 def test_divergence_reports_last_good_time():
@@ -109,14 +108,14 @@ def test_divergence_reports_last_good_time():
     of ``shoot``'s and ``match``'s Jacobian)."""
     metric = LandmarkMetric(SPEC, 1, 2)
     system = landmark_system(metric)
-    y0 = np.array([0.0, 0.0, 1e9, 0.0])
+    y0 = np.array([[[0.0, 0.0]], [[1e9, 0.0]]])
     assert y0.max() > dynamics.MAX_NORM
     config = IntegratorConfig(dt=0.1, t_final=10.0)
     with pytest.raises(DivergenceError) as info:
         integrate(system, y0, config)
     assert info.value.t_last == 0.0
     with pytest.raises(DivergenceError) as info:
-        dynamics._endpoint_jacobian(system.rhs, y0[:2], y0[2:], config)
+        dynamics._endpoint_jacobian(system.rhs, y0, config)
     assert info.value.t_last == 0.0
 
 
@@ -126,7 +125,7 @@ def test_head_on_collision_ends_in_a_named_error():
     time inside the run, or a ``DegenerateConfigurationError``), never hand back
     a NaN trajectory."""
     metric = LandmarkMetric(KernelSpec("sobolev_bessel", n=3, l=3, A=0.05), 2, 2)
-    y0 = np.array([-0.5, 0.0, 0.5, 0.0, 5.0, 0.0, -5.0, 0.0])
+    y0 = np.array([[[-0.5, 0.0], [0.5, 0.0]], [[5.0, 0.0], [-5.0, 0.0]]])
     config = IntegratorConfig(dt=1e-2, t_final=2.0)
     with pytest.raises((DegenerateConfigurationError, DivergenceError)) as info:
         integrate(landmark_system(metric), y0, config)
@@ -274,6 +273,9 @@ def test_match_shape_mismatch():
     q0 = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ConfigurationError):
         match(metric, q0, np.zeros((3, 2)), IntegratorConfig(dt=0.1, t_final=1.0))
+    for p0 in (np.zeros((3, 2)), np.zeros(4)):  # shoot's momenta must be laid out like q0
+        with pytest.raises(ConfigurationError, match="does not match positions"):
+            shoot(metric, q0, p0, IntegratorConfig(dt=0.1, t_final=1.0))
 
 
 def test_shape_geodesic_stays_normal():
@@ -284,8 +286,7 @@ def test_shape_geodesic_stays_normal():
     nu = shape0.x / np.linalg.norm(shape0.x, axis=1, keepdims=True)
     a0 = 0.2 * np.cos(2 * theta)[:, None] * nu
     system = shape_system(spec, shape0)
-    y0 = np.concatenate([shape0.x.reshape(-1), a0.reshape(-1)])
-    _, _, report = integrate(system, y0, IntegratorConfig(dt=5e-3, t_final=0.5))
+    _, report = integrate(system, np.array((shape0.x, a0)), IntegratorConfig(dt=5e-3, t_final=0.5))
     assert report.energy_drift < 1e-8
     assert report.normality is not None
     assert report.normality_max < 1e-4
@@ -309,7 +310,7 @@ def test_rhs_and_observe_refuse_coincident_points(kind):
     x[2] = x[0]
     with pytest.raises(DegenerateConfigurationError) as want:
         check_distinct(x, what=what)
-    y = np.concatenate([x.reshape(-1), 0.1 * x.reshape(-1)])
+    y = np.array((x, 0.1 * x))
     for call in (system.rhs, system.observe):
         with pytest.raises(DegenerateConfigurationError) as got:
             call(y)
@@ -327,8 +328,34 @@ def test_one_distinctness_test_per_stage_and_per_step(kind, monkeypatch):
         return inner(pts, what)
 
     monkeypatch.setattr(kernels, "_distinct_pairs", counting)
-    y = np.concatenate([x.reshape(-1), 0.1 * x.reshape(-1)])
+    y = np.array((x, 0.1 * x))
     system.rhs(y)
     assert len(calls) == 1
     system.observe(y)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", ["landmark", "curve"])
+def test_states_stack_points_over_momenta(kind):
+    """A state is ``(points, momenta)`` stacked on a leading axis of 2; the
+    right-hand side keeps that layout, ``integrate`` records one state per
+    step plus the start and refuses a flattened state."""
+    system, x, _ = _system(kind)
+    assert system.shape == (2, *x.shape)
+    y = np.array((x, 0.1 * x))
+    assert system.rhs(y).shape == system.shape
+    config = IntegratorConfig(dt=0.1, t_final=0.2)
+    ys, report = integrate(system, y, config)
+    assert ys.shape == (3, *system.shape) and np.array_equal(ys[0], y)
+    assert report.t.tolist() == pytest.approx([0.0, 0.1, 0.2])
+    with pytest.raises(ConfigurationError, match="state must have shape"):
+        integrate(system, y.reshape(-1), config)
+
+
+def test_shape_system_refuses_a_kernel_narrower_than_the_shape():
+    circle = shapes.make_circle(8)
+    system = shape_system(KernelSpec("sobolev_bessel", n=1, l=3), circle)
+    y = np.array((circle.x, 0.1 * circle.x))
+    for call in (system.rhs, system.observe):
+        with pytest.raises(ConfigurationError, match="^ambient dimension D=2 exceeds the kernel dimension n=1$"):
+            call(y)

@@ -99,6 +99,18 @@ def test_non_number_leaves_refused_at_any_depth(load, make, key, bad):
         load(obj)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "int-beyond-float"])
+@pytest.mark.parametrize("key, what", [("q", "positions q"), ("p", "momenta p")], ids=["q", "p"])
+def test_landmark_state_refuses_non_finite_entries(key, what, bad):
+    """``json`` reads ``NaN`` and ``Infinity``, and keeps an integer literal
+    beyond the float range exact; all three are refused by name."""
+    obj = _state_obj()
+    obj[key][1][0] = bad
+    with pytest.raises(ConfigurationError, match=f"^{what} contain non-finite entries$"):
+        state_from_json(obj)
+
+
 def test_loads_wraps_decode_errors():
     with pytest.raises(ConfigurationError):
         jsonio.loads("{not json}")

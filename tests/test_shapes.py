@@ -243,6 +243,24 @@ def test_zero_dimensional_shape_reduces_to_landmarks():
     assert sc.r3 == pytest.approx(lc.r3, abs=1e-13)
 
 
+@pytest.mark.parametrize("op", [
+    lambda spec, shape, a: shapes.curvature_terms(spec, shape, a, a[::-1].copy()),
+    lambda spec, shape, a: shapes.geodesic_rhs(spec, shape, a),
+    lambda spec, shape, a: shapes.induced_pairing(spec, shape, a, a),
+    lambda spec, shape, a: shapes.horizontal_velocity(spec, shape, a, shape.x),
+], ids=["curvature_terms", "geodesic_rhs", "induced_pairing", "horizontal_velocity"])
+def test_kernel_narrower_than_the_shape_refused(op):
+    """A kernel on R^1 is not positive definite on the plane: the shape routes
+    refuse it with the error and message :class:`LandmarkMetric` gives."""
+    narrow = KernelSpec("sobolev_bessel", n=1, l=3)
+    with pytest.raises(ConfigurationError) as want:
+        LandmarkMetric(narrow, 8, 2)
+    shape = shapes.make_circle(8)
+    with pytest.raises(ConfigurationError) as got:
+        op(narrow, shape, 0.3 * shape.x)
+    assert str(got.value) == str(want.value) == "ambient dimension D=2 exceeds the kernel dimension n=1"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("op", [shapes.curvature_terms, shapes.force_normal, shapes.stress_normal])
 def test_non_finite_coforms_refused(op, bad):
