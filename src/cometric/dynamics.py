@@ -87,11 +87,13 @@ class ConservationReport:
 @dataclass(frozen=True)
 class HamiltonianSystem:
     """Autonomous system on stacked states of ``shape`` ``(2, *configuration)``,
-    with an observation hook."""
+    with an observation hook.  ``rhs_observe(y)`` is ``(rhs(y), observe(y))``
+    from one pair block, bit for bit."""
 
     rhs: Callable[[np.ndarray], np.ndarray]
     observe: Callable[[np.ndarray], dict]
     shape: tuple[int, ...]
+    rhs_observe: Callable[[np.ndarray], tuple[np.ndarray, dict]]
 
 
 def _angular_components(q: np.ndarray, p: np.ndarray, pairs: tuple, w: np.ndarray | None = None) -> np.ndarray:
@@ -111,15 +113,17 @@ def landmark_system(metric: LandmarkMetric) -> HamiltonianSystem:
         qdot, pdot = geodesic_rhs(metric, y[0], y[1])
         return np.array((qdot, pdot))  # not np.stack, which costs about four times as much per call
 
-    def observe(y: np.ndarray) -> dict:
-        q, mom = y
-        return {
-            "H": hamiltonian(metric, q, mom),
-            "linear": mom.sum(axis=0),
-            "angular": _angular_components(q, mom, pairs),
-        }
+    def observation(q: np.ndarray, mom: np.ndarray, h: float) -> dict:
+        return {"H": h, "linear": mom.sum(axis=0), "angular": _angular_components(q, mom, pairs)}
 
-    return HamiltonianSystem(rhs=rhs, observe=observe, shape=(2, p, d))
+    def observe(y: np.ndarray) -> dict:
+        return observation(y[0], y[1], hamiltonian(metric, y[0], y[1]))
+
+    def rhs_observe(y: np.ndarray) -> tuple[np.ndarray, dict]:
+        qdot, pdot, h = geodesic_rhs(metric, y[0], y[1], True)  # energy by position: wrappers take *args
+        return np.array((qdot, pdot)), observation(y[0], y[1], h)
+
+    return HamiltonianSystem(rhs=rhs, observe=observe, shape=(2, p, d), rhs_observe=rhs_observe)
 
 
 def shape_system(spec: KernelSpec, shape0: shapes_mod.DiscreteSubmanifold) -> HamiltonianSystem:
@@ -136,10 +140,9 @@ def shape_system(spec: KernelSpec, shape0: shapes_mod.DiscreteSubmanifold) -> Ha
         xdot, adot = shapes_mod.geodesic_rhs(spec, unpack(y[0]), y[1])
         return np.array((xdot, adot))
 
-    def observe(y: np.ndarray) -> dict:
-        shp, a = unpack(y[0]), y[1]
+    def observation(shp: shapes_mod.DiscreteSubmanifold, a: np.ndarray, h: float) -> dict:
         out = {
-            "H": 0.5 * shapes_mod.induced_pairing(spec, shp, a, a),
+            "H": h,
             "linear": np.einsum("s,si->i", w, a),
             "angular": _angular_components(shp.x, a, pairs, w),
         }
@@ -149,11 +152,19 @@ def shape_system(spec: KernelSpec, shape0: shapes_mod.DiscreteSubmanifold) -> Ha
             out["frame_quality"] = quality
         return out
 
-    return HamiltonianSystem(rhs=rhs, observe=observe, shape=(2, *shape0.x.shape))
+    def observe(y: np.ndarray) -> dict:
+        shp, a = unpack(y[0]), y[1]
+        return observation(shp, a, 0.5 * shapes_mod.induced_pairing(spec, shp, a, a))
+
+    def rhs_observe(y: np.ndarray) -> tuple[np.ndarray, dict]:
+        shp, a = unpack(y[0]), y[1]
+        xdot, adot, h = shapes_mod.geodesic_rhs(spec, shp, a, True)
+        return np.array((xdot, adot)), observation(shp, a, h)
+
+    return HamiltonianSystem(rhs=rhs, observe=observe, shape=(2, *shape0.x.shape), rhs_observe=rhs_observe)
 
 
-def _rk4_step(rhs: Callable, y: np.ndarray, dt: float) -> np.ndarray:
-    k1 = rhs(y)
+def _rk4_step(rhs: Callable, y: np.ndarray, dt: float, k1: np.ndarray) -> np.ndarray:
     k2 = rhs(y + 0.5 * dt * k1)
     k3 = rhs(y + 0.5 * dt * k2)
     k4 = rhs(y + dt * k3)
@@ -176,23 +187,27 @@ MAX_NORM = 1e8  # a state entry beyond this is a blow-up
 
 
 def _check_state(y: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(y)) or float(np.abs(y).max()) > MAX_NORM:
+    if not np.abs(y).max() <= MAX_NORM:  # one reduction; NaN fails it too
         raise DivergenceError("trajectory blew up", t)
 
 
-def _states(rhs: Callable, y0: np.ndarray, config: IntegratorConfig) -> Iterator[np.ndarray]:
+def _states(rhs: Callable, y0: np.ndarray, config: IntegratorConfig,
+            first: Callable) -> Iterator[np.ndarray]:
     """The one stepping loop: yields each state after ``y0`` before stepping on.
-    A failed check reports ``k * dt``, the time of the last state that passed."""
-    step = _rk4_step if config.method == "rk4" else _implicit_midpoint_step
+    A failed check reports ``k * dt``, the time of the last state that passed.
+    RK4 takes each step's first stage from ``first``."""
     y = y0
     for k in range(config.steps):
-        y = step(rhs, y, config.dt)
+        if config.method == "rk4":
+            y = _rk4_step(rhs, y, config.dt, first(y))
+        else:
+            y = _implicit_midpoint_step(rhs, y, config.dt)
         _check_state(y, k * config.dt)
         yield y
 
 
 def _endpoint(rhs: Callable, y0: np.ndarray, config: IntegratorConfig) -> np.ndarray:
-    for y in _states(rhs, y0, config):
+    for y in _states(rhs, y0, config, rhs):
         pass
     return y
 
@@ -200,16 +215,29 @@ def _endpoint(rhs: Callable, y0: np.ndarray, config: IntegratorConfig) -> np.nda
 def integrate(system: HamiltonianSystem, y0: np.ndarray, config: IntegratorConfig
               ) -> tuple[np.ndarray, ConservationReport]:
     """Propagate and record every step.  Returns the states, shape
-    ``(steps + 1, *system.shape)``, and the report, whose ``t`` is the time grid."""
+    ``(steps + 1, *system.shape)``, and the report, whose ``t`` is the time grid.
+    Under RK4 each state but the last is observed by the first stage of the
+    step that leaves it (``system.rhs_observe``): one pair block per step."""
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != system.shape:
         raise ConfigurationError(f"state must have shape {system.shape}, got {y0.shape}")
     ys = np.empty((config.steps + 1, *system.shape))
     ys[0] = y0
-    obs = [system.observe(y0)]
-    for k, y in enumerate(_states(system.rhs, y0, config), 1):
-        ys[k] = y
-        obs.append(system.observe(y))
+    obs: list[dict] = []
+    if config.method == "rk4":
+        def first(y: np.ndarray) -> np.ndarray:
+            k1, seen = system.rhs_observe(y)
+            obs.append(seen)
+            return k1
+
+        for k, y in enumerate(_states(system.rhs, y0, config, first), 1):
+            ys[k] = y
+        obs.append(system.observe(ys[-1]))
+    else:
+        obs.append(system.observe(y0))
+        for k, y in enumerate(_states(system.rhs, y0, config, system.rhs), 1):
+            ys[k] = y
+            obs.append(system.observe(y))
     report = ConservationReport(
         t=np.linspace(0.0, config.t_final, config.steps + 1),
         hamiltonian=np.array([o["H"] for o in obs]),

@@ -90,10 +90,14 @@ def integer(value: Any, what: str) -> int:
 
 
 def number(value: Any, what: str) -> float:
-    """A JSON number read as a float; anything else (a string, ``true``) is refused."""
+    """A JSON number read as a float; anything else (a string, ``true``) is
+    refused, and so is an integer beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{what} is beyond the float range") from None
 
 
 def float_array(value: Any, what: str) -> np.ndarray:

@@ -107,6 +107,12 @@ class KernelSpec:
         if d > self.n:
             raise ConfigurationError(f"ambient dimension D={d} exceeds the kernel dimension n={self.n}")
 
+    @functools.cached_property
+    def _bessel_profile(self) -> tuple[float, int, float]:
+        """``(const, k, sqrt(A))`` of the Bessel closed form, computed once per
+        spec rather than once per pair block."""
+        return _bessel_const(self), _bessel_order_k(self), math.sqrt(self.A)
+
 
 @functools.cache
 def _bessel_poly(k: int) -> tuple[float, ...]:
@@ -157,8 +163,8 @@ def _radial_profiles(
     else:
         if order >= 1:
             spec.require_curvature_grade()
-        cst, k = _bessel_const(spec), _bessel_order_k(spec)
-        t = rho / math.sqrt(spec.A)
+        cst, k, sqrt_a = spec._bessel_profile
+        t = rho / sqrt_a
         e = np.exp(-t)
         value = cst * (e * _poly(k, t))
         g = (-cst / spec.A) * (e * _poly(k - 1, t)) if order >= 1 else None
@@ -197,11 +203,12 @@ def kernel_hess(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
 def _pair_differences(x: np.ndarray) -> np.ndarray:
     """``x_s - x_t`` for every pair of rows of ``x`` (p, D), as a (p, p, D)
     view of component-major storage: each component is one contiguous (p, p)
-    array, so pair loops run in long strides rather than strides of D."""
+    array, so pair loops run in long strides rather than strides of D.  The
+    storage is allocated C-ordered, not left to numpy: ``PairBlock.contract``'s
+    ``matmul`` picks its summation path from these strides."""
     p, d = x.shape
     out = np.empty((d, p, p))
-    for m in range(d):
-        np.subtract.outer(x[:, m], x[:, m], out=out[m])
+    np.subtract(x.T[:, :, None], x.T[:, None, :], out=out)
     return out.transpose(1, 2, 0)
 
 
@@ -284,25 +291,33 @@ def spec_to_json(spec: KernelSpec) -> dict:
 
 
 def check_distinct(points: np.ndarray, *, what: str = "points") -> None:
-    """Reject non-finite coordinates and coincident rows (tolerance 1e-10 * diameter)."""
+    """Reject non-finite coordinates, pair distances that overflow, and
+    coincident rows (tolerance 1e-10 * diameter)."""
     _distinct_pairs(np.asarray(points, dtype=float), what)
 
 
 def _distinct_pairs(pts: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Pair differences and distances of the rows of ``pts``, after the tests of
-    :func:`check_distinct`."""
-    if not np.isfinite(pts).all():
-        raise ConfigurationError(f"{what} contain non-finite coordinates")
-    diff = _pair_differences(pts)
-    dist = np.sqrt(_pair_dot(diff, diff))
-    if len(pts) >= 2:
-        diam = float(dist.max())
-        tol = 1e-10 * max(diam, 1e-300)
+    :func:`check_distinct`.  A non-finite coordinate or an overflowing distance
+    makes the diameter non-finite (quietly: ``inf - inf`` would warn), and only
+    then are the coordinates inspected.  The diagonal of ``dist`` is exactly
+    zero, so a coincident pair shows as more than ``p`` entries within the
+    tolerance."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = _pair_differences(pts)
+        dist = np.sqrt(_pair_dot(diff, diff))
+    diam = float(dist.max(initial=0.0))
+    if not math.isfinite(diam):
+        if not np.isfinite(pts).all():
+            raise ConfigurationError(f"{what} contain non-finite coordinates")
+        raise ConfigurationError(f"{what} are too far apart: a pair distance overflows the float range "
+                                 f"(largest coordinate {float(np.abs(pts).max()):.3e})")
+    tol = 1e-10 * max(diam, 1e-300)
+    if np.count_nonzero(dist <= tol) > len(pts):
         off = dist.copy()
         np.fill_diagonal(off, diam + 1.0)
-        if float(off.min()) <= tol:
-            a, b = np.unravel_index(int(np.argmin(off)), off.shape)
-            raise DegenerateConfigurationError(f"coincident {what} {a} and {b} (separation {off[a, b]:.3e})")
+        a, b = np.unravel_index(int(np.argmin(off)), off.shape)
+        raise DegenerateConfigurationError(f"coincident {what} {a} and {b} (separation {off[a, b]:.3e})")
     return diff, dist
 
 

@@ -95,19 +95,28 @@ def landmark_cometric_jet(metric: LandmarkMetric, q: np.ndarray) -> CometricJet:
     return assemble_jet(np.asarray(q, dtype=float).reshape(-1), ginv, dginv, ddginv)
 
 
+def _energy(dots: np.ndarray, value: np.ndarray) -> float:
+    """``1/2 sum_ab dots_ab value_ab``: H from the momentum dots ``p_a . p_b``."""
+    return 0.5 * float(np.einsum("ab,ab->", dots, value))
+
+
 def hamiltonian(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> float:
     """``H(q, p) = 1/2 sum_ab (p_a . p_b) K(q_a - q_b)``."""
     blk = _block(metric, q, 0)
     mom = _check_mom(metric, mom)
-    return 0.5 * float(np.einsum("ab,ab->", mom @ mom.T, blk.value))
+    return _energy(mom @ mom.T, blk.value)
 
 
-def geodesic_rhs(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def geodesic_rhs(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray, energy: bool = False) -> tuple:
     """Hamilton's equations:
-    ``qdot_a = sum_b K(q_a-q_b) p_b``, ``pdot_a = -sum_b (p_a.p_b) grad K(q_a-q_b)``."""
+    ``qdot_a = sum_b K(q_a-q_b) p_b``, ``pdot_a = -sum_b (p_a.p_b) grad K(q_a-q_b)``.
+    With ``energy``, also :func:`hamiltonian` at ``(q, p)``, bit for bit, from
+    the same pair block: ``(qdot, pdot, H)``."""
     blk = _block(metric, q, 1)
     mom = _check_mom(metric, mom)
-    return blk.value @ mom, -blk.contract((mom @ mom.T) * blk.g)
+    dots = mom @ mom.T
+    qdot, pdot = blk.value @ mom, -blk.contract(dots * blk.g)
+    return (qdot, pdot, _energy(dots, blk.value)) if energy else (qdot, pdot)
 
 
 def velocity(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> np.ndarray:

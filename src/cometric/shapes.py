@@ -192,8 +192,12 @@ def induced_pairing(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
     kv = pair_block(spec, shape.x, 0, what="samples").value
-    dots = (a @ b.T) * shape.w[:, None] * shape.w[None, :]
-    return float(np.einsum("st,st->", dots, kv))
+    return _pairing(a @ b.T, shape.w, kv)
+
+
+def _pairing(dots: np.ndarray, w: np.ndarray, kv: np.ndarray) -> float:
+    """``sum_st w_s w_t dots_st kv_st`` for the momentum dots ``a_s . b_t``."""
+    return float(np.einsum("st,st->", dots * w[:, None] * w[None, :], kv))
 
 
 def horizontal_velocity(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -209,16 +213,19 @@ def horizontal_velocity(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndar
     return u[0] if single else u
 
 
-def geodesic_rhs(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def geodesic_rhs(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, energy: bool = False) -> tuple:
     """Horizontal geodesic system:
     ``xdot_s = u_a(x_s)`` (full field values) and
     ``adot_s = -(Du(x_s))^T a_s`` (Jacobian-transpose transport; weights stay
-    fixed).  With ``m = 0`` this is exactly the landmark system."""
+    fixed).  With ``m = 0`` this is exactly the landmark system.  With
+    ``energy``, also ``H = 1/2 induced_pairing(a, a)``, bit for bit, from the
+    same pair block: ``(xdot, adot, H)``."""
     a = _check_mom(shape, a)
     blk = pair_block(spec, shape.x, 1, what="samples")
+    dots = a @ a.T
     xdot = (blk.value * shape.w[None, :]) @ a
-    adot = -blk.contract((a @ a.T) * shape.w[None, :] * blk.g)
-    return xdot, adot
+    adot = -blk.contract(dots * shape.w[None, :] * blk.g)
+    return (xdot, adot, 0.5 * _pairing(dots, shape.w, blk.value)) if energy else (xdot, adot)
 
 
 def _force_normal(blk: PairBlock, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:

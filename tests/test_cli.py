@@ -307,6 +307,12 @@ MALFORMED = {
                          "error: invalid JSON: "),
     "binary input": (lambda d, s: ["geodesic", "shoot", "--spec", s, "--state", _raw(d, b"\xff\xfe\x00")],
                      "error: cannot read "),
+    "spec A beyond the float range": (lambda d, s: ["curvature", "landmark", "--spec", _spec(d, A=10**400),
+                                                    "--state", _state(d, PAIR, PAIR)],
+                                      "error: kernel scale A is beyond the float range"),
+    "overflowing pair distance": (lambda d, s: ["curvature", "landmark", "--spec", s,
+                                                "--state", _state(d, [[0.0, 0.0], [1e200, 0.0]], PAIR)],
+                                  "error: landmarks are too far apart: a pair distance overflows"),
 }
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cometric import dynamics, kernels, shapes
+from cometric import dynamics, kernels, landmark, shapes
 from cometric.dynamics import (
     HamiltonianSystem,
     IntegratorConfig,
@@ -91,11 +91,14 @@ def test_implicit_midpoint_conserves_reasonably():
 def test_implicit_midpoint_non_convergence_raises():
     """For ydot = -2y at dt = 1 the midpoint fixed-point map is z -> -z: it
     neither converges nor diverges, so the 100-iteration cap is what stops it."""
-    system = HamiltonianSystem(
-        rhs=lambda y: -2.0 * y,
-        observe=lambda y: {"H": 0.0, "linear": y[1], "angular": np.zeros(0)},
-        shape=(2, 1),
-    )
+    def rhs(y):
+        return -2.0 * y
+
+    def observe(y):
+        return {"H": 0.0, "linear": y[1], "angular": np.zeros(0)}
+
+    system = HamiltonianSystem(rhs=rhs, observe=observe, shape=(2, 1),
+                               rhs_observe=lambda y: (rhs(y), observe(y)))
     config = IntegratorConfig(dt=1.0, t_final=1.0, method="implicit_midpoint")
     with pytest.raises(ConditioningError, match="did not converge"):
         integrate(system, np.array([[1.0], [-0.5]]), config)
@@ -333,6 +336,82 @@ def test_one_distinctness_test_per_stage_and_per_step(kind, monkeypatch):
     assert len(calls) == 1
     system.observe(y)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", ["landmark", "curve"])
+def test_monitored_energy_is_the_hamiltonian_bit_for_bit(kind):
+    """Under RK4 the H of each state but the last comes from the first stage's
+    pair block; it equals ``landmark.hamiltonian`` and ``1/2 induced_pairing``
+    exactly, at every stored state, and so do the other observations."""
+    system, x, _ = _system(kind)
+    ys, report = integrate(system, np.array((x, 0.3 * x[::-1])), IntegratorConfig(dt=0.05, t_final=0.5))
+    circle = shapes.make_circle(8)
+    for k, y in enumerate(ys):
+        if kind == "landmark":
+            h = landmark.hamiltonian(LandmarkMetric(SPEC, *x.shape), y[0], y[1])
+        else:
+            shp = shapes._unchecked(y[0], circle.w, circle.tangents, circle.projectors)
+            h = 0.5 * shapes.induced_pairing(SPEC, shp, y[1], y[1])
+        assert report.hamiltonian[k] == h
+        seen = system.observe(y)
+        assert np.array_equal(report.linear[k], seen["linear"])
+        assert np.array_equal(report.angular[k], seen["angular"])
+        if kind == "curve":
+            assert report.normality[k] == seen["normality"]
+            assert report.frame_quality[k] == seen["frame_quality"]
+
+
+@pytest.mark.parametrize("kind", ["landmark", "curve"])
+def test_rhs_observe_refuses_coincident_points_like_observe(kind):
+    """The first stage that observes a state refuses a collision in it with
+    ``observe``'s error and message."""
+    system, x, _ = _system(kind)
+    x[2] = x[0]
+    y = np.array((x, 0.1 * x))
+    with pytest.raises(DegenerateConfigurationError) as want:
+        system.observe(y)
+    with pytest.raises(DegenerateConfigurationError) as got:
+        system.rhs_observe(y)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kind", ["landmark", "curve"])
+def test_rk4_integrate_builds_one_pair_block_per_step(kind, monkeypatch):
+    """RK4 ``integrate`` builds ``4 steps + 1`` pair blocks: four stages per step,
+    the first also observing the state it leaves, and the final state's own.
+    Shots build ``4 steps``; the implicit midpoint rule still observes every
+    state apart from its stages."""
+    system, x, _ = _system(kind)
+    y0 = np.array((x, 0.1 * x))
+    config = IntegratorConfig(dt=0.05, t_final=0.5)
+    calls = []
+    inner = kernels._distinct_pairs
+
+    def counting(pts, what):
+        calls.append(what)
+        return inner(pts, what)
+
+    monkeypatch.setattr(kernels, "_distinct_pairs", counting)
+    integrate(system, y0, config)
+    assert len(calls) == 4 * config.steps + 1
+    del calls[:]
+    dynamics._endpoint(system.rhs, y0, config)
+    assert len(calls) == 4 * config.steps
+    stages = []
+
+    def rhs(y):
+        stages.append(y)
+        return system.rhs(y)
+
+    midpoint = IntegratorConfig(dt=0.05, t_final=0.5, method="implicit_midpoint")
+    del calls[:]
+    counted = HamiltonianSystem(rhs=rhs, observe=system.observe, shape=system.shape,
+                                rhs_observe=lambda y: (rhs(y), system.observe(y)))
+    integrate(counted, y0, midpoint)
+    assert len(calls) == len(stages) + midpoint.steps + 1
+    del calls[:]
+    integrate(system, y0, midpoint)
+    assert len(calls) == len(stages) + midpoint.steps + 1
 
 
 @pytest.mark.parametrize("kind", ["landmark", "curve"])

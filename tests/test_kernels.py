@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+from cometric import kernels
 from cometric.errors import (
     ConfigurationError,
     DegenerateConfigurationError,
@@ -258,6 +259,54 @@ def test_check_distinct():
                 check_distinct(points, what="landmarks")
             with pytest.raises(ConfigurationError, match="points contain non-finite coordinates"):
                 gram_matrix(spec, points)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_distinct_pairs_refuses_non_finite_coordinates(value, rows):
+    """A NaN or an infinity, in a single row or among several, is refused as
+    non-finite, with no numpy warning on the way (warnings fail this suite)."""
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])[:rows]
+    points[-1, 0] = value
+    with pytest.raises(ConfigurationError, match="^landmarks contain non-finite coordinates$"):
+        kernels._distinct_pairs(points, "landmarks")
+
+
+def test_distinct_pairs_refuses_an_overflowing_distance_as_overflow():
+    """Finite rows whose distance overflows when squared are refused as such,
+    not as the coincidence the infinite diameter would otherwise suggest."""
+    with pytest.raises(ConfigurationError, match="^landmarks are too far apart: a pair distance overflows") as info:
+        kernels._distinct_pairs(np.array([[0.0, 0.0], [1e200, 0.0]]), "landmarks")
+    assert not isinstance(info.value, DegenerateConfigurationError)
+
+
+def test_distinct_pairs_names_the_closest_coincident_pair():
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1e-14]])
+    with pytest.raises(DegenerateConfigurationError) as info:
+        kernels._distinct_pairs(points, "landmarks")
+    assert str(info.value) == "coincident landmarks 1 and 3 (separation 1.000e-14)"
+
+
+@pytest.mark.parametrize("p,d", [(1, 2), (2, 2), (3, 2), (5, 3)])
+def test_distinct_pairs_layout(p, d):
+    """Distances keep an exactly zero diagonal after the check; differences are
+    a (p, p, D) view of C-ordered component-major storage, the strides that
+    ``PairBlock.contract``'s ``matmul`` was pinned to."""
+    points = np.random.default_rng(p).standard_normal((p, d))
+    diff, dist = kernels._distinct_pairs(points, "points")
+    assert np.array_equal(np.diag(dist), np.zeros(p))
+    assert diff.shape == (p, p, d) and diff.strides == (8 * p, 8, 8 * p * p)
+    assert diff.transpose(2, 0, 1).flags.c_contiguous
+    assert np.array_equal(diff, points[:, None, :] - points[None, :, :])
+    assert np.array_equal(dist, np.sqrt(np.sum(diff * diff, axis=-1)))
+
+
+def test_bessel_profile_is_computed_once_per_spec():
+    spec = KernelSpec("sobolev_bessel", n=3, l=4, A=0.7, c=1.3)
+    const, k, sqrt_a = spec._bessel_profile
+    assert (const, k, sqrt_a) == (kernels._bessel_const(spec), kernels._bessel_order_k(spec), math.sqrt(0.7))
+    assert spec._bessel_profile is spec._bessel_profile
+    assert spec == KernelSpec("sobolev_bessel", n=3, l=4, A=0.7, c=1.3)
 
 
 def test_gram_matrix_is_spd():
