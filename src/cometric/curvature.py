@@ -30,14 +30,18 @@ Christoffel-symbol oracle at ``1e-7 * (1 + |value|)``.
 The numerators are tensorial in ``alpha``, ``beta`` even though the
 computation fixes their chart components.
 
-Two decisions have their one owner here and are shared by the landmark and
-shape routes: non-finite coforms are refused (:func:`_check_finite`), and
+Three decisions have their one owner here and are shared by the landmark and
+shape routes: non-finite coforms are refused (:func:`_check_finite`), so are
+coforms whose products overflow (:func:`_refuses_overflow`), and
 :func:`_breakdown` sums the terms and decides when the plane is degenerate
 (``sectional`` is then ``None``).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +90,30 @@ def _check_finite(alpha: np.ndarray, beta: np.ndarray) -> None:
         raise ConfigurationError("coforms must be finite")
 
 
+def _refuses_overflow(route):
+    """Wrap a curvature route ``route(..., alpha, beta)`` so that coforms whose
+    products overflow the float range are refused with a
+    ``ConfigurationError``: numpy overflow raises inside the route instead of
+    warning, and the terms it returns, summed as Python floats, must be
+    finite."""
+
+    @functools.wraps(route)
+    def checked(*args):
+        with np.errstate(over="raise"):
+            try:
+                result = route(*args)
+            except FloatingPointError:
+                result = math.inf
+        terms = dataclasses.astuple(result) if isinstance(result, CurvatureBreakdown) else (result,)
+        if all(v is None or math.isfinite(v) for v in terms):
+            return result
+        top = max(float(np.abs(np.asarray(c, dtype=float)).max(initial=0.0)) for c in args[-2:])
+        raise ConfigurationError(f"coforms are too large: a product of them overflows the float range "
+                                 f"(largest coform entry {top:.3e})")
+
+    return checked
+
+
 def _breakdown(r11: float, r12: float, r2: float, r3: float, den: float, scale: float) -> CurvatureBreakdown:
     total = r11 + r12 + r2 + r3
     sectional = total / den if den > PLANE_TOL * max(scale, 1e-300) else None
@@ -94,6 +122,7 @@ def _breakdown(r11: float, r12: float, r2: float, r3: float, den: float, scale: 
     )
 
 
+@_refuses_overflow
 def numerator_coordinate(jet: CometricJet, alpha: np.ndarray, beta: np.ndarray) -> CurvatureBreakdown:
     """Coordinate-contraction form, staged so that no einsum spans more than
     four indices (each costs d^indices).  ``U_sk = w_ik g^is``, so ``U_tl = w_jl g^jt``:
@@ -122,6 +151,7 @@ def numerator_coordinate(jet: CometricJet, alpha: np.ndarray, beta: np.ndarray) 
     return _breakdown(r11, r12, r2, r3, haa * hbb - hab * hab, haa * hbb)
 
 
+@_refuses_overflow
 def numerator_covariant(jet: CometricJet, alpha: np.ndarray, beta: np.ndarray) -> float:
     """Directional-derivative form; returns the scalar numerator only.
 
@@ -179,6 +209,7 @@ def stress(jet: CometricJet, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.einsum("i,is,skt,k->t", a, jet.ginv, jet.dginv, b)
 
 
+@_refuses_overflow
 def numerator_force_stress(jet: CometricJet, alpha: np.ndarray, beta: np.ndarray) -> CurvatureBreakdown:
     """Force/stress form: every term beyond R11 is a pairing of force
     covectors and stress vectors."""

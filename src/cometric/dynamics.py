@@ -8,11 +8,15 @@ momentum, the antisymmetric angular-momentum components, and — for shapes —
 the normality defect of the transported momenta together with a
 frame-rederivation quality indicator.
 
-All routes step through one checked loop, ``_states``; a failure raises
+All routes step through one checked loop, ``_states``: it refuses an
+initial state beyond ``MAX_NORM`` once, and a later failure raises
 ``DivergenceError`` at the time of the last state that passed.  Shot endpoints
 are differentiated by central differences in ``_endpoint_jacobian``, for
 ``shoot`` and for ``match`` (which never calls ``shoot``): Gauss-Newton with
-Levenberg damping.  ``match`` never raises on exhaustion or on a diverging
+Levenberg damping.  The Jacobian's 2·p·D shots step in lockstep as one
+batched state through the same loop (the landmark rhs takes leading batch
+axes), in chunks of columns under the byte budget ``SHOT_BATCH_BYTES``; each
+column keeps the bits of its shots stepped alone.  ``match`` never raises on exhaustion or on a diverging
 trial step (rejected like one that does not lower the residual): it reports
 ``converged=False`` with the residuals.
 """
@@ -191,11 +195,24 @@ def _check_state(y: np.ndarray, t: float) -> None:
         raise DivergenceError("trajectory blew up", t)
 
 
+def _check_start(y0: np.ndarray) -> None:
+    """Refuse an initial state that is not finite, or beyond ``MAX_NORM``,
+    before any stage sees it: products of such entries overflow."""
+    top = float(np.abs(y0).max())
+    if not math.isfinite(top):
+        raise ConfigurationError("initial state contains non-finite entries")
+    if top > MAX_NORM:
+        raise DivergenceError(f"initial state entry {top:.3e} exceeds the blow-up bound {MAX_NORM:.0e}", 0.0)
+
+
 def _states(rhs: Callable, y0: np.ndarray, config: IntegratorConfig,
             first: Callable) -> Iterator[np.ndarray]:
-    """The one stepping loop: yields each state after ``y0`` before stepping on.
-    A failed check reports ``k * dt``, the time of the last state that passed.
-    RK4 takes each step's first stage from ``first``."""
+    """The one stepping loop: checks ``y0`` once, then yields each state after
+    it before stepping on.  A failed check reports ``k * dt``, the time of the
+    last state that passed.  RK4 takes each step's first stage from ``first``.
+    ``y0`` may stack a batch of states on the axis after the first; the check
+    of each step then covers the whole batch."""
+    _check_start(y0)
     y = y0
     for k in range(config.steps):
         if config.method == "rk4":
@@ -249,19 +266,40 @@ def integrate(system: HamiltonianSystem, y0: np.ndarray, config: IntegratorConfi
     return ys, report
 
 
+# Byte budget of the pair storage of one batch of Jacobian shots.  A shot's
+# right-hand side holds about D + 8 arrays of p^2 doubles at once.
+SHOT_BATCH_BYTES = 2**26
+
+
 def _endpoint_jacobian(rhs: Callable, y0: np.ndarray, config: IntegratorConfig) -> np.ndarray:
-    """``d(flat q_T)/d(flat p0)`` at the stacked state ``y0`` by central
-    differences with step ``1e-6 * (1 + max|p0|)``, column ``j`` from shots
-    with ``y0[1].flat[j]`` bumped on a copy."""
+    """``d(flat q_T)/d(flat p0)`` at the stacked state ``y0`` (2, p, D) by
+    central differences with step ``1e-6 * (1 + max|p0|)``, column ``j`` from
+    the shots with ``y0[1].flat[j]`` bumped up and down.
+
+    The shots of a run of columns step in lockstep as one batch, a state of
+    shape (2, 2 * columns, p, D) for ``rhs`` (which must take batches), with
+    as many columns as keep the batch's pair storage within
+    :data:`SHOT_BATCH_BYTES`; batches go in column order.  Each shot's
+    arithmetic is that of a shot alone, so under RK4 every column is bit for
+    bit the one its two shots give alone.  (Under the implicit midpoint rule
+    a batch shares one fixed-point stopping test, so a shot may iterate past
+    its own.)  A collision in a shot raises that shot's own message; the
+    ``DivergenceError`` of a batch reports the first step at which any of its
+    shots fails, which need not be the first failing column's."""
     n = y0[1].size
     delta = 1e-6 * (1.0 + float(np.abs(y0[1]).max()))
-    sens = np.empty((n, n))
-    for j in range(n):
-        plus, minus = y0.copy(), y0.copy()
-        plus[1].flat[j] += delta
-        minus[1].flat[j] -= delta
-        diff = _endpoint(rhs, plus, config)[0] - _endpoint(rhs, minus, config)[0]
-        sens[:, j] = diff.reshape(-1) / (2.0 * delta)
+    p, d = y0.shape[-2:]
+    width = max(1, SHOT_BATCH_BYTES // (2 * 8 * p * p * (d + 8)))
+    sens = np.empty((n, n))  # C-ordered: match's jac.T @ jac takes its BLAS path from the strides
+    for j0 in range(0, n, width):
+        cols = np.arange(j0, min(j0 + width, n))
+        c = cols.size
+        shots = np.repeat(y0[:, None], 2 * c, axis=1)
+        bumped = shots[1].reshape(2, c, n)  # [0]: plus shots, [1]: minus shots, one column each
+        bumped[0, range(c), cols] += delta
+        bumped[1, range(c), cols] -= delta
+        end = _endpoint(rhs, shots, config)[0]
+        sens[:, j0:j0 + c] = (end[:c] - end[c:]).reshape(c, n).T / (2.0 * delta)
     return sens
 
 

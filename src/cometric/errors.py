@@ -50,8 +50,9 @@ class DivergenceError(GeometryError):
     """A trajectory blew up (NaN/Inf or norm growth beyond bound).
 
     ``t_last`` is the time of the last state that passed the check, the one
-    before the first failing state (0 when the first step already fails).
-    Every integration route reports it the same way.
+    before the first failing state (0 when the first step already fails, and
+    when the initial state itself is beyond the bound).  Every integration
+    route reports it the same way.
     """
 
     def __init__(self, message: str, t_last: float) -> None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,10 +139,13 @@ def _bessel_const(spec: KernelSpec) -> float:
 
 
 def _poly(k: int, t: np.ndarray) -> np.ndarray:
-    """P_k(t) by Horner's rule (the operations of ``np.polyval``, without its set-up)."""
+    """P_k(t) by Horner's rule.  The leading coefficient is exactly 1, so the
+    first step is ``t + c_1``: the bits of ``1 * t + c_1``, one array pass fewer."""
     coeffs = _bessel_poly(k)
-    acc = coeffs[0]
-    for cf in coeffs[1:]:
+    if k == 0:
+        return coeffs[0]
+    acc = t + coeffs[1]
+    for cf in coeffs[2:]:
         acc = acc * t + cf
     return acc
 
@@ -181,35 +185,63 @@ def _hessian(g: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
     return g[..., None, None] * np.eye(r.shape[-1]) + h[..., None, None] * np.einsum("...i,...j->...ij", r, r)
 
 
+def _norms(r: np.ndarray) -> np.ndarray:
+    """``|r|`` of displacements ``r`` (..., d), refused like a pair block's
+    distances when a coordinate is not finite or a squared norm overflows."""
+    with np.errstate(over="ignore"):
+        sq = _pair_dot(r, r)
+    if not math.isfinite(float(sq.max(initial=0.0))):
+        _refuse_infinite(r, "displacements", "are too long: a squared norm")
+    return np.sqrt(sq)
+
+
+def _refuse_infinite(pts: np.ndarray, what: str, overflow: str) -> None:
+    """Raise for ``pts`` whose distances came out non-finite: as non-finite
+    coordinates if any is, or else as the overflow that ``overflow`` names."""
+    if not np.isfinite(pts).all():
+        raise ConfigurationError(f"{what} contain non-finite coordinates")
+    raise ConfigurationError(f"{what} {overflow} overflows the float range "
+                             f"(largest coordinate {float(np.abs(pts).max()):.3e})")
+
+
 def kernel_value(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """K(r) for displacements ``r`` of shape (..., d).  Returns shape (...)."""
     r = np.asarray(r, dtype=float)
-    return _radial_profiles(spec, np.sqrt(_pair_dot(r, r)), 0)[0]
+    return _radial_profiles(spec, _norms(r), 0)[0]
 
 
 def kernel_grad(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """grad K at displacements ``r`` of shape (..., d).  Returns shape (..., d)."""
     r = np.asarray(r, dtype=float)
-    return _radial_profiles(spec, np.sqrt(_pair_dot(r, r)), 1)[1][..., None] * r
+    return _radial_profiles(spec, _norms(r), 1)[1][..., None] * r
 
 
 def kernel_hess(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """Hessian of K at displacements ``r`` of shape (..., d).  Returns (..., d, d)."""
     r = np.asarray(r, dtype=float)
-    _, g, h = _radial_profiles(spec, np.sqrt(_pair_dot(r, r)), 2)
+    _, g, h = _radial_profiles(spec, _norms(r), 2)
     return _hessian(g, h, r)
 
 
 def _pair_differences(x: np.ndarray) -> np.ndarray:
-    """``x_s - x_t`` for every pair of rows of ``x`` (p, D), as a (p, p, D)
-    view of component-major storage: each component is one contiguous (p, p)
-    array, so pair loops run in long strides rather than strides of D.  The
-    storage is allocated C-ordered, not left to numpy: ``PairBlock.contract``'s
-    ``matmul`` picks its summation path from these strides."""
-    p, d = x.shape
-    out = np.empty((d, p, p))
-    np.subtract(x.T[:, :, None], x.T[:, None, :], out=out)
-    return out.transpose(1, 2, 0)
+    """``x_s - x_t`` for every pair of rows of each configuration in ``x``
+    (..., p, D), as a (..., p, p, D) view of component-major storage: each
+    component is one contiguous (p, p) array, so pair loops run in long
+    strides rather than strides of D.  The storage (..., D, p, p) is allocated
+    C-ordered, not left to numpy: ``PairBlock.contract``'s ``matmul`` picks its
+    summation path from these strides, the same for every configuration of a
+    batch as for one alone."""
+    s, xt = x.shape, x.mT
+    out = np.empty(s[:-2] + (s[-1], s[-2], s[-2]))
+    np.subtract(xt[..., :, None], xt[..., None, :], out=out)
+    return out.transpose(_component_last(x.ndim))
+
+
+@functools.cache
+def _component_last(ndim: int) -> tuple[int, ...]:
+    """``transpose`` axes taking (..., D, p, p) storage of configurations with
+    ``ndim`` axes to its (..., p, p, D) view."""
+    return (*range(ndim - 2), ndim - 1, ndim, ndim - 2)
 
 
 def _pair_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -220,13 +252,15 @@ def _pair_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PairBlock:
-    """Kernel data of every ordered pair ``(s, t)`` of one configuration.
+class PairBlock(NamedTuple):
+    """Kernel data of every ordered pair ``(s, t)`` of a configuration, or of
+    each configuration of a batch (leading axes ``...``).
 
-    ``diff[s, t] = x_s - x_t`` (p, p, D); ``value``, ``g`` and ``h`` are (p, p)
-    with ``K = value``, ``grad K = g diff`` and ``Hess K = g I + h diff diff^T``
-    at ``diff[s, t]``.  ``g`` and ``h`` are None above the block's order.
+    ``diff[..., s, t, :] = x_s - x_t`` (..., p, p, D); ``value``, ``g`` and
+    ``h`` are (..., p, p) with ``K = value``, ``grad K = g diff`` and
+    ``Hess K = g I + h diff diff^T`` at ``diff[..., s, t, :]``.  ``g`` and
+    ``h`` are None above the block's order.  A named tuple: it is built once
+    per right-hand-side call, and costs a third of a frozen dataclass to build.
     """
 
     diff: np.ndarray
@@ -235,11 +269,11 @@ class PairBlock:
     h: np.ndarray | None
 
     def contract(self, coef: np.ndarray) -> np.ndarray:
-        """``sum_t coef[s, t] diff[s, t]``, shape (p, D)."""
-        return np.matmul(coef[:, None, :], self.diff)[:, 0, :]
+        """``sum_t coef[..., s, t] diff[..., s, t, :]``, shape (..., p, D)."""
+        return np.matmul(coef[..., None, :], self.diff)[..., 0, :]
 
     def rate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pair differences ``du`` of a field ``u`` (p, D) and ``diff . du``."""
+        """Pair differences ``du`` of a field ``u`` (..., p, D) and ``diff . du``."""
         du = _pair_differences(u)
         return du, _pair_dot(self.diff, du)
 
@@ -254,11 +288,13 @@ class PairBlock:
 
 def pair_block(spec: KernelSpec, points: np.ndarray, order: int, *, what: str = "points") -> PairBlock:
     """Differences, distances and kernel profiles up to ``order`` (0, 1 or 2)
-    of ``points`` (p, D) in one pass.  Points wider than the kernel are refused
-    by :meth:`KernelSpec.require_ambient`; non-finite and coincident rows as by
-    :func:`check_distinct`, from the same distances."""
+    of ``points`` (..., p, D) in one pass: one configuration, or a batch of
+    them on leading axes.  Points wider than the kernel are refused by
+    :meth:`KernelSpec.require_ambient`; non-finite and coincident rows as by
+    :func:`check_distinct`, from the same distances, each configuration of a
+    batch as if alone."""
     pts = np.asarray(points, dtype=float)
-    spec.require_ambient(pts.shape[1])
+    spec.require_ambient(pts.shape[-1])
     diff, rho = _distinct_pairs(pts, what)
     return PairBlock(diff, *_radial_profiles(spec, rho, order))
 
@@ -302,16 +338,24 @@ def _distinct_pairs(pts: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]
     makes the diameter non-finite (quietly: ``inf - inf`` would warn), and only
     then are the coordinates inspected.  The diagonal of ``dist`` is exactly
     zero, so a coincident pair shows as more than ``p`` entries within the
-    tolerance."""
+    tolerance.
+
+    A batch (``pts`` of shape (..., p, D)) is tested as a whole against its
+    largest diameter, whose tolerance is the loosest of its members'.  Only if
+    that test fails is each member tested alone, in order, so the first that
+    fails raises its own message."""
     with np.errstate(invalid="ignore", over="ignore"):
         diff = _pair_differences(pts)
         dist = np.sqrt(_pair_dot(diff, diff))
     diam = float(dist.max(initial=0.0))
+    if pts.ndim > 2:
+        diagonal = dist.size // pts.shape[-2]
+        if not math.isfinite(diam) or np.count_nonzero(dist <= 1e-10 * max(diam, 1e-300)) > diagonal:
+            for member in pts.reshape(-1, *pts.shape[-2:]):
+                _distinct_pairs(member, what)
+        return diff, dist
     if not math.isfinite(diam):
-        if not np.isfinite(pts).all():
-            raise ConfigurationError(f"{what} contain non-finite coordinates")
-        raise ConfigurationError(f"{what} are too far apart: a pair distance overflows the float range "
-                                 f"(largest coordinate {float(np.abs(pts).max()):.3e})")
+        _refuse_infinite(pts, what, "are too far apart: a pair distance")
     tol = 1e-10 * max(diam, 1e-300)
     if np.count_nonzero(dist <= tol) > len(pts):
         off = dist.copy()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureBreakdown, _breakdown, _check_finite
+from .curvature import CurvatureBreakdown, _breakdown, _check_finite, _refuses_overflow
 from .errors import ConfigurationError
 from .jets import CometricJet, assemble_jet
 from .jsonio import float_array, integer
@@ -59,16 +59,19 @@ class LandmarkMetric:
 
 
 def _block(metric: LandmarkMetric, q: np.ndarray, order: int) -> PairBlock:
+    """The pair block of positions ``q`` (..., p, D): one configuration, or a
+    batch of them on leading axes."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (metric.p, metric.D):
+    if q.shape[-2:] != (metric.p, metric.D):
         raise ConfigurationError(f"landmark positions must have shape ({metric.p}, {metric.D}), got {q.shape}")
     return pair_block(metric.kernel, q, order, what="landmarks")
 
 
-def _check_mom(metric: LandmarkMetric, a: np.ndarray) -> np.ndarray:
+def _check_mom(metric: LandmarkMetric, a: np.ndarray, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """Momenta of shape ``(*batch, p, D)``: the leading axes of the positions."""
     a = np.asarray(a, dtype=float)
-    if a.shape != (metric.p, metric.D):
-        raise ConfigurationError(f"momenta must have shape ({metric.p}, {metric.D}), got {a.shape}")
+    if a.shape != (*batch, metric.p, metric.D):
+        raise ConfigurationError(f"momenta must have shape {(*batch, metric.p, metric.D)}, got {a.shape}")
     return a
 
 
@@ -110,11 +113,13 @@ def hamiltonian(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> float
 def geodesic_rhs(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray, energy: bool = False) -> tuple:
     """Hamilton's equations:
     ``qdot_a = sum_b K(q_a-q_b) p_b``, ``pdot_a = -sum_b (p_a.p_b) grad K(q_a-q_b)``.
-    With ``energy``, also :func:`hamiltonian` at ``(q, p)``, bit for bit, from
-    the same pair block: ``(qdot, pdot, H)``."""
+    ``q`` and ``mom`` are (..., p, D): a batch on leading axes is stepped as
+    if each configuration were alone, bit for bit.  With ``energy`` (one
+    configuration only), also :func:`hamiltonian` at ``(q, p)``, bit for bit,
+    from the same pair block: ``(qdot, pdot, H)``."""
     blk = _block(metric, q, 1)
-    mom = _check_mom(metric, mom)
-    dots = mom @ mom.T
+    mom = _check_mom(metric, mom, blk.value.shape[:-2])
+    dots = mom @ mom.mT  # numpy's syrk path for each configuration, as ``mom @ mom.T``
     qdot, pdot = blk.value @ mom, -blk.contract(dots * blk.g)
     return (qdot, pdot, _energy(dots, blk.value)) if energy else (qdot, pdot)
 
@@ -157,6 +162,7 @@ def stress(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) 
     return _stress(blk, blk.rate(blk.value @ a)[1], b)
 
 
+@_refuses_overflow
 def curvature(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> CurvatureBreakdown:
     """Sectional-curvature numerator terms over landmark pairs.
 

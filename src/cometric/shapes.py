@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureBreakdown, _breakdown, _check_finite
+from .curvature import CurvatureBreakdown, _breakdown, _check_finite, _refuses_overflow
 from .errors import ConfigurationError, DegenerateConfigurationError
 from .jsonio import float_array, integer
 from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, kernel_value, pair_block
@@ -287,6 +287,7 @@ def _normal_gram_solve(kv: np.ndarray, shape: DiscreteSubmanifold, w_field: np.n
     return np.einsum("sri,sr->si", basis, zeta_hat)
 
 
+@_refuses_overflow
 def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> CurvatureBreakdown:
     """Curvature numerator terms for normal momenta on a discrete shape.
 

@@ -191,6 +191,46 @@ def test_non_finite_beta_exits_1(tmp_path, spec_file, capsys):
     assert capsys.readouterr().err == "error: coforms must be finite\n"
 
 
+def test_huge_finite_momenta_exit_1_with_one_error_line(tmp_path, spec_file, capsys):
+    """Momenta whose products overflow are refused where they enter, with no
+    numpy warning on the way (warnings fail this suite): the curvature route
+    names the overflow, the geodesic refuses a start beyond ``MAX_NORM``."""
+    state = _write_state(tmp_path, "huge.json", 2, [[0.0, 0.0], [1.0, 0.0]], [[1e200, 0.0], [0.0, 0.1]])
+    assert main(["curvature", "landmark", "--spec", spec_file, "--state", state]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: coforms are too large: a product of them overflows the float range "
+                       "(largest coform entry 1.000e+200)\n")
+    assert main(["geodesic", "shoot", "--spec", spec_file, "--state", state, "--dt", "0.1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: initial state entry 1.000e+200 exceeds the blow-up bound 1e+08 (last finite t=0)\n"
+
+
+def test_overflowing_chart_and_shape_coforms_exit_1(tmp_path, spec_file, capsys):
+    want = ("error: coforms are too large: a product of them overflows the float range "
+            "(largest coform entry 1.000e+200)\n")
+    assert main(["curvature", "chart", "--cometric", "catalog:sphere",
+                 "--point", "0.1,0.2", "--alpha", "1e200,0", "--beta", "0,1"]) == 1
+    assert capsys.readouterr().err == want
+    path = tmp_path / "c.json"
+    assert main(["shape", "make", "--samples", "8", "--out", str(path)]) == 0
+    shape = json.loads(path.read_text())
+    shape["momenta"] = (1e200 * np.asarray(shape["samples"])).tolist()
+    path.write_text(json.dumps(shape))
+    assert main(["curvature", "shape", "--spec", spec_file, "--shape", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == want
+
+
+def test_kernel_eval_refuses_an_overflowing_radius(spec_file, capsys):
+    assert main(["kernel", "eval", "--spec", spec_file, "--r", "1,1e200"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: displacements are too long: a squared norm overflows the float range "
+                       "(largest coordinate 1.000e+200)\n")
+
+
 def test_overflowing_cometric_entry_exits_1(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"dim": 2, "entries": {"1,1": "1 + 1e300^2", "2,2": "1"}}))

@@ -122,6 +122,100 @@ def test_divergence_reports_last_good_time():
     assert info.value.t_last == 0.0
 
 
+def test_initial_state_is_refused_once_before_any_stage():
+    """A start beyond ``MAX_NORM`` is refused before its products can overflow;
+    a non-finite start is a configuration error.  No rhs call sees either."""
+    metric = LandmarkMetric(SPEC, 2, 2)
+    calls = []
+
+    def rhs(y):
+        calls.append(y)
+        return landmark_system(metric).rhs(y)
+
+    config = IntegratorConfig(dt=0.1, t_final=1.0)
+    huge = np.array([[[0.0, 0.0], [1.0, 0.0]], [[1e200, 0.0], [0.0, 0.1]]])
+    want = r"^initial state entry 1\.000e\+200 exceeds the blow-up bound 1e\+08"
+    with pytest.raises(DivergenceError, match=want) as info:
+        dynamics._endpoint(rhs, huge, config)
+    assert info.value.t_last == 0.0
+    huge[1, 0, 0] = np.nan
+    with pytest.raises(ConfigurationError, match="^initial state contains non-finite entries$"):
+        dynamics._endpoint(rhs, huge, config)
+    assert calls == []
+
+
+def _column_loop_jacobian(rhs, y0, config):
+    """The endpoint Jacobian as one pair of shots per column, in column order
+    (the implementation before shots were batched), verbatim."""
+    n = y0[1].size
+    delta = 1e-6 * (1.0 + float(np.abs(y0[1]).max()))
+    sens = np.empty((n, n))
+    for j in range(n):
+        plus, minus = y0.copy(), y0.copy()
+        plus[1].flat[j] += delta
+        minus[1].flat[j] -= delta
+        diff = dynamics._endpoint(rhs, plus, config)[0] - dynamics._endpoint(rhs, minus, config)[0]
+        sens[:, j] = diff.reshape(-1) / (2.0 * delta)
+    return sens
+
+
+def _jacobian_case(family, p, d):
+    spec = SPEC if family == "bessel" else KernelSpec("gaussian", n=3, A=0.9, c=1.2)
+    rng = np.random.default_rng(100 * p + d)
+    q0 = rng.uniform(-1.0, 1.0, size=(p, d))
+    q0[:, 0] += 1.5 * np.arange(p)
+    y0 = np.array((q0, 0.3 * rng.standard_normal((p, d))))
+    return landmark_system(LandmarkMetric(spec, p, d)).rhs, y0, IntegratorConfig(dt=0.05, t_final=0.5)
+
+
+@pytest.mark.parametrize("family", ["bessel", "gaussian"])
+@pytest.mark.parametrize("p,d", [(1, 2), (2, 2), (3, 1), (3, 3), (5, 2)])
+def test_batched_jacobian_is_the_column_loop_bit_for_bit(family, p, d):
+    """All 2·p·D shots step as one batch, yet every column is the column
+    loop's, bit for bit, and the result is C-ordered like the loop's (``match``
+    takes its ``jac.T @ jac`` BLAS path from the strides)."""
+    rhs, y0, config = _jacobian_case(family, p, d)
+    sens = dynamics._endpoint_jacobian(rhs, y0, config)
+    assert sens.flags.c_contiguous
+    assert np.array_equal(sens, _column_loop_jacobian(rhs, y0, config))
+
+
+@pytest.mark.parametrize("budget_columns", [1, 4])
+def test_jacobian_chunks_give_the_same_bytes(budget_columns, monkeypatch):
+    """With a byte budget of a few columns the shots step in several batches,
+    in column order, with the bytes of one batch."""
+    rhs, y0, config = _jacobian_case("bessel", 3, 3)
+    whole = dynamics._endpoint_jacobian(rhs, y0, config)
+    widths = []
+
+    def counting(y):
+        widths.append(y.shape[1] // 2)
+        return rhs(y)
+
+    monkeypatch.setattr(dynamics, "SHOT_BATCH_BYTES", budget_columns * 2 * 8 * 3 * 3 * (3 + 8))
+    chunked = dynamics._endpoint_jacobian(counting, y0, config)
+    assert np.array_equal(chunked, whole) and chunked.flags.c_contiguous
+    assert widths[::4 * config.steps] == ([1] * 9 if budget_columns == 1 else [4, 4, 1])
+
+
+def test_a_batched_rhs_refuses_a_member_as_if_alone():
+    """In a batch of states, a member with coincident landmarks raises exactly
+    that member's unbatched error; a member with a NaN coordinate raises the
+    unbatched ``ConfigurationError``."""
+    system, x, _ = _system("landmark")
+    y = np.repeat(np.array((x, 0.1 * x))[:, None], 3, axis=1)
+    y[0, 1, 2] = y[0, 1, 0] + 1e-14
+    with pytest.raises(DegenerateConfigurationError) as want:
+        system.rhs(y[:, 1])
+    with pytest.raises(DegenerateConfigurationError) as got:
+        system.rhs(y)
+    assert str(got.value) == str(want.value)
+    y[0, 1] = x
+    y[0, 2, 1, 0] = np.nan
+    with pytest.raises(ConfigurationError, match="^landmarks contain non-finite coordinates$"):
+        system.rhs(y)
+
+
 def test_head_on_collision_ends_in_a_named_error():
     """Two landmarks shot head-on at each other: ``integrate`` itself reaches the
     collision and must stop with a named error (a ``DivergenceError`` at a finite
@@ -220,9 +314,10 @@ def _criterion_10_pair(dt):
 
 
 def test_match_integrates_once_per_shot(monkeypatch):
-    """Criterion 10's pair converges in 4 iterations; each runs 8 Jacobian shots
-    and 1 accepted trial, plus the start: 37 shots of 100 RK4 steps.  No shot
-    is monitored, so H is never evaluated."""
+    """Criterion 10's pair converges in 4 iterations.  An iteration's 8
+    Jacobian shots step as one batch, one batched rhs call per stage, so the
+    start, 4 Jacobian batches and 4 accepted trials make 9 integrations of
+    100 RK4 steps.  No shot is monitored, so H is never evaluated."""
     pair, q0, target, config = _criterion_10_pair(1e-2)
     calls = {"rhs": 0, "H": 0}
     rhs, ham = dynamics.geodesic_rhs, dynamics.hamiltonian
@@ -239,7 +334,7 @@ def test_match_integrates_once_per_shot(monkeypatch):
     monkeypatch.setattr(dynamics, "hamiltonian", counting_hamiltonian)
     result = match(pair, q0, target, config)
     assert result.iterations == 4 and len(result.residuals) == 5
-    assert calls == {"rhs": 37 * 4 * 100, "H": 0}
+    assert calls == {"rhs": (5 + 4) * 4 * 100, "H": 0}
 
 
 def test_match_rejects_a_diverging_trial():

@@ -301,6 +301,55 @@ def test_distinct_pairs_layout(p, d):
     assert np.array_equal(dist, np.sqrt(np.sum(diff * diff, axis=-1)))
 
 
+def test_batched_distinct_pairs_is_each_member_alone():
+    """A batch keeps each member's differences, distances and strides."""
+    points = np.random.default_rng(3).standard_normal((4, 5, 3))
+    diff, dist = kernels._distinct_pairs(points, "points")
+    assert diff.shape == (4, 5, 5, 3) and diff.transpose(0, 3, 1, 2).flags.c_contiguous
+    for member, d, r in zip(points, diff, dist):
+        one_diff, one_dist = kernels._distinct_pairs(member, "points")
+        assert np.array_equal(d, one_diff) and d.strides == one_diff.strides
+        assert np.array_equal(r, one_dist)
+
+
+def test_batched_distinct_pairs_refuses_a_member_with_its_own_message():
+    """A collision in one member raises exactly that member's unbatched error,
+    tested against its own diameter: a pair that is coincident only at the
+    tolerance of a wider member passes."""
+    rng = np.random.default_rng(4)
+    points = rng.standard_normal((3, 4, 2))
+    points[2, 3] = points[2, 1] + 1e-13
+    with pytest.raises(DegenerateConfigurationError) as want:
+        kernels._distinct_pairs(points[2], "landmarks")
+    with pytest.raises(DegenerateConfigurationError) as got:
+        kernels._distinct_pairs(points, "landmarks")
+    assert str(got.value) == str(want.value) == "coincident landmarks 1 and 3 (separation 1.414e-13)"
+    close = np.array([[[0.0, 0.0], [1e-9, 0.0]], [[0.0, 0.0], [1e3, 0.0]]])
+    kernels._distinct_pairs(close, "landmarks")
+    with pytest.raises(DegenerateConfigurationError):
+        kernels._distinct_pairs(np.array([[0.0, 0.0], [1e-9, 0.0], [1e3, 0.0]]), "landmarks")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_batched_distinct_pairs_refuses_a_non_finite_member(value):
+    points = np.random.default_rng(5).standard_normal((3, 4, 2))
+    points[1, 2, 0] = value
+    with pytest.raises(ConfigurationError, match="^landmarks contain non-finite coordinates$"):
+        kernels._distinct_pairs(points, "landmarks")
+
+
+@pytest.mark.parametrize("fn", [kernel_value, kernel_grad, kernel_hess])
+def test_kernel_functions_refuse_overflowing_displacements(fn):
+    """A displacement whose squared norm overflows is refused in the pair
+    block's words, with no numpy warning; so is a non-finite one."""
+    spec = KernelSpec("sobolev_bessel", n=3, l=3)
+    with pytest.raises(ConfigurationError, match=r"^displacements are too long: a squared norm overflows "
+                                                 r"the float range \(largest coordinate 1.000e\+200\)$"):
+        fn(spec, np.array([[1.0, 0.0, 0.0], [1e200, 0.0, 0.0]]))
+    with pytest.raises(ConfigurationError, match="^displacements contain non-finite coordinates$"):
+        fn(spec, np.array([np.nan, 0.0, 0.0]))
+
+
 def test_bessel_profile_is_computed_once_per_spec():
     spec = KernelSpec("sobolev_bessel", n=3, l=4, A=0.7, c=1.3)
     const, k, sqrt_a = spec._bessel_profile

@@ -206,3 +206,28 @@ def test_state_json_errors():
         state_from_json({"D": 2, "q": [[0, 0]], "p": [[0, 0], [1, 1]]})
     with pytest.raises(ConfigurationError):
         state_from_json({"D": 3, "q": [[0, 0]], "p": [[0, 0]]})
+
+
+@pytest.mark.parametrize("spec", [SPEC22, KernelSpec("gaussian", n=3, A=0.9, c=1.2)], ids=["bessel", "gaussian"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batched_geodesic_rhs_is_each_configuration_alone(spec, dim):
+    """A (B, p, D) batch gives, bit for bit, the B unbatched right-hand sides,
+    as a (2, 3, ...) batch does: every configuration keeps its own strides."""
+    rng = np.random.default_rng(10 + dim)
+    metric = LandmarkMetric(spec, 5, dim)
+    q = np.array([_random_config(rng, 5, dim) for _ in range(6)])
+    mom = rng.standard_normal(q.shape)
+    qdot, pdot = geodesic_rhs(metric, q, mom)
+    assert qdot.shape == pdot.shape == q.shape
+    for b in range(len(q)):
+        one_qdot, one_pdot = geodesic_rhs(metric, q[b], mom[b])
+        assert np.array_equal(qdot[b], one_qdot) and np.array_equal(pdot[b], one_pdot)
+    again = geodesic_rhs(metric, q.reshape(2, 3, 5, dim), mom.reshape(2, 3, 5, dim))
+    assert np.array_equal(again[0].reshape(q.shape), qdot) and np.array_equal(again[1].reshape(q.shape), pdot)
+
+
+def test_batched_geodesic_rhs_needs_momenta_of_the_same_batch():
+    metric = LandmarkMetric(SPEC22, 2, 2)
+    q = np.array([[[0.0, 0.0], [1.0, 0.0]]] * 3)
+    with pytest.raises(ConfigurationError, match=r"^momenta must have shape \(3, 2, 2\), got \(2, 2\)$"):
+        geodesic_rhs(metric, q, np.zeros((2, 2)))

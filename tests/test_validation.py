@@ -25,8 +25,10 @@ def test_registry_covers_every_tolerance(monkeypatch):
     (their size does not depend on ``quick``) make only the rhs calls they
     need: conservation reuses the pair's dt = 1e-3 endpoint for the
     step-halving ratio (4 000 + 4 000 + 8 000 + 16 000 calls), and matching
-    builds its round-trip target with one ``integrate`` (400 calls) instead
-    of a ``shoot`` whose 8-shot Jacobian (3 200 more) it would discard."""
+    builds its round-trip target with one ``_endpoint`` (400 calls) instead
+    of a ``shoot`` whose Jacobian (one more batched integration) it would
+    discard.  Each Gauss-Newton iteration's Jacobian shots step as one batch,
+    one rhs call per stage."""
     assert len(SUITES) == 10
     calls = {"rhs": 0}
     rhs = dynamics.geodesic_rhs
@@ -51,7 +53,7 @@ def test_registry_covers_every_tolerance(monkeypatch):
         monkeypatch.setitem(SUITES, name, counted(name, suite))
     results = run_suites(quick=True)
     assert [r.name for r in results] == list(SUITES)
-    assert rhs_calls == {**dict.fromkeys(SUITES, 0), "conservation": 32_000, "matching": 21_600}
+    assert rhs_calls == {**dict.fromkeys(SUITES, 0), "conservation": 32_000, "matching": 6_800}
 
 
 def test_unknown_suite_and_tolerance_rejected():
