@@ -174,7 +174,7 @@ def _cmd_geodesic_shoot(args) -> int:
     spec = spec_from_json(jsonio.load_file(args.spec))
     dim, q0, p0 = state_from_json(jsonio.load_file(args.state))
     metric = LandmarkMetric(spec, q0.shape[0], dim)
-    config = IntegratorConfig(dt=args.dt, t_final=args.T, method=args.method)
+    config = IntegratorConfig(dt=args.dt, t_final=args.T)
     ys, report = integrate(landmark_system(metric), np.array((q0, p0)), config)
     csv = jsonio.trajectory_csv(report.t, ys[:, 0], ys[:, 1], report.hamiltonian, report.linear, report.angular)
     _emit(csv, args.out)
@@ -303,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--state", required=True, help="landmark state JSON file")
     gs.add_argument("--dt", type=float, default=1e-3, help="time step (default 1e-3)")
     gs.add_argument("--T", type=float, default=1.0, help="final time (default 1)")
-    gs.add_argument("--method", choices=("rk4", "implicit_midpoint"), default="rk4")
     gs.set_defaults(func=_cmd_geodesic_shoot)
 
     ma = groups.add_parser("match", parents=[common], help="recover momenta reaching a target")

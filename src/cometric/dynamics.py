@@ -1,7 +1,6 @@
 """Hamiltonian integration, shooting and endpoint matching.
 
-Fixed-step integrators (classical RK4 by default, an implicit midpoint rule
-for cross-checks) over stacked states ``y = (q, p)`` of shape
+Fixed-step classical RK4 over stacked states ``y = (q, p)`` of shape
 ``(2, *configuration)`` — ``y[0]`` holds positions or samples, ``y[1]`` the
 momenta — with per-step conservation monitoring: Hamiltonian, linear
 momentum, the antisymmetric angular-momentum components, and — for shapes —
@@ -29,7 +28,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ConditioningError, ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError
 from .landmark import LandmarkMetric, geodesic_rhs, hamiltonian
 from .kernels import KernelSpec
 from . import shapes as shapes_mod
@@ -39,15 +38,12 @@ from . import shapes as shapes_mod
 class IntegratorConfig:
     dt: float
     t_final: float
-    method: str = "rk4"
 
     def __post_init__(self) -> None:
         if self.dt <= 0 or not math.isfinite(self.dt):
             raise ConfigurationError(f"dt must be positive, got {self.dt!r}")
         if self.t_final <= 0 or not math.isfinite(self.t_final):
             raise ConfigurationError(f"t_final must be positive, got {self.t_final!r}")
-        if self.method not in ("rk4", "implicit_midpoint"):
-            raise ConfigurationError(f"unknown method {self.method!r} (want 'rk4' or 'implicit_midpoint')")
         n = round(self.t_final / self.dt)
         if n < 1 or abs(n * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise ConfigurationError(f"t_final={self.t_final} is not an integer multiple of dt={self.dt}")
@@ -175,18 +171,6 @@ def _rk4_step(rhs: Callable, y: np.ndarray, dt: float, k1: np.ndarray) -> np.nda
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _implicit_midpoint_step(rhs: Callable, y: np.ndarray, dt: float) -> np.ndarray:
-    z = y + dt * rhs(y)  # explicit Euler predictor
-    tol = 1e-14 * (1.0 + float(np.abs(y).max()))
-    for _ in range(100):
-        z_new = y + dt * rhs(0.5 * (y + z))
-        delta = float(np.abs(z_new - z).max())
-        z = z_new
-        if delta <= tol:
-            return z
-    raise ConditioningError(f"implicit midpoint fixed point did not converge (last delta {delta:.3e})")
-
-
 MAX_NORM = 1e8  # a state entry beyond this is a blow-up
 
 
@@ -209,16 +193,13 @@ def _states(rhs: Callable, y0: np.ndarray, config: IntegratorConfig,
             first: Callable) -> Iterator[np.ndarray]:
     """The one stepping loop: checks ``y0`` once, then yields each state after
     it before stepping on.  A failed check reports ``k * dt``, the time of the
-    last state that passed.  RK4 takes each step's first stage from ``first``.
+    last state that passed.  Each step takes its first stage from ``first``.
     ``y0`` may stack a batch of states on the axis after the first; the check
     of each step then covers the whole batch."""
     _check_start(y0)
     y = y0
     for k in range(config.steps):
-        if config.method == "rk4":
-            y = _rk4_step(rhs, y, config.dt, first(y))
-        else:
-            y = _implicit_midpoint_step(rhs, y, config.dt)
+        y = _rk4_step(rhs, y, config.dt, first(y))
         _check_state(y, k * config.dt)
         yield y
 
@@ -233,28 +214,28 @@ def integrate(system: HamiltonianSystem, y0: np.ndarray, config: IntegratorConfi
               ) -> tuple[np.ndarray, ConservationReport]:
     """Propagate and record every step.  Returns the states, shape
     ``(steps + 1, *system.shape)``, and the report, whose ``t`` is the time grid.
-    Under RK4 each state but the last is observed by the first stage of the
-    step that leaves it (``system.rhs_observe``): one pair block per step."""
+    Each state but the last is observed by the first stage of the step that
+    leaves it (``system.rhs_observe``): one pair block per step."""
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != system.shape:
         raise ConfigurationError(f"state must have shape {system.shape}, got {y0.shape}")
-    ys = np.empty((config.steps + 1, *system.shape))
+    try:
+        ys = np.empty((config.steps + 1, *system.shape))
+    except (ValueError, MemoryError) as exc:  # numpy's refusal of an oversized array
+        raise ConfigurationError(
+            f"cannot allocate a trajectory of {config.steps + 1:.4g} states of shape {system.shape}"
+        ) from exc
     ys[0] = y0
     obs: list[dict] = []
-    if config.method == "rk4":
-        def first(y: np.ndarray) -> np.ndarray:
-            k1, seen = system.rhs_observe(y)
-            obs.append(seen)
-            return k1
 
-        for k, y in enumerate(_states(system.rhs, y0, config, first), 1):
-            ys[k] = y
-        obs.append(system.observe(ys[-1]))
-    else:
-        obs.append(system.observe(y0))
-        for k, y in enumerate(_states(system.rhs, y0, config, system.rhs), 1):
-            ys[k] = y
-            obs.append(system.observe(y))
+    def first(y: np.ndarray) -> np.ndarray:
+        k1, seen = system.rhs_observe(y)
+        obs.append(seen)
+        return k1
+
+    for k, y in enumerate(_states(system.rhs, y0, config, first), 1):
+        ys[k] = y
+    obs.append(system.observe(ys[-1]))
     report = ConservationReport(
         t=np.linspace(0.0, config.t_final, config.steps + 1),
         hamiltonian=np.array([o["H"] for o in obs]),
@@ -280,12 +261,11 @@ def _endpoint_jacobian(rhs: Callable, y0: np.ndarray, config: IntegratorConfig) 
     shape (2, 2 * columns, p, D) for ``rhs`` (which must take batches), with
     as many columns as keep the batch's pair storage within
     :data:`SHOT_BATCH_BYTES`; batches go in column order.  Each shot's
-    arithmetic is that of a shot alone, so under RK4 every column is bit for
-    bit the one its two shots give alone.  (Under the implicit midpoint rule
-    a batch shares one fixed-point stopping test, so a shot may iterate past
-    its own.)  A collision in a shot raises that shot's own message; the
-    ``DivergenceError`` of a batch reports the first step at which any of its
-    shots fails, which need not be the first failing column's."""
+    arithmetic is that of a shot alone, so every column is bit for bit the
+    one its two shots give alone.  A collision in a shot raises that shot's
+    own message; the ``DivergenceError`` of a batch reports the first step at
+    which any of its shots fails, which need not be the first failing
+    column's."""
     n = y0[1].size
     delta = 1e-6 * (1.0 + float(np.abs(y0[1]).max()))
     p, d = y0.shape[-2:]

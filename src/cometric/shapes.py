@@ -358,6 +358,8 @@ def shape_from_json(obj: dict) -> tuple[DiscreteSubmanifold, np.ndarray | None]:
     t = float_array(obj["tangents"], "shape tangents")
     if x.ndim != 2 or x.shape[1] != n:
         raise ConfigurationError(f"samples must be (S, {n}), got {x.shape}")
+    if m == 0 and t.shape == (x.shape[0], 0):  # empty frames are written as S empty lists
+        t = t.reshape(x.shape[0], 0, n)
     if t.shape != (x.shape[0], m, n):
         raise ConfigurationError(f"tangents must be ({x.shape[0]}, {m}, {n}), got {t.shape}")
     proj = np.broadcast_to(np.eye(n), (x.shape[0], n, n)) - np.einsum("smi,smj->sij", t, t)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cometric import jsonio
+from cometric import jsonio, shapes
 from cometric.cli import main
 
 
@@ -69,6 +69,23 @@ def test_curvature_shape(tmp_path, spec_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["samples"] == 12
     assert np.isfinite(payload["breakdown"]["total"])
+
+
+def test_curvature_shape_of_a_landmark_cloud_matches_curvature_landmark(tmp_path, spec_file, capsys):
+    """A landmark cloud written as an ``m = 0`` shape file gives the landmark
+    breakdown for the same ``q`` and ``p`` (criterion 8 through the CLI)."""
+    q = np.array([[0.0, 0.0], [1.0, 0.2], [-0.3, 0.8]])
+    p = np.array([[0.1, 0.0], [0.0, -0.2], [0.3, 0.1]])
+    cloud = tmp_path / "cloud.json"
+    cloud.write_text(jsonio.dumps(shapes.shape_to_json(shapes.landmark_shape(q), p)))
+    state = _write_state(tmp_path, "cloud_state.json", 2, q.tolist(), p.tolist())
+    assert main(["curvature", "shape", "--spec", spec_file, "--shape", str(cloud)]) == 0
+    shape = json.loads(capsys.readouterr().out)["breakdown"]
+    assert main(["curvature", "landmark", "--spec", spec_file, "--state", state]) == 0
+    want = json.loads(capsys.readouterr().out)["breakdown"]
+    assert shape.keys() == want.keys()
+    for key, value in want.items():
+        assert shape[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
 
 def test_geodesic_shoot_csv(tmp_path, spec_file, capsys):
@@ -150,20 +167,21 @@ def test_validate_tolerance_override_fails_suite(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["validate", "--tol-override", "nonsense=1"])
-    assert info.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as info:
-        main(["kernel"])
-    assert info.value.code == 2
-    capsys.readouterr()
-    # --threads, --seed and --tol-override exist only where they are read
-    with pytest.raises(SystemExit) as info:
-        main(["curvature", "chart", "--cometric", "catalog:sphere", "--point", "0.1,0.2",
-              "--alpha", "1,0", "--beta", "0,1", "--threads", "2"])
-    assert info.value.code == 2
-    capsys.readouterr()
+    for argv in (
+        ["validate", "--tol-override", "nonsense=1"],
+        ["validate", "--tol-override", "foo"],
+        ["validate", "--tol-override", "m0_reduction=abc"],
+        ["kernel"],
+        ["kernel", "eval", "--spec", "spec.json", "--r", "1,x"],
+        # --threads, --seed and --tol-override exist only where they are read
+        ["curvature", "chart", "--cometric", "catalog:sphere", *CHART, "--threads", "2"],
+        # RK4 is the only integrator: there is no --method to choose one
+        ["geodesic", "shoot", "--spec", "spec.json", "--state", "state.json", "--method", "rk4"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
 def test_computation_error_exits_1(tmp_path, spec_file, capsys):
@@ -320,6 +338,12 @@ def _raw(tmp_path, data):
     return str(path)
 
 
+def _chart(tmp_path, **fields):
+    path = tmp_path / "bad_cometric.json"
+    path.write_text(json.dumps({"dim": 2, "entries": {"1,1": "1", "2,2": "1"}, **fields}))
+    return ["curvature", "chart", "--cometric", str(path), *CHART]
+
+
 PAIR = [[0.0, 0.0], [1.0, 0.0]]
 CHART = ["--point", "0.1,0.2", "--alpha", "1,0", "--beta", "0,1"]
 MALFORMED = {
@@ -353,6 +377,30 @@ MALFORMED = {
     "overflowing pair distance": (lambda d, s: ["curvature", "landmark", "--spec", s,
                                                 "--state", _state(d, [[0.0, 0.0], [1e200, 0.0]], PAIR)],
                                   "error: landmarks are too far apart: a pair distance overflows"),
+    "trajectory too long to allocate": (lambda d, s: ["geodesic", "shoot", "--spec", s, "--state", _state(d, PAIR, PAIR),
+                                                      "--dt", "1e-300"],
+                                        "error: cannot allocate a trajectory of 1e+300 states"),
+    "shape without momenta": (lambda d, s: ["curvature", "shape", "--spec", s, "--shape",
+                                            _raw(d, jsonio.dumps(shapes.shape_to_json(shapes.make_circle(8))).encode())],
+                              "error: shape file carries no momenta"),
+    "match sizes differ": (lambda d, s: ["match", "--spec", s, "--source", _state(d, PAIR),
+                                         "--target", _write_state(d, "tgt.json", 2, [*PAIR, [0, 1]], [[0, 0]] * 3)],
+                           "error: source and target disagree"),
+    "circle center size": (lambda d, s: ["shape", "make", "--samples", "8", "--center", "1,2,3"],
+                           "error: circle center needs 2 coordinates, got 3"),
+    "chart without dim": (lambda d, s: ["curvature", "chart", "--cometric", _raw(d, b'{"entries": {}}'), *CHART],
+                          "error: cometric JSON needs 'dim' and 'entries'"),
+    "chart dim 0": (lambda d, s: _chart(d, dim=0), "error: bad cometric dimension 0"),
+    "chart entries list": (lambda d, s: _chart(d, entries=["1", "1"]), "error: 'entries' must be an object"),
+    "chart entry key": (lambda d, s: _chart(d, entries={"a,b": "1"}), "error: bad entry key 'a,b'"),
+    "chart entry number": (lambda d, s: _chart(d, entries={"1,1": 1, "2,2": "1"}),
+                           "error: entry '1,1' must be an expression string"),
+    "chart variable beyond dim": (lambda d, s: _chart(d, entries={"1,1": "1 + x3^2", "2,2": "1"}),
+                                  "error: entry (1,1) uses x3 but the chart has dimension 2"),
+    "chart unclosed parenthesis": (lambda d, s: _chart(d, entries={"1,1": "(x1", "2,2": "1"}),
+                                   "error: expected ')' (at offset 3)"),
+    "chart trailing input": (lambda d, s: _chart(d, entries={"1,1": "x1 x2", "2,2": "1"}),
+                             "error: unexpected trailing input 'x2' (at offset 3)"),
 }
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from cometric import dynamics, kernels, landmark, shapes
 from cometric.dynamics import (
-    HamiltonianSystem,
     IntegratorConfig,
     integrate,
     landmark_system,
@@ -14,7 +13,6 @@ from cometric.dynamics import (
     shoot,
 )
 from cometric.errors import (
-    ConditioningError,
     ConfigurationError,
     DegenerateConfigurationError,
     DivergenceError,
@@ -31,8 +29,10 @@ def test_config_validation():
         IntegratorConfig(dt=-0.1, t_final=1.0)
     with pytest.raises(ConfigurationError):
         IntegratorConfig(dt=0.3, t_final=1.0)  # not an integer multiple
-    with pytest.raises(ConfigurationError):
-        IntegratorConfig(dt=0.1, t_final=1.0, method="euler")
+    with pytest.raises(ConfigurationError, match="t_final must be positive"):
+        IntegratorConfig(dt=0.1, t_final=0.0)
+    with pytest.raises(ConfigurationError, match="t_final must be positive"):
+        IntegratorConfig(dt=0.1, t_final=float("inf"))
     assert IntegratorConfig(dt=1e-3, t_final=1.0).steps == 1000
 
 
@@ -75,33 +75,6 @@ def test_conservation_report_monotone_time():
     assert len(report.hamiltonian) == len(report.t)
     assert report.linear.shape == (len(report.t), 2)
     assert report.angular.shape == (len(report.t), 1)
-
-
-def test_implicit_midpoint_conserves_reasonably():
-    metric = LandmarkMetric(SPEC, 2, 2)
-    system = landmark_system(metric)
-    y0 = np.array([[[-0.25, 0.0], [0.25, 0.0]], [[0.0, 1.5], [0.0, -1.5]]])
-    _, report = integrate(
-        system, y0, IntegratorConfig(dt=1e-2, t_final=1.0, method="implicit_midpoint")
-    )
-    assert report.energy_drift < 1e-6
-    assert report.linear_drift < 1e-12
-
-
-def test_implicit_midpoint_non_convergence_raises():
-    """For ydot = -2y at dt = 1 the midpoint fixed-point map is z -> -z: it
-    neither converges nor diverges, so the 100-iteration cap is what stops it."""
-    def rhs(y):
-        return -2.0 * y
-
-    def observe(y):
-        return {"H": 0.0, "linear": y[1], "angular": np.zeros(0)}
-
-    system = HamiltonianSystem(rhs=rhs, observe=observe, shape=(2, 1),
-                               rhs_observe=lambda y: (rhs(y), observe(y)))
-    config = IntegratorConfig(dt=1.0, t_final=1.0, method="implicit_midpoint")
-    with pytest.raises(ConditioningError, match="did not converge"):
-        integrate(system, np.array([[1.0], [-0.5]]), config)
 
 
 def test_divergence_reports_last_good_time():
@@ -474,8 +447,7 @@ def test_rhs_observe_refuses_coincident_points_like_observe(kind):
 def test_rk4_integrate_builds_one_pair_block_per_step(kind, monkeypatch):
     """RK4 ``integrate`` builds ``4 steps + 1`` pair blocks: four stages per step,
     the first also observing the state it leaves, and the final state's own.
-    Shots build ``4 steps``; the implicit midpoint rule still observes every
-    state apart from its stages."""
+    Shots build ``4 steps``."""
     system, x, _ = _system(kind)
     y0 = np.array((x, 0.1 * x))
     config = IntegratorConfig(dt=0.05, t_final=0.5)
@@ -492,21 +464,6 @@ def test_rk4_integrate_builds_one_pair_block_per_step(kind, monkeypatch):
     del calls[:]
     dynamics._endpoint(system.rhs, y0, config)
     assert len(calls) == 4 * config.steps
-    stages = []
-
-    def rhs(y):
-        stages.append(y)
-        return system.rhs(y)
-
-    midpoint = IntegratorConfig(dt=0.05, t_final=0.5, method="implicit_midpoint")
-    del calls[:]
-    counted = HamiltonianSystem(rhs=rhs, observe=system.observe, shape=system.shape,
-                                rhs_observe=lambda y: (rhs(y), system.observe(y)))
-    integrate(counted, y0, midpoint)
-    assert len(calls) == len(stages) + midpoint.steps + 1
-    del calls[:]
-    integrate(system, y0, midpoint)
-    assert len(calls) == len(stages) + midpoint.steps + 1
 
 
 @pytest.mark.parametrize("kind", ["landmark", "curve"])

@@ -1,5 +1,7 @@
 """Discrete submanifolds: frames, weights, normal projections, curvature."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,23 @@ def test_landmark_shape_is_zero_dimensional():
     assert shape.tangents.shape == (2, 0, 2)
     # projectors are identities: every direction is normal
     assert np.allclose(shape.projectors, np.broadcast_to(np.eye(2), (2, 2, 2)))
+
+
+def test_landmark_shape_round_trips_through_json():
+    """An ``m = 0`` shape writes its empty frames as ``S`` empty lists; reading
+    them back restores the ``(S, 0, n)`` frames, the identity projectors and
+    the momenta."""
+    q = np.array([[0.0, 0.0], [1.0, 0.2], [-0.3, 0.8]])
+    a = np.array([[0.1, 0.0], [0.0, -0.2], [0.3, 0.1]])
+    cloud = shapes.landmark_shape(q)
+    obj = json.loads(json.dumps(shapes.shape_to_json(cloud, a)))
+    assert obj["tangents"] == [[], [], []]
+    shape, mom = shapes.shape_from_json(obj)
+    assert shape.m == 0
+    for field in ("x", "w", "tangents", "projectors"):
+        assert np.array_equal(getattr(shape, field), getattr(cloud, field)), field
+        assert getattr(shape, field).shape == getattr(cloud, field).shape, field
+    assert np.array_equal(mom, a)
 
 
 def test_shape_validation():
