@@ -37,7 +37,7 @@ from .dynamics import IntegratorConfig, integrate, landmark_system, match
 from .errors import ConfigurationError, GeometryError
 from .kernels import kernel_grad, kernel_hess, kernel_value, spec_from_json, spec_to_json
 from .landmark import LandmarkMetric, curvature as landmark_curvature, state_from_json
-from .validation import TOLERANCES, render_table, run_suites
+from .validation import render_table, run_suites
 
 
 def _vector(text: str) -> np.ndarray:
@@ -47,18 +47,16 @@ def _vector(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _tol_override(text: str) -> tuple[str, float]:
-    name, sep, value = text.partition("=")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected name=value, got {text!r}")
-    if name not in TOLERANCES:
-        raise argparse.ArgumentTypeError(
-            f"unknown tolerance {name!r}; known: {', '.join(sorted(TOLERANCES))}"
-        )
-    try:
-        return name, float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"tolerance value must be a number, got {value!r}") from exc
+def _int_at_least(least: int):
+    """Argparse type: an integer no smaller than ``least``."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= least:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+    return parse
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -212,7 +210,7 @@ def _cmd_oneill_check(args) -> int:
         x = submersion.random_point(case, rng)
         alpha = rng.standard_normal(case.base.dim)
         beta = rng.standard_normal(case.base.dim)
-        rec = submersion.oneill_check(case, x, alpha, beta, mode=args.mode)
+        rec = submersion.oneill_check(case, x, alpha, beta)
         worst = max(worst, abs(rec.residual))
         records.append({
             "x": rec.x,
@@ -224,32 +222,23 @@ def _cmd_oneill_check(args) -> int:
             "base_sectional": rec.base_sectional,
             "total_sectional": rec.total_sectional,
         })
-    payload = {"case": case.name, "mode": args.mode, "records": records, "max_residual": worst}
+    # the bracket is always exact; "mode" stays so the output format does not change
+    payload = {"case": case.name, "mode": "exact", "records": records, "max_residual": worst}
     _emit(jsonio.dumps(payload), args.out)
     return 0
 
 
 def _cmd_shape_make(args) -> int:
-    if args.kind == "circle":
-        center = args.center if args.center is not None else np.zeros(2)
-        if center.size != 2:
-            raise ConfigurationError(f"circle center needs 2 coordinates, got {center.size}")
-        shape = shapes.make_circle(args.samples, radius=args.radius, center=tuple(center))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigurationError(f"unknown shape kind {args.kind!r}")
+    center = args.center if args.center is not None else np.zeros(2)
+    if center.size != 2:
+        raise ConfigurationError(f"circle center needs 2 coordinates, got {center.size}")
+    shape = shapes.make_circle(args.samples, radius=args.radius, center=tuple(center))
     _emit(jsonio.dumps(shapes.shape_to_json(shape)), args.out)
     return 0
 
 
 def _cmd_validate(args) -> int:
-    overrides = dict(args.tol_override) if args.tol_override else None
-    results = run_suites(
-        args.suite or None,
-        seed=args.seed,
-        threads=args.threads,
-        quick=args.quick,
-        overrides=overrides,
-    )
+    results = run_suites(args.suite or None, seed=args.seed, threads=args.threads, quick=args.quick)
     _emit(render_table(results), args.out)
     return 0 if all(r.passed for r in results) else 1
 
@@ -319,28 +308,21 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", required=True, metavar="action")
     oc = oneill.add_parser("check", parents=[common], help="submersion residuals at random points")
     oc.add_argument("--case", required=True, choices=("flat", "product", "hopf"))
-    oc.add_argument("--trials", type=int, default=10, help="number of random points (default 10)")
-    oc.add_argument("--seed", type=int, default=0, help="seed for the random points (default 0)")
-    oc.add_argument("--mode", choices=("exact", "fd"), default="exact",
-                    help="lift-bracket derivative mode")
+    oc.add_argument("--trials", type=_int_at_least(1), default=10, help="number of random points (default 10)")
+    oc.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the random points (default 0)")
     oc.set_defaults(func=_cmd_oneill_check)
 
     shp = groups.add_parser("shape", help="shape generation").add_subparsers(
         dest="action", required=True, metavar="action")
-    sm = shp.add_parser("make", parents=[common], help="generate a discrete shape")
-    sm.add_argument("--kind", choices=("circle",), default="circle")
+    sm = shp.add_parser("make", parents=[common], help="generate a circle as a discrete shape")
     sm.add_argument("--samples", required=True, type=int, help="number of quadrature samples")
     sm.add_argument("--radius", type=float, default=1.0)
     sm.add_argument("--center", type=_vector, default=None, help="center, comma-separated (default 0,0)")
     sm.set_defaults(func=_cmd_shape_make)
 
     va = groups.add_parser("validate", parents=[common], help="run the validation suites")
-    va.add_argument("--seed", type=int, default=0, help="seed for randomized suites (default 0)")
+    va.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for randomized suites (default 0)")
     va.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
-    va.add_argument(
-        "--tol-override", type=_tol_override, action="append", metavar="NAME=VALUE",
-        help="override a named validation tolerance (repeatable)",
-    )
     va.add_argument("--quick", action="store_true", help="smaller random suites")
     va.add_argument("--suite", action="append", choices=sorted(validation.SUITES),
                     help="run only this suite (repeatable)")

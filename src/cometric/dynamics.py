@@ -34,6 +34,9 @@ from .kernels import KernelSpec
 from . import shapes as shapes_mod
 
 
+MAX_STEPS = 10**7  # 2 500 times the longest integration of any suite (conservation, 4 000 steps)
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
@@ -44,7 +47,10 @@ class IntegratorConfig:
             raise ConfigurationError(f"dt must be positive, got {self.dt!r}")
         if self.t_final <= 0 or not math.isfinite(self.t_final):
             raise ConfigurationError(f"t_final must be positive, got {self.t_final!r}")
-        n = round(self.t_final / self.dt)
+        ratio = self.t_final / self.dt
+        if not ratio < MAX_STEPS + 0.5:  # before round(), which refuses an infinite ratio
+            raise ConfigurationError(f"{ratio:.4g} steps (t_final / dt) exceed the limit of {MAX_STEPS:.0e}")
+        n = round(ratio)
         if n < 1 or abs(n * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise ConfigurationError(f"t_final={self.t_final} is not an integer multiple of dt={self.dt}")
 

@@ -13,9 +13,8 @@ with the total numerator evaluated on the pulled-back coforms ``J^T alpha``
 the squared metric norm of the vertical part of the bracket of the two
 horizontal lift fields.  ``oneill_check`` reports all three and the residual.
 
-The bracket derivative is exact by default (the lift fields differentiate
-through the jet and the projection's :func:`dsl.jet`); ``mode="fd"`` keeps the
-plain central-difference route for cross-checks.
+The bracket derivative is exact: the lift fields differentiate through the
+jet and the projection's :func:`dsl.jet`.
 
 Catalog: ``flat`` (plane onto a line), ``product`` (curved x flat-ish factor
 with zero vertical term), ``hopf`` (round 3-sphere onto the radius-1/2 sphere;
@@ -36,8 +35,6 @@ from .charts import CometricDef, cometric_jet, euclidean, sphere_stereographic
 from .curvature import numerator_coordinate
 from .errors import ConfigurationError, MetricDegeneracyError
 from .jets import CometricJet
-
-_EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -92,16 +89,6 @@ def check_case(case: SubmersionCase, x: np.ndarray) -> float:
     return dev
 
 
-def pullback_sharp(case: SubmersionCase, x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Horizontal lift ``L_alpha(x) = G_E(x) J(x)^T alpha`` of a base coform."""
-    x = np.asarray(x, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (case.base.dim,):
-        raise ConfigurationError(f"base coform must have shape ({case.base.dim},), got {alpha.shape}")
-    jet_e = cometric_jet(case.total, x)
-    return jet_e.ginv @ (case.jacobian(x).T @ alpha)
-
-
 def _lift_bracket_exact(jet_e: CometricJet, jac: np.ndarray, djac: np.ndarray,
                         alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """[L_alpha, L_beta](x) with exact field derivatives:
@@ -117,23 +104,6 @@ def _lift_bracket_exact(jet_e: CometricJet, jac: np.ndarray, djac: np.ndarray,
     return la @ dlb - lb @ dla  # sum_s L_a^s d_s L_b - (a <-> b)
 
 
-def _lift_bracket_fd(case: SubmersionCase, x: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Same bracket by central differences of the lift fields, step
-    ``eps^(1/3) (1 + |x|)``."""
-    d = case.total.dim
-    h = _EPS_CBRT * (1.0 + float(np.linalg.norm(x)))
-    la = pullback_sharp(case, x, alpha)
-    lb = pullback_sharp(case, x, beta)
-    dla = np.empty((d, d))
-    dlb = np.empty((d, d))
-    for s in range(d):
-        step = np.zeros(d)
-        step[s] = h
-        dla[s] = (pullback_sharp(case, x + step, alpha) - pullback_sharp(case, x - step, alpha)) / (2 * h)
-        dlb[s] = (pullback_sharp(case, x + step, beta) - pullback_sharp(case, x - step, beta)) / (2 * h)
-    return la @ dlb - lb @ dla
-
-
 @dataclass(frozen=True)
 class OneillRecord:
     x: np.ndarray
@@ -147,8 +117,7 @@ class OneillRecord:
     total_sectional: float | None
 
 
-def oneill_check(case: SubmersionCase, x: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
-                 *, mode: str = "exact") -> OneillRecord:
+def oneill_check(case: SubmersionCase, x: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> OneillRecord:
     """Evaluate both sides of the curvature-of-a-submersion identity at ``x``
     for constant base coforms ``alpha``, ``beta``."""
     x = np.asarray(x, dtype=float)
@@ -161,12 +130,7 @@ def oneill_check(case: SubmersionCase, x: np.ndarray, alpha: np.ndarray, beta: n
     base_bd = numerator_coordinate(jet_b, alpha, beta)
     total_bd = numerator_coordinate(jet_e, jac.T @ alpha, jac.T @ beta)
 
-    if mode == "exact":
-        w = _lift_bracket_exact(jet_e, jac, djac, alpha, beta)
-    elif mode == "fd":
-        w = _lift_bracket_fd(case, x, alpha, beta)
-    else:
-        raise ConfigurationError(f"unknown bracket mode {mode!r} (want 'exact' or 'fd')")
+    w = _lift_bracket_exact(jet_e, jac, djac, alpha, beta)
 
     # Orthogonal projection onto the horizontal space H = G_E J^T (base coforms).
     mid = jac @ jet_e.ginv @ jac.T

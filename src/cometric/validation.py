@@ -6,8 +6,8 @@ classical Christoffel-symbol computation, conservation laws along geodesics,
 and so on.  Suites are deterministic for a fixed seed and are runnable from
 the command line (``cometric validate``) or from tests.
 
-Tolerances live in :data:`TOLERANCES` and can be overridden per run, which is
-occasionally useful when experimenting with rougher kernels or coarser grids.
+Each suite is ``suite(seed, quick)``; it fixes its own kernels and grids and
+gates on the shipped tolerances in :data:`TOLERANCES`.
 """
 
 from __future__ import annotations
@@ -152,9 +152,9 @@ def conservation_states() -> list[tuple[str, LandmarkMetric, np.ndarray, np.ndar
 # Suites
 
 
-def suite_kernel_oracle(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool, str]:
+def suite_kernel_oracle(seed: int, quick: bool) -> tuple[bool, str]:
     """Closed-form Bessel kernels against the Fourier quadrature oracle."""
-    tol = tols["kernel_oracle"]
+    tol = TOLERANCES["kernel_oracle"]
     radii = np.linspace(0.05, 4.0, 20)
     worst = 0.0
     for n, l in ((1, 2), (1, 3), (3, 3)):
@@ -183,14 +183,14 @@ def _christoffel_cases(
     return cases
 
 
-def suite_christoffel(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool, str]:
+def suite_christoffel(seed: int, quick: bool) -> tuple[bool, str]:
     """Coordinate curvature numerator against the Christoffel/Riemann oracle.
 
     Runs both oracle modes: exact metric jets, and finite-difference
     Christoffel derivatives (fully independent of the forward-mode second
     derivatives that feed the numerator).
     """
-    tol = tols["christoffel"]
+    tol = TOLERANCES["christoffel"]
     worst = 0.0
     for defn, jet, alpha, beta in _christoffel_cases(seed, quick):
         value = numerator_coordinate(jet, alpha, beta).total
@@ -204,9 +204,9 @@ def suite_christoffel(tols: dict[str, float], seed: int, quick: bool) -> tuple[b
     return worst <= tol, f"max scaled |coordinate - oracle| = {worst:.3e} (tol {tol:.1e})"
 
 
-def suite_curvature_forms(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool, str]:
+def suite_curvature_forms(seed: int, quick: bool) -> tuple[bool, str]:
     """Pairwise agreement of the three curvature-numerator forms."""
-    tol = tols["three_way"]
+    tol = TOLERANCES["three_way"]
     worst = 0.0
     for _, jet, alpha, beta in _christoffel_cases(seed, quick):
         coord = numerator_coordinate(jet, alpha, beta)
@@ -226,9 +226,9 @@ def suite_curvature_forms(tols: dict[str, float], seed: int, quick: bool) -> tup
     return worst <= tol, f"max scaled pairwise gap = {worst:.3e} (tol {tol:.1e})"
 
 
-def suite_constant_curvature(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool, str]:
+def suite_constant_curvature(seed: int, quick: bool) -> tuple[bool, str]:
     """Round sphere k = +1 and hyperbolic half-plane k = -1 at random points."""
-    tol = tols["constant_curvature"]
+    tol = TOLERANCES["constant_curvature"]
     rng = np.random.default_rng(seed)
     count = 5 if quick else 10
     worst = 0.0
@@ -249,10 +249,10 @@ def suite_constant_curvature(tols: dict[str, float], seed: int, quick: bool) -> 
     return worst <= tol, f"max |k - k_ref| = {worst:.3e} (tol {tol:.1e})"
 
 
-def suite_oneill(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool, str]:
+def suite_oneill(seed: int, quick: bool) -> tuple[bool, str]:
     """Submersion residuals: flat product and the two-to-one sphere map."""
-    tol_prod = tols["oneill_product"]
-    tol_hopf = tols["oneill_hopf"]
+    tol_prod = TOLERANCES["oneill_product"]
+    tol_hopf = TOLERANCES["oneill_hopf"]
     rng = np.random.default_rng(seed)
     count = 5 if quick else 10
     worst_prod = 0.0
@@ -283,15 +283,15 @@ def suite_oneill(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool, 
     )
 
 
-def suite_landmark_identity(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool, str]:
+def suite_landmark_identity(seed: int, quick: bool) -> tuple[bool, str]:
     """Specialized landmark curvature against chart-level routes.
 
     Three routes are compared: the closed-form landmark terms, the coordinate
     numerator on the assembled landmark cometric jet, and the
     finite-difference Christoffel oracle on the same jet.
     """
-    tol_chart = tols["landmark_chart"]
-    tol_oracle = tols["landmark_oracle"]
+    tol_chart = TOLERANCES["landmark_chart"]
+    tol_oracle = TOLERANCES["landmark_oracle"]
     rng = np.random.default_rng(seed)
     kernels = {
         1: [KernelSpec("sobolev_bessel", n=1, l=2), KernelSpec("sobolev_bessel", n=1, l=3)],
@@ -341,7 +341,7 @@ def suite_landmark_identity(tols: dict[str, float], seed: int, quick: bool) -> t
     )
 
 
-def suite_conservation(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool, str]:
+def suite_conservation(seed: int, quick: bool) -> tuple[bool, str]:
     """Geodesic conservation laws and fourth-order step-halving ratio."""
     parts = []
     ok = True
@@ -355,9 +355,9 @@ def suite_conservation(tols: dict[str, float], seed: int, quick: bool) -> tuple[
             for dt in (5e-4, 2.5e-4):
                 ends.append(_endpoint(system.rhs, y0, IntegratorConfig(dt=dt, t_final=1.0)))
         good = (
-            report.energy_drift <= tols["energy_drift"]
-            and report.linear_drift <= tols["linear_drift"]
-            and report.angular_drift <= tols["angular_drift"]
+            report.energy_drift <= TOLERANCES["energy_drift"]
+            and report.linear_drift <= TOLERANCES["linear_drift"]
+            and report.angular_drift <= TOLERANCES["angular_drift"]
         )
         ok = ok and good
         parts.append(
@@ -367,14 +367,15 @@ def suite_conservation(tols: dict[str, float], seed: int, quick: bool) -> tuple[
     ratio = float(
         np.max(np.abs(ends[0] - ends[1])) / np.max(np.abs(ends[1] - ends[2]))
     )
-    ok = ok and tols["halving_low"] <= ratio <= tols["halving_high"]
-    parts.append(f"halving ratio {ratio:.2f} (window [{tols['halving_low']:g}, {tols['halving_high']:g}])")
+    low, high = TOLERANCES["halving_low"], TOLERANCES["halving_high"]
+    ok = ok and low <= ratio <= high
+    parts.append(f"halving ratio {ratio:.2f} (window [{low:g}, {high:g}])")
     return ok, "; ".join(parts)
 
 
-def suite_m0_reduction(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool, str]:
+def suite_m0_reduction(seed: int, quick: bool) -> tuple[bool, str]:
     """Zero-dimensional shapes must reproduce the landmark operations."""
-    tol = tols["m0_reduction"]
+    tol = TOLERANCES["m0_reduction"]
     rng = np.random.default_rng(seed)
     spec = KernelSpec("sobolev_bessel", n=3, l=3, A=0.8, c=1.0)
     p = 3
@@ -410,9 +411,9 @@ def suite_m0_reduction(tols: dict[str, float], seed: int, quick: bool) -> tuple[
     return worst <= tol, f"max landmark gap = {worst:.3e} (tol {tol:.1e})"
 
 
-def suite_refinement(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool, str]:
+def suite_refinement(seed: int, quick: bool) -> tuple[bool, str]:
     """Curvature under circle refinement, and normality transport on a geodesic."""
-    tol_norm = tols["normality"]
+    tol_norm = TOLERANCES["normality"]
     spec = KernelSpec("sobolev_bessel", n=3, l=3, A=0.5, c=1.0)
     totals = []
     for samples in (32, 64, 128):
@@ -440,10 +441,10 @@ def suite_refinement(tols: dict[str, float], seed: int, quick: bool) -> tuple[bo
     )
 
 
-def suite_matching(tols: dict[str, float], seed: int, quick: bool) -> tuple[bool, str]:
+def suite_matching(seed: int, quick: bool) -> tuple[bool, str]:
     """Geodesic boundary-value matching: closed form and round-trip recovery."""
-    tol_single = tols["match_single"]
-    tol_round = tols["match_roundtrip"]
+    tol_single = TOLERANCES["match_single"]
+    tol_round = TOLERANCES["match_roundtrip"]
     spec = _normalized_bessel(3, 3, 1.0)
     config = IntegratorConfig(dt=1e-2, t_final=1.0)
     single = LandmarkMetric(spec, 1, 2)
@@ -493,30 +494,22 @@ def run_suites(
     seed: int = 0,
     threads: int = 1,
     quick: bool = False,
-    overrides: dict[str, float] | None = None,
 ) -> list[SuiteResult]:
     """Run validation suites and return their results in registry order.
 
     ``names`` selects a subset (default: all).  ``threads`` > 1 runs suites
-    concurrently; results keep registry order regardless.  ``overrides``
-    replaces individual entries of :data:`TOLERANCES` for this run only.
+    concurrently; results keep registry order regardless.
     """
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise KeyError("unknown suite(s): " + ", ".join(sorted(unknown)))
-    tols = dict(TOLERANCES)
-    if overrides:
-        bad = [k for k in overrides if k not in TOLERANCES]
-        if bad:
-            raise KeyError("unknown tolerance(s): " + ", ".join(sorted(bad)))
-        tols.update(overrides)
 
     def run_one(name: str) -> SuiteResult:
         start = time.perf_counter()
         try:
-            passed, detail = SUITES[name](tols, seed, quick)
+            passed, detail = SUITES[name](seed, quick)
         except GeometryError as exc:
             passed, detail = False, f"error: {exc}"
         return SuiteResult(name, passed, detail, time.perf_counter() - start)

@@ -13,7 +13,7 @@ from cometric.christoffel import (
     sectional_numerator_oracle,
 )
 from cometric.curvature import numerator_coordinate
-from cometric.validation import TOLERANCES, random_cometric, suite_christoffel
+from cometric.validation import random_cometric, suite_christoffel
 
 
 def test_euclidean_christoffel_vanishes():
@@ -104,5 +104,5 @@ def test_oracle_modes_agree():
 def test_christoffel_suite_passes_at_seed_32():
     """The five-point stencil keeps the fd oracle inside the shipped 1e-7 at
     the seed where a two-point stencil missed it (1.4e-7)."""
-    ok, detail = suite_christoffel(TOLERANCES, 32, quick=False)
+    ok, detail = suite_christoffel(32, quick=False)
     assert ok, detail

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cometric import jsonio, shapes
+from cometric import jsonio, shapes, validation
 from cometric.cli import main
 
 
@@ -157,26 +157,32 @@ def test_validate_quick_suite(capsys):
     assert "constant_curvature" in out and "m0_reduction" in out and "FAIL" not in out
 
 
-def test_validate_tolerance_override_fails_suite(capsys):
-    code = main([
-        "validate", "--quick", "--suite", "kernel_oracle",
-        "--tol-override", "kernel_oracle=1e-30",
-    ])
+def test_validate_tolerance_override_fails_suite(capsys, monkeypatch):
+    """A suite that fails its gate fails ``validate``: exit 1 and a FAIL row."""
+    monkeypatch.setitem(validation.TOLERANCES, "kernel_oracle", 1e-30)
+    code = main(["validate", "--quick", "--suite", "kernel_oracle"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
 
 
 def test_usage_errors_exit_2(capsys):
     for argv in (
-        ["validate", "--tol-override", "nonsense=1"],
-        ["validate", "--tol-override", "foo"],
-        ["validate", "--tol-override", "m0_reduction=abc"],
         ["kernel"],
         ["kernel", "eval", "--spec", "spec.json", "--r", "1,x"],
-        # --threads, --seed and --tol-override exist only where they are read
+        # --threads and --seed exist only where they are read
         ["curvature", "chart", "--cometric", "catalog:sphere", *CHART, "--threads", "2"],
         # RK4 is the only integrator: there is no --method to choose one
         ["geodesic", "shoot", "--spec", "spec.json", "--state", "state.json", "--method", "rk4"],
+        # the bracket is always exact, the gates are the shipped tolerances, the shape is a circle
+        ["oneill", "check", "--case", "hopf", "--mode", "fd"],
+        ["validate", "--tol-override", "kernel_oracle=1"],
+        ["shape", "make", "--samples", "8", "--kind", "circle"],
+        # seeds are non-negative, trial counts positive
+        ["oneill", "check", "--case", "flat", "--seed", "-1"],
+        ["oneill", "check", "--case", "flat", "--seed", "1.5"],
+        ["oneill", "check", "--case", "flat", "--trials", "0"],
+        ["oneill", "check", "--case", "flat", "--trials", "-3"],
+        ["validate", "--suite", "m0_reduction", "--seed", "-1"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -379,7 +385,28 @@ MALFORMED = {
                                   "error: landmarks are too far apart: a pair distance overflows"),
     "trajectory too long to allocate": (lambda d, s: ["geodesic", "shoot", "--spec", s, "--state", _state(d, PAIR, PAIR),
                                                       "--dt", "1e-300"],
-                                        "error: cannot allocate a trajectory of 1e+300 states"),
+                                        "error: 1e+300 steps (t_final / dt) exceed the limit of 1e+07"),
+    "match with too many steps": (lambda d, s: ["match", "--spec", s, "--source", _state(d, PAIR),
+                                                "--target", _state(d, PAIR), "--dt", "1e-300"],
+                                  "error: 1e+300 steps (t_final / dt) exceed the limit of 1e+07"),
+    "match with infinitely many steps": (lambda d, s: ["match", "--spec", s, "--source", _state(d, PAIR),
+                                                       "--target", _state(d, PAIR), "--dt", "5e-324"],
+                                         "error: inf steps (t_final / dt) exceed the limit of 1e+07"),
+    "shape samples not (S, n)": (lambda d, s: ["curvature", "shape", "--spec", s, "--shape",
+                                               _shape(d, samples=[[1, 0, 0], [0, 1, 0], [-1, 0, 0]])],
+                                 "error: samples must be (S, 2), got (3, 3)"),
+    "shape tangents shape": (lambda d, s: ["curvature", "shape", "--spec", s, "--shape",
+                                           _shape(d, tangents=[[0, 1], [-1, 0], [0, -1]])],
+                             "error: tangents must be (3, 1, 2), got (3, 2)"),
+    "shape momenta shape": (lambda d, s: ["curvature", "shape", "--spec", s, "--shape",
+                                          _shape(d, momenta=[[1, 0], [0, 1]])],
+                            "error: momenta must be (3, 2), got (2, 2)"),
+    "state D 0": (lambda d, s: ["geodesic", "shoot", "--spec", s, "--state", _raw(d, b'{"D": 0, "q": [[0, 0]]}')],
+                  "error: bad ambient dimension 0"),
+    "spec n 0": (lambda d, s: ["geodesic", "shoot", "--spec", _spec(d, n=0), "--state", _state(d, PAIR)],
+                 "error: kernel dimension n must be a positive integer, got 0"),
+    "spec l 0": (lambda d, s: ["geodesic", "shoot", "--spec", _spec(d, l=0), "--state", _state(d, PAIR)],
+                 "error: Bessel kernel needs an integer exponent l >= 1, got 0"),
     "shape without momenta": (lambda d, s: ["curvature", "shape", "--spec", s, "--shape",
                                             _raw(d, jsonio.dumps(shapes.shape_to_json(shapes.make_circle(8))).encode())],
                               "error: shape file carries no momenta"),

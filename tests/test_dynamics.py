@@ -36,6 +36,26 @@ def test_config_validation():
     assert IntegratorConfig(dt=1e-3, t_final=1.0).steps == 1000
 
 
+def test_config_refuses_more_than_max_steps():
+    """The step count is bounded before anything steps: ``shoot`` and
+    ``match`` allocate nothing per step, so without the bound a tiny ``dt``
+    would never return.  An infinite ratio is refused the same way."""
+    assert IntegratorConfig(dt=1e-7, t_final=1.0).steps == dynamics.MAX_STEPS
+    with pytest.raises(ConfigurationError, match=r"^1e\+08 steps \(t_final / dt\) exceed the limit of 1e\+07$"):
+        IntegratorConfig(dt=1e-8, t_final=1.0)
+    with pytest.raises(ConfigurationError, match=r"^inf steps"):
+        IntegratorConfig(dt=5e-324, t_final=1.0)
+
+
+def test_integrate_refuses_a_trajectory_it_cannot_allocate():
+    """A trajectory beyond numpy's largest array is refused by name.  The
+    initial state is a broadcast view, so nothing is allocated on the way."""
+    system = dynamics.HamiltonianSystem(rhs=None, observe=None, shape=(2, 10**8, 10**9), rhs_observe=None)
+    y0 = np.broadcast_to(0.0, system.shape)
+    with pytest.raises(ConfigurationError, match=r"^cannot allocate a trajectory of 11 states of shape \(2, 100000000"):
+        integrate(system, y0, IntegratorConfig(dt=0.1, t_final=1.0))
+
+
 def test_single_landmark_travels_in_a_straight_line():
     """One landmark feels no interaction: q(T) = q(0) + K(0) p T exactly."""
     metric = LandmarkMetric(SPEC, 1, 2)
