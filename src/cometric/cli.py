@@ -59,6 +59,16 @@ def _int_at_least(least: int):
     return parse
 
 
+def _non_negative(text: str) -> float:
+    """Argparse type: a number no smaller than 0 (NaN is not)."""
+    try:
+        if float(text) >= 0.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+
+
 def _emit(text: str, out: str | None) -> None:
     text = text if text.endswith("\n") else text + "\n"
     if out is None:
@@ -300,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     ma.add_argument("--target", required=True, help="landmark state JSON file (target q)")
     ma.add_argument("--T", type=float, default=1.0, help="final time (default 1)")
     ma.add_argument("--dt", type=float, default=1e-2, help="time step (default 1e-2)")
-    ma.add_argument("--tol", type=float, default=1e-10, help="endpoint residual tolerance")
-    ma.add_argument("--max-iter", type=int, default=50, help="Gauss-Newton iteration cap")
+    ma.add_argument("--tol", type=_non_negative, default=1e-10, help="endpoint residual tolerance")
+    ma.add_argument("--max-iter", type=_int_at_least(1), default=50, help="Gauss-Newton iteration cap")
     ma.set_defaults(func=_cmd_match)
 
     oneill = groups.add_parser("oneill", help="submersion checks").add_subparsers(
@@ -322,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     va = groups.add_parser("validate", parents=[common], help="run the validation suites")
     va.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for randomized suites (default 0)")
-    va.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    va.add_argument("--threads", type=_int_at_least(1), default=1, help="worker threads (default 1)")
     va.add_argument("--quick", action="store_true", help="smaller random suites")
     va.add_argument("--suite", action="append", choices=sorted(validation.SUITES),
                     help="run only this suite (repeatable)")

@@ -254,7 +254,9 @@ def integrate(system: HamiltonianSystem, y0: np.ndarray, config: IntegratorConfi
 
 
 # Byte budget of the pair storage of one batch of Jacobian shots.  A shot's
-# right-hand side holds about D + 8 arrays of p^2 doubles at once.
+# right-hand side holds about D + 8 arrays of p^2 doubles at once while its
+# pairs fit in one tile (``kernels.TILE_BYTES``), and a tile's rows of them
+# above that.
 SHOT_BATCH_BYTES = 2**26
 
 

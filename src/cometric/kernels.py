@@ -88,7 +88,7 @@ class KernelSpec:
             if self.l is not None:
                 raise ConfigurationError("gaussian kernel takes no exponent l")
 
-    @property
+    @functools.cached_property
     def is_curvature_grade(self) -> bool:
         """True when second-order jets exist everywhere (C^2 kernel)."""
         if self.family == GAUSSIAN_FAMILY:
@@ -138,15 +138,27 @@ def _bessel_const(spec: KernelSpec) -> float:
     )
 
 
-def _poly(k: int, t: np.ndarray) -> np.ndarray:
-    """P_k(t) by Horner's rule.  The leading coefficient is exactly 1, so the
-    first step is ``t + c_1``: the bits of ``1 * t + c_1``, one array pass fewer."""
-    coeffs = _bessel_poly(k)
+def _scaled_poly(c: float, e: np.ndarray, k: int, t: np.ndarray) -> np.ndarray:
+    """``c * (e * P_k(t))``, built in place on the fresh array of ``P_k(t)``:
+    products commute, so these are its bits with two temporaries fewer.
+    ``P_0 = 1`` exactly, so for ``k = 0`` it is ``c * e``."""
     if k == 0:
-        return coeffs[0]
+        return c * e
+    acc = _poly(k, t)
+    acc *= e
+    acc *= c
+    return acc
+
+
+def _poly(k: int, t: np.ndarray) -> np.ndarray:
+    """P_k(t), k >= 1, by Horner's rule in place on one fresh array.  The
+    leading coefficient is exactly 1, so the first step is ``t + c_1``: the
+    bits of ``1 * t + c_1``, one array pass fewer."""
+    coeffs = _bessel_poly(k)
     acc = t + coeffs[1]
     for cf in coeffs[2:]:
-        acc = acc * t + cf
+        acc *= t
+        acc += cf
     return acc
 
 
@@ -170,12 +182,16 @@ def _radial_profiles(
         cst, k, sqrt_a = spec._bessel_profile
         t = rho / sqrt_a
         e = np.exp(-t)
-        value = cst * (e * _poly(k, t))
-        g = (-cst / spec.A) * (e * _poly(k - 1, t)) if order >= 1 else None
+        value = _scaled_poly(cst, e, k, t)
+        g = _scaled_poly(-cst / spec.A, e, k - 1, t) if order >= 1 else None
         radial = None
         if order >= 2:
             tt = np.where(rho == 0.0, 1.0, t)
-            radial = (cst / spec.A**2) * (e / tt if k == 1 else e * _poly(k - 2, tt))
+            if k == 1:
+                radial = e / tt
+                radial *= cst / spec.A**2
+            else:
+                radial = _scaled_poly(cst / spec.A**2, e, k - 2, tt)
     h = None if radial is None else np.where(rho == 0.0, 0.0, radial)
     return value, g, h
 
@@ -223,24 +239,26 @@ def kernel_hess(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     return _hessian(g, h, r)
 
 
-def _pair_differences(x: np.ndarray) -> np.ndarray:
-    """``x_s - x_t`` for every pair of rows of each configuration in ``x``
-    (..., p, D), as a (..., p, p, D) view of component-major storage: each
-    component is one contiguous (p, p) array, so pair loops run in long
-    strides rather than strides of D.  The storage (..., D, p, p) is allocated
-    C-ordered, not left to numpy: ``PairBlock.contract``'s ``matmul`` picks its
-    summation path from these strides, the same for every configuration of a
-    batch as for one alone."""
-    s, xt = x.shape, x.mT
-    out = np.empty(s[:-2] + (s[-1], s[-2], s[-2]))
-    np.subtract(xt[..., :, None], xt[..., None, :], out=out)
+def _pair_differences(x: np.ndarray, rows: slice) -> np.ndarray:
+    """``x_s - x_t`` for the rows ``s`` in the slice ``rows`` and every row
+    ``t`` of each configuration in ``x`` (..., p, D), as a (..., rows, p, D)
+    view of component-major storage: each component is one contiguous
+    (rows, p) array, so pair loops run in long strides rather than strides of
+    D.  The storage (..., D, rows, p) is allocated C-ordered, not left to
+    numpy: ``PairBlock.contract``'s ``matmul`` picks its summation path from
+    these strides, the same for every configuration of a batch as for one
+    alone."""
+    xt = x.mT
+    left = xt[..., rows, None]
+    out = np.empty(left.shape[:-1] + x.shape[-2:-1])
+    np.subtract(left, xt[..., None, :], out=out)
     return out.transpose(_component_last(x.ndim))
 
 
 @functools.cache
 def _component_last(ndim: int) -> tuple[int, ...]:
-    """``transpose`` axes taking (..., D, p, p) storage of configurations with
-    ``ndim`` axes to its (..., p, p, D) view."""
+    """``transpose`` axes taking (..., D, rows, p) storage of configurations
+    with ``ndim`` axes to its (..., rows, p, D) view."""
     return (*range(ndim - 2), ndim - 1, ndim, ndim - 2)
 
 
@@ -253,28 +271,33 @@ def _pair_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class PairBlock(NamedTuple):
-    """Kernel data of every ordered pair ``(s, t)`` of a configuration, or of
-    each configuration of a batch (leading axes ``...``).
+    """Kernel data of the ordered pairs ``(s, t)`` of a configuration, or of
+    each configuration of a batch (leading axes ``...``), for the rows ``s``
+    in the slice ``rows`` and every ``t``: one row tile, or the whole block
+    (``rows`` is then ``slice(None)``).
 
-    ``diff[..., s, t, :] = x_s - x_t`` (..., p, p, D); ``value``, ``g`` and
-    ``h`` are (..., p, p) with ``K = value``, ``grad K = g diff`` and
-    ``Hess K = g I + h diff diff^T`` at ``diff[..., s, t, :]``.  ``g`` and
-    ``h`` are None above the block's order.  A named tuple: it is built once
-    per right-hand-side call, and costs a third of a frozen dataclass to build.
+    ``diff[..., i, t, :] = x_s - x_t`` for the ``i``-th row ``s`` of ``rows``
+    (..., rows, p, D); ``value``, ``g`` and ``h`` are (..., rows, p) with
+    ``K = value``, ``grad K = g diff`` and ``Hess K = g I + h diff diff^T`` at
+    ``diff[..., i, t, :]``.  ``g`` and ``h`` are None above the block's order.
+    A named tuple: it is built once per right-hand-side call, and costs a
+    third of a frozen dataclass to build.
     """
 
+    rows: slice
     diff: np.ndarray
     value: np.ndarray
     g: np.ndarray | None
     h: np.ndarray | None
 
     def contract(self, coef: np.ndarray) -> np.ndarray:
-        """``sum_t coef[..., s, t] diff[..., s, t, :]``, shape (..., p, D)."""
+        """``sum_t coef[..., s, t] diff[..., s, t, :]``, shape (..., rows, D)."""
         return np.matmul(coef[..., None, :], self.diff)[..., 0, :]
 
     def rate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pair differences ``du`` of a field ``u`` (..., p, D) and ``diff . du``."""
-        du = _pair_differences(u)
+        """Pair differences ``du`` of a field ``u`` (..., p, D) over the block's
+        pairs, and ``diff . du``."""
+        du = _pair_differences(u, self.rows)
         return du, _pair_dot(self.diff, du)
 
     def hess_form(self, du: np.ndarray, rate_u: np.ndarray, dv: np.ndarray, rate_v: np.ndarray) -> np.ndarray:
@@ -282,21 +305,90 @@ class PairBlock(NamedTuple):
         return self.g * _pair_dot(du, dv) + self.h * rate_u * rate_v
 
     def hessian(self) -> np.ndarray:
-        """The dense (p, p, D, D) Hessian block."""
+        """The dense (rows, p, D, D) Hessian block."""
         return _hessian(self.g, self.h, self.diff)
 
 
 def pair_block(spec: KernelSpec, points: np.ndarray, order: int, *, what: str = "points") -> PairBlock:
     """Differences, distances and kernel profiles up to ``order`` (0, 1 or 2)
-    of ``points`` (..., p, D) in one pass: one configuration, or a batch of
-    them on leading axes.  Points wider than the kernel are refused by
-    :meth:`KernelSpec.require_ambient`; non-finite and coincident rows as by
-    :func:`check_distinct`, from the same distances, each configuration of a
-    batch as if alone."""
+    of every pair of ``points`` (..., p, D) in one pass: one configuration, or
+    a batch of them on leading axes.  Points wider than the kernel are refused
+    by :meth:`KernelSpec.require_ambient`; non-finite and coincident rows as
+    by :func:`check_distinct`, from the same distances, each configuration of
+    a batch as if alone.  The whole block: routes that only reduce over pairs
+    take it in row tiles, from :func:`pair_tiles`."""
     pts = np.asarray(points, dtype=float)
     spec.require_ambient(pts.shape[-1])
     diff, rho = _distinct_pairs(pts, what)
-    return PairBlock(diff, *_radial_profiles(spec, rho, order))
+    return PairBlock(slice(None), diff, *_radial_profiles(spec, rho, order))
+
+
+# Budget of one row tile, in bytes of one (rows, p) float64 pair array of one
+# configuration: a pair reduction over p points takes its pairs in tiles of
+# TILE_BYTES // (8 p) rows (at least one), so it forms no p x p array, and the
+# fresh zero-filled pages the C allocator maps for every large array (about
+# 2 100 page faults per right-hand side at p = 400 untiled) mostly go.  Up to
+# p = 128 every pair fits in one tile.  Set from a sweep of 32-256 KiB at
+# p = 100, 400, 1600 and 3200: smaller tiles pay numpy's fixed cost per call
+# on too few rows at large p, larger ones fault again at p = 400.  A batch
+# splits each member exactly as it would be split alone.
+TILE_BYTES = 2**17
+
+
+class _WholeTile(tuple):
+    """The one tile of a configuration whose pairs fit in one: its whole
+    :class:`PairBlock`, the same for every pass."""
+
+    def at(self, order: int) -> _WholeTile:
+        return self
+
+
+class _RowTiles:
+    """Row tiles of a configuration too large for one, built afresh by every
+    pass, one at a time."""
+
+    __slots__ = ("spec", "points", "order", "what")
+
+    def __init__(self, spec: KernelSpec, pts: np.ndarray, order: int, what: str) -> None:
+        self.spec, self.points, self.order, self.what = spec, pts, order, what
+
+    def __iter__(self):
+        return self.at(self.order)
+
+    def at(self, order: int):
+        return (PairBlock(rows, diff, *_radial_profiles(self.spec, dist, order))
+                for rows, diff, dist in _distinct_tiles(self.points, self.what))
+
+
+def pair_tiles(spec: KernelSpec, points: np.ndarray, order: int, what: str) -> _WholeTile | _RowTiles:
+    """The pair data of ``points`` (..., p, D) up to ``order`` as row tiles:
+    iterating yields :class:`PairBlock` tiles in row order, and ``at(k)``
+    yields them with profiles up to ``k <= order`` only.  Refusals are those
+    of :func:`pair_block`.
+
+    Pairs that fit in one tile (:data:`TILE_BYTES`) are built at once, as
+    :func:`pair_block` builds them, and every pass yields that one block.
+    Otherwise each pass builds its tiles afresh, one at a time, refusing a
+    non-finite or overflowing tile when it meets it and a coincident pair, by
+    the diameter of the whole configuration, after the last tile: a route
+    that reduces each tile as it comes raises before it returns."""
+    pts = np.asarray(points, dtype=float)
+    spec.require_ambient(pts.shape[-1])
+    p = pts.shape[-2]
+    if 8 * p * p <= TILE_BYTES:
+        diff, rho = _distinct_pairs(pts, what)
+        return _WholeTile((PairBlock(slice(None), diff, *_radial_profiles(spec, rho, order)),))
+    return _RowTiles(spec, pts, order, what)
+
+
+def join_rows(parts: list) -> np.ndarray:
+    """Per-tile rows (..., rows, k) joined in row order; one tile's rows as they are."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
+
+
+def tile_sum(parts):
+    """Per-tile sums added in row order; one tile's sum as it is."""
+    return parts[0] if len(parts) == 1 else sum(parts[1:], parts[0])
 
 
 def spec_from_json(obj: dict) -> KernelSpec:
@@ -329,7 +421,8 @@ def spec_to_json(spec: KernelSpec) -> dict:
 def check_distinct(points: np.ndarray, *, what: str = "points") -> None:
     """Reject non-finite coordinates, pair distances that overflow, and
     coincident rows (tolerance 1e-10 * diameter)."""
-    _distinct_pairs(np.asarray(points, dtype=float), what)
+    for _ in _distinct_tiles(np.asarray(points, dtype=float), what):
+        pass
 
 
 def _distinct_pairs(pts: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -345,14 +438,13 @@ def _distinct_pairs(pts: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]
     that test fails is each member tested alone, in order, so the first that
     fails raises its own message."""
     with np.errstate(invalid="ignore", over="ignore"):
-        diff = _pair_differences(pts)
+        diff = _pair_differences(pts, slice(None))
         dist = np.sqrt(_pair_dot(diff, diff))
     diam = float(dist.max(initial=0.0))
     if pts.ndim > 2:
         diagonal = dist.size // pts.shape[-2]
         if not math.isfinite(diam) or np.count_nonzero(dist <= 1e-10 * max(diam, 1e-300)) > diagonal:
-            for member in pts.reshape(-1, *pts.shape[-2:]):
-                _distinct_pairs(member, what)
+            _each_member_alone(pts, what)
         return diff, dist
     if not math.isfinite(diam):
         _refuse_infinite(pts, what, "are too far apart: a pair distance")
@@ -365,6 +457,54 @@ def _distinct_pairs(pts: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]
     return diff, dist
 
 
+def _each_member_alone(pts: np.ndarray, what: str) -> None:
+    """Test each configuration of a batch alone, in order."""
+    for member in pts.reshape(-1, *pts.shape[-2:]):
+        check_distinct(member, what=what)
+
+
+def _distinct_tiles(pts: np.ndarray, what: str):
+    """Yield ``(rows, diff, dist)`` row tile by row tile, with the tests and
+    messages of :func:`_distinct_pairs`.  In one tile, that is its one call.
+
+    Above one tile, each tile is refused when its largest distance is not
+    finite, and the smallest distance off the diagonal (its first place in
+    row-major order) is kept with the running diameter; after the last tile
+    it is compared with the tolerance of the whole configuration (of the
+    widest member, for a batch, whose members are then tested alone).  The
+    diagonal of each tile is exactly zero again when the tile is yielded."""
+    p = pts.shape[-2]
+    if 8 * p * p <= TILE_BYTES:
+        yield slice(None), *_distinct_pairs(pts, what)
+        return
+    step = TILE_BYTES // (8 * p) or 1
+    diam, near, where = 0.0, math.inf, (0, 0)
+    for lo in range(0, p, step):
+        rows = slice(lo, min(lo + step, p))
+        with np.errstate(invalid="ignore", over="ignore"):
+            diff = _pair_differences(pts, rows)
+            dist = np.sqrt(_pair_dot(diff, diff))
+        top = float(dist.max())
+        if not math.isfinite(top):
+            if pts.ndim > 2:
+                _each_member_alone(pts, what)
+            _refuse_infinite(pts, what, "are too far apart: a pair distance")
+        diam = max(diam, top)
+        own = np.arange(rows.stop - lo)
+        dist[..., own, own + lo] = np.inf
+        k = int(np.argmin(dist))
+        if dist.flat[k] < near:
+            near, where = float(dist.flat[k]), (lo, k)
+        dist[..., own, own + lo] = 0.0
+        yield rows, diff, dist
+    if near <= 1e-10 * max(diam, 1e-300):
+        if pts.ndim > 2:
+            _each_member_alone(pts, what)
+            return
+        a, b = divmod(where[1], p)
+        raise DegenerateConfigurationError(f"coincident {what} {where[0] + a} and {b} (separation {near:.3e})")
+
+
 def gram_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     """Matrix K(q_a - q_b) for rows of ``points`` (pairwise distinct).
 
@@ -374,7 +514,7 @@ def gram_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ConfigurationError(f"points must be a (p, d) array, got shape {pts.shape}")
-    return pair_block(spec, pts, 0).value
+    return join_rows([blk.value for blk in pair_tiles(spec, pts, 0, "points")])
 
 
 # Above this condition number a kernel Gram solve is not trustworthy and the

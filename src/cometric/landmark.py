@@ -26,7 +26,7 @@ from .errors import ConfigurationError
 from .jets import CometricJet, assemble_jet
 from .jsonio import float_array, integer
 from .kernels import GRAM_COND_LIMIT  # noqa: F401  (re-exported: read as landmark.GRAM_COND_LIMIT)
-from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, pair_block
+from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, join_rows, pair_block, pair_tiles, tile_sum
 
 # Largest dense landmark jet, in bytes: its second derivative holds (pD)^4
 # doubles (4 GB at p=50, D=3), so the ceiling is checked before allocation.
@@ -58,13 +58,18 @@ class LandmarkMetric:
         return self.p * self.D
 
 
-def _block(metric: LandmarkMetric, q: np.ndarray, order: int) -> PairBlock:
-    """The pair block of positions ``q`` (..., p, D): one configuration, or a
-    batch of them on leading axes."""
+def _positions(metric: LandmarkMetric, q: np.ndarray) -> np.ndarray:
+    """Positions ``q`` (..., p, D): one configuration, or a batch of them on
+    leading axes."""
     q = np.asarray(q, dtype=float)
     if q.shape[-2:] != (metric.p, metric.D):
         raise ConfigurationError(f"landmark positions must have shape ({metric.p}, {metric.D}), got {q.shape}")
-    return pair_block(metric.kernel, q, order, what="landmarks")
+    return q
+
+
+def _tiles(metric: LandmarkMetric, q: np.ndarray, order: int):
+    """The pair data of positions ``q`` (..., p, D) in row tiles."""
+    return pair_tiles(metric.kernel, _positions(metric, q), order, "landmarks")
 
 
 def _check_mom(metric: LandmarkMetric, a: np.ndarray, batch: tuple[int, ...] = ()) -> np.ndarray:
@@ -83,7 +88,7 @@ def landmark_cometric_jet(metric: LandmarkMetric, q: np.ndarray) -> CometricJet:
     if 8 * (p * D) ** 4 > JET_MAX_BYTES:
         raise ConfigurationError(f"dense landmark jet at p={p}, D={D} needs {8 * (p * D) ** 4 / 1e9:.3g} GB "
                                  f"(limit {JET_MAX_BYTES / 1e9:.3g} GB)")
-    blk = _block(metric, q, 2)
+    blk = pair_block(metric.kernel, _positions(metric, q), 2, what="landmarks")
     eye_d = np.eye(D)
     delta = np.eye(p)
     fac = delta[:, :, None] - delta[:, None, :]   # fac[c, a, b] = d_ca - d_cb
@@ -105,9 +110,9 @@ def _energy(dots: np.ndarray, value: np.ndarray) -> float:
 
 def hamiltonian(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> float:
     """``H(q, p) = 1/2 sum_ab (p_a . p_b) K(q_a - q_b)``."""
-    blk = _block(metric, q, 0)
+    tiles = _tiles(metric, q, 0)
     mom = _check_mom(metric, mom)
-    return _energy(mom @ mom.T, blk.value)
+    return tile_sum([_energy(mom[blk.rows] @ mom.T, blk.value) for blk in tiles])
 
 
 def geodesic_rhs(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray, energy: bool = False) -> tuple:
@@ -116,27 +121,36 @@ def geodesic_rhs(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray, energy:
     ``q`` and ``mom`` are (..., p, D): a batch on leading axes is stepped as
     if each configuration were alone, bit for bit.  With ``energy`` (one
     configuration only), also :func:`hamiltonian` at ``(q, p)``, bit for bit,
-    from the same pair block: ``(qdot, pdot, H)``."""
-    blk = _block(metric, q, 1)
-    mom = _check_mom(metric, mom, blk.value.shape[:-2])
-    dots = mom @ mom.mT  # numpy's syrk path for each configuration, as ``mom @ mom.T``
-    qdot, pdot = blk.value @ mom, -blk.contract(dots * blk.g)
-    return (qdot, pdot, _energy(dots, blk.value)) if energy else (qdot, pdot)
+    from the same pair tiles: ``(qdot, pdot, H)``."""
+    q = _positions(metric, q)
+    tiles = pair_tiles(metric.kernel, q, 1, "landmarks")
+    mom = _check_mom(metric, mom, q.shape[:-2])
+    qdot, pdot, h = [], [], []
+    for blk in tiles:
+        dots = mom[..., blk.rows, :] @ mom.mT  # in one tile numpy's syrk path, as ``mom @ mom.mT``
+        qdot.append(blk.value @ mom)
+        pdot.append(-blk.contract(dots * blk.g))
+        if energy:
+            h.append(_energy(dots, blk.value))
+    qdot, pdot = join_rows(qdot), join_rows(pdot)
+    return (qdot, pdot, tile_sum(h)) if energy else (qdot, pdot)
 
 
 def velocity(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> np.ndarray:
     """Raised momenta ``u_a = sum_b K(q_a - q_b) p_b`` (the landmark sharp)."""
-    blk = _block(metric, q, 0)
-    return blk.value @ _check_mom(metric, mom)
+    tiles = _tiles(metric, q, 0)
+    mom = _check_mom(metric, mom)
+    return join_rows([blk.value @ mom for blk in tiles])
 
 
 def _force(blk: PairBlock, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    mixed = a @ b.T  # mixed[c, t] = a_c . b_t
-    return -0.5 * blk.contract((mixed + mixed.T) * blk.g)
+    """The force rows of one tile; ``mixed[s, t] = a_s . b_t + a_t . b_s``."""
+    mixed = a[blk.rows] @ b.T + b[blk.rows] @ a.T
+    return -0.5 * blk.contract(mixed * blk.g)
 
 
 def _stress(blk: PairBlock, rate: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stress from the radial rate of the raised field: ``-sum_t g rate b_t``."""
+    """Stress rows from the radial rate of the raised field: ``-sum_t g rate b_t``."""
     return -(blk.g * rate) @ b
 
 
@@ -144,22 +158,43 @@ def force(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -
     """Induced-side force:
     ``F(a,b)_c = -1/2 sum_t [(a_c.b_t) + (a_t.b_c)] grad K(q_c - q_t)``;
     in particular ``force(q, p, p)`` is exactly the geodesic ``pdot``."""
-    blk = _block(metric, q, 1)
+    tiles = _tiles(metric, q, 1)
     a = _check_mom(metric, a)
     b = _check_mom(metric, b)
     _check_finite(a, b)
-    return _force(blk, a, b)
+    return join_rows([_force(blk, a, b) for blk in tiles])
 
 
 def stress(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Induced-side stress:
     ``D(a,b)_d = -sum_t [(u_d - u_t) . grad K(q_d - q_t)] b_t`` with ``u``
     the raised field of ``a``."""
-    blk = _block(metric, q, 1)
+    tiles = _tiles(metric, q, 1)
     a = _check_mom(metric, a)
     b = _check_mom(metric, b)
     _check_finite(a, b)
-    return _stress(blk, blk.rate(blk.value @ a)[1], b)
+    u = join_rows([blk.value @ a for blk in tiles.at(0)])
+    return join_rows([_stress(blk, blk.rate(u)[1], b) for blk in tiles])
+
+
+def _curvature_tile(blk: PairBlock, a: np.ndarray, b: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> tuple:
+    """One tile's share of :func:`curvature`: the three Hessian sums of r11 and
+    the three pairings, then the force and stress rows."""
+    du, rate_a = blk.rate(u_a)
+    dv, rate_b = blk.rate(u_b)
+    dots_aa = a[blk.rows] @ a.T
+    dots_bb = b[blk.rows] @ b.T
+    dots_ab = a[blk.rows] @ b.T  # [s, t] = a_s . b_t
+    return (
+        float(np.einsum("st,st->", dots_bb, blk.hess_form(du, rate_a, du, rate_a))),
+        float(np.einsum("st,st->", dots_ab, blk.hess_form(du, rate_a, dv, rate_b))),
+        float(np.einsum("st,st->", dots_aa, blk.hess_form(dv, rate_b, dv, rate_b))),
+        float(np.einsum("st,st->", dots_aa, blk.value)),
+        float(np.einsum("st,st->", dots_bb, blk.value)),
+        float(np.einsum("st,st->", dots_ab, blk.value)),
+        _force(blk, a, a), _force(blk, b, b), _force(blk, a, b),
+        _stress(blk, rate_a, a), _stress(blk, rate_b, b), _stress(blk, rate_a, b), _stress(blk, rate_b, a),
+    )
 
 
 @_refuses_overflow
@@ -173,32 +208,18 @@ def curvature(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarra
     (p, p, D, D) block is formed.
     """
     metric.kernel.require_curvature_grade()
-    blk = _block(metric, q, 2)
+    tiles = _tiles(metric, q, 2)
     a = _check_mom(metric, a)
     b = _check_mom(metric, b)
     _check_finite(a, b)
-    kv = blk.value
+    kv = join_rows([blk.value for blk in tiles.at(0)])  # the Gram: r2 and r3 need all of it
+    u_a, u_b = kv @ a, kv @ b
 
-    du, rate_a = blk.rate(kv @ a)
-    dv, rate_b = blk.rate(kv @ b)
-    dots_aa = a @ a.T
-    dots_bb = b @ b.T
-    dots_ab = a @ b.T  # [s, t] = a_s . b_t
+    parts = list(zip(*(_curvature_tile(blk, a, b, u_a, u_b) for blk in tiles)))
+    h_bb, h_ab, h_aa, paa, pbb, pab = map(tile_sum, parts[:6])
+    f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba = map(join_rows, parts[6:])
 
-    r11 = 0.5 * (
-        float(np.einsum("st,st->", dots_bb, blk.hess_form(du, rate_a, du, rate_a)))
-        - 2.0 * float(np.einsum("st,st->", dots_ab, blk.hess_form(du, rate_a, dv, rate_b)))
-        + float(np.einsum("st,st->", dots_aa, blk.hess_form(dv, rate_b, dv, rate_b)))
-    )
-
-    f_aa = _force(blk, a, a)
-    f_bb = _force(blk, b, b)
-    f_ab = _force(blk, a, b)
-    d_aa = _stress(blk, rate_a, a)
-    d_bb = _stress(blk, rate_b, b)
-    d_ab = _stress(blk, rate_a, b)
-    d_ba = _stress(blk, rate_b, a)
-
+    r11 = 0.5 * (h_bb - 2.0 * h_ab + h_aa)
     r12 = float(np.einsum("cm,cm->", f_aa, d_bb) + np.einsum("cm,cm->", f_bb, d_aa)
                 - np.einsum("cm,cm->", f_ab, d_ab + d_ba))
 
@@ -211,9 +232,6 @@ def curvature(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarra
         xi = gram_solve(kv, w, "kernel Gram")
         r3 = -0.75 * float(np.einsum("sm,sm->", xi, w))
 
-    paa = float(np.einsum("st,st->", dots_aa, kv))
-    pbb = float(np.einsum("st,st->", dots_bb, kv))
-    pab = float(np.einsum("st,st->", dots_ab, kv))
     return _breakdown(r11, r12, r2, r3, paa * pbb - pab * pab, paa * pbb)
 
 

@@ -27,9 +27,14 @@ import numpy as np
 from .curvature import CurvatureBreakdown, _breakdown, _check_finite, _refuses_overflow
 from .errors import ConfigurationError, DegenerateConfigurationError
 from .jsonio import float_array, integer
-from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, kernel_value, pair_block
+from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, join_rows, kernel_value, pair_tiles, tile_sum
 
 FRAME_TOL = 1e-10  # largest entry error of a frame's Gram or projector accepted as orthonormal
+
+# Largest normal-bundle Gram of the bracket term, in bytes: it is the dense
+# (S (n-m))^2 system, and its per-pair frame blocks take as much again, so the
+# ceiling is checked before either is allocated.
+NORMAL_GRAM_MAX_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -187,17 +192,21 @@ def project_normal(shape: DiscreteSubmanifold, a: np.ndarray) -> np.ndarray:
     return np.einsum("sij,sj->si", shape.projectors, a)
 
 
+def _tiles(spec: KernelSpec, shape: DiscreteSubmanifold, order: int):
+    """The pair data of the samples in row tiles."""
+    return pair_tiles(spec, shape.x, order, "samples")
+
+
 def induced_pairing(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> float:
     """``sum_st w_s w_t (a_s . b_t) K(x_s - x_t)``."""
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
-    kv = pair_block(spec, shape.x, 0, what="samples").value
-    return _pairing(a @ b.T, shape.w, kv)
+    return tile_sum([_pairing(a[blk.rows] @ b.T, shape.w, blk) for blk in _tiles(spec, shape, 0)])
 
 
-def _pairing(dots: np.ndarray, w: np.ndarray, kv: np.ndarray) -> float:
-    """``sum_st w_s w_t dots_st kv_st`` for the momentum dots ``a_s . b_t``."""
-    return float(np.einsum("st,st->", dots * w[:, None] * w[None, :], kv))
+def _pairing(dots: np.ndarray, w: np.ndarray, blk: PairBlock) -> float:
+    """``sum_st w_s w_t dots_st K_st`` over one tile, for the momentum dots ``a_s . b_t``."""
+    return float(np.einsum("st,st->", dots * w[blk.rows, None] * w[None, :], blk.value))
 
 
 def horizontal_velocity(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -219,24 +228,34 @@ def geodesic_rhs(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, en
     ``adot_s = -(Du(x_s))^T a_s`` (Jacobian-transpose transport; weights stay
     fixed).  With ``m = 0`` this is exactly the landmark system.  With
     ``energy``, also ``H = 1/2 induced_pairing(a, a)``, bit for bit, from the
-    same pair block: ``(xdot, adot, H)``."""
+    same pair tiles: ``(xdot, adot, H)``."""
     a = _check_mom(shape, a)
-    blk = pair_block(spec, shape.x, 1, what="samples")
-    dots = a @ a.T
-    xdot = (blk.value * shape.w[None, :]) @ a
-    adot = -blk.contract(dots * shape.w[None, :] * blk.g)
-    return (xdot, adot, 0.5 * _pairing(dots, shape.w, blk.value)) if energy else (xdot, adot)
+    w = shape.w
+    xdot, adot, h = [], [], []
+    for blk in _tiles(spec, shape, 1):
+        dots = a[blk.rows] @ a.T
+        xdot.append((blk.value * w[None, :]) @ a)
+        adot.append(-blk.contract(dots * w[None, :] * blk.g))
+        if energy:
+            h.append(_pairing(dots, w, blk))
+    xdot, adot = join_rows(xdot), join_rows(adot)
+    return (xdot, adot, 0.5 * tile_sum(h)) if energy else (xdot, adot)
 
 
-def _force_normal(blk: PairBlock, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    mixed = a @ b.T
-    raw = -0.5 * blk.contract((mixed + mixed.T) * shape.w[None, :] * blk.g)
-    return np.einsum("sij,sj->si", shape.projectors, raw)
+def _force_rows(blk: PairBlock, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The unprojected force rows of one tile."""
+    mixed = a[blk.rows] @ b.T + b[blk.rows] @ a.T
+    return -0.5 * blk.contract(mixed * w[None, :] * blk.g)
 
 
-def _stress_normal(blk: PairBlock, shape: DiscreteSubmanifold, rate: np.ndarray, b: np.ndarray) -> np.ndarray:
-    raw = -(blk.g * rate * shape.w[None, :]) @ b
-    return np.einsum("sij,sj->si", shape.projectors, raw)
+def _stress_rows(blk: PairBlock, w: np.ndarray, rate: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The unprojected stress rows of one tile."""
+    return -(blk.g * rate * w[None, :]) @ b
+
+
+def _normal(shape: DiscreteSubmanifold, rows: list) -> np.ndarray:
+    """Per-tile rows joined and projected onto the normal bundle."""
+    return np.einsum("sij,sj->si", shape.projectors, join_rows(rows))
 
 
 def force_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,7 +265,7 @@ def force_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b:
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
     _check_finite(a, b)
-    return _force_normal(pair_block(spec, shape.x, 1, what="samples"), shape, a, b)
+    return _normal(shape, [_force_rows(blk, shape.w, a, b) for blk in _tiles(spec, shape, 1)])
 
 
 def stress_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -255,9 +274,9 @@ def stress_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
     _check_finite(a, b)
-    blk = pair_block(spec, shape.x, 1, what="samples")
-    rate = blk.rate((blk.value * shape.w[None, :]) @ a)[1]
-    return _stress_normal(blk, shape, rate, b)
+    tiles, w = _tiles(spec, shape, 1), shape.w
+    u = join_rows([(blk.value * w[None, :]) @ a for blk in tiles.at(0)])
+    return _normal(shape, [_stress_rows(blk, w, blk.rate(u)[1], b) for blk in tiles])
 
 
 def _normal_basis(shape: DiscreteSubmanifold) -> np.ndarray:
@@ -280,11 +299,37 @@ def _normal_gram_solve(kv: np.ndarray, shape: DiscreteSubmanifold, w_field: np.n
         return gram_solve(kv, w_field, "kernel Gram")
     basis = _normal_basis(shape)  # (S, n-m, n)
     s, r, n = basis.shape
+    if 8 * (s * r) ** 2 > NORMAL_GRAM_MAX_BYTES:
+        raise ConfigurationError(f"normal-bundle Gram at S={s}, n-m={r} needs {8 * (s * r) ** 2 / 1e9:.3g} GB "
+                                 f"(limit {NORMAL_GRAM_MAX_BYTES / 1e9:.3g} GB)")
     w_hat = np.einsum("sri,si->sr", basis, w_field)
     cross = np.einsum("sri,tqi->srtq", basis, basis)  # V_s V_t^T blocks
     mat = (kv[:, None, :, None] * cross).reshape(s * r, s * r)
     zeta_hat = gram_solve(mat, w_hat.reshape(-1), "normal-bundle Gram").reshape(s, r)
     return np.einsum("sri,sr->si", basis, zeta_hat)
+
+
+def _curvature_tile(blk: PairBlock, w: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    u_a: np.ndarray, u_b: np.ndarray) -> tuple:
+    """One tile's share of :func:`curvature_terms`: the three Hessian sums of
+    r11 and the three pairings, then the unprojected force and stress rows."""
+    du, rate_a = blk.rate(u_a)
+    dv, rate_b = blk.rate(u_b)
+    ww = w[blk.rows, None] * w[None, :]
+    dots_aa = (a[blk.rows] @ a.T) * ww
+    dots_bb = (b[blk.rows] @ b.T) * ww
+    dots_ab = (a[blk.rows] @ b.T) * ww
+    return (
+        float(np.einsum("st,st->", dots_bb, blk.hess_form(du, rate_a, du, rate_a))),
+        float(np.einsum("st,st->", dots_ab, blk.hess_form(du, rate_a, dv, rate_b))),
+        float(np.einsum("st,st->", dots_aa, blk.hess_form(dv, rate_b, dv, rate_b))),
+        float(np.einsum("st,st->", dots_aa, blk.value)),
+        float(np.einsum("st,st->", dots_bb, blk.value)),
+        float(np.einsum("st,st->", dots_ab, blk.value)),
+        _force_rows(blk, w, a, a), _force_rows(blk, w, b, b), _force_rows(blk, w, a, b),
+        _stress_rows(blk, w, rate_a, a), _stress_rows(blk, w, rate_b, b),
+        _stress_rows(blk, w, rate_a, b), _stress_rows(blk, w, rate_b, a),
+    )
 
 
 @_refuses_overflow
@@ -299,33 +344,24 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
     b = _check_mom(shape, b)
     _check_finite(a, b)
     w = shape.w
-    blk = pair_block(spec, shape.x, 2, what="samples")
-    kv = blk.value
+    tiles = _tiles(spec, shape, 2)
+    kv, u_a, u_b = [], [], []
+    for blk in tiles.at(0):  # the Gram: r2 and r3 need all of it
+        kw = blk.value * w[None, :]
+        kv.append(blk.value)
+        u_a.append(kw @ a)
+        u_b.append(kw @ b)
+    kv, u_a, u_b = join_rows(kv), join_rows(u_a), join_rows(u_b)
 
-    du, rate_a = blk.rate((kv * w[None, :]) @ a)
-    dv, rate_b = blk.rate((kv * w[None, :]) @ b)
-    ww = w[:, None] * w[None, :]
-    dots_aa = (a @ a.T) * ww
-    dots_bb = (b @ b.T) * ww
-    dots_ab = (a @ b.T) * ww
+    parts = list(zip(*(_curvature_tile(blk, w, a, b, u_a, u_b) for blk in tiles)))
+    h_bb, h_ab, h_aa, paa, pbb, pab = map(tile_sum, parts[:6])
+    f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba = (_normal(shape, rows) for rows in parts[6:])
 
-    r11 = 0.5 * (
-        float(np.einsum("st,st->", dots_bb, blk.hess_form(du, rate_a, du, rate_a)))
-        - 2.0 * float(np.einsum("st,st->", dots_ab, blk.hess_form(du, rate_a, dv, rate_b)))
-        + float(np.einsum("st,st->", dots_aa, blk.hess_form(dv, rate_b, dv, rate_b)))
-    )
-
-    f_aa = _force_normal(blk, shape, a, a)
-    f_bb = _force_normal(blk, shape, b, b)
-    f_ab = _force_normal(blk, shape, a, b)
-    d_aa = _stress_normal(blk, shape, rate_a, a)
-    d_bb = _stress_normal(blk, shape, rate_b, b)
-    d_ab = _stress_normal(blk, shape, rate_a, b)
-    d_ba = _stress_normal(blk, shape, rate_b, a)
-
+    r11 = 0.5 * (h_bb - 2.0 * h_ab + h_aa)
     r12 = float(np.einsum("s,sm,sm->", w, f_aa, d_bb) + np.einsum("s,sm,sm->", w, f_bb, d_aa)
                 - np.einsum("s,sm,sm->", w, f_ab, d_ab + d_ba))
 
+    ww = w[:, None] * w[None, :]
     kw = kv * ww
     r2 = float(np.einsum("sm,sm->", f_ab, kw @ f_ab) - np.einsum("sm,sm->", f_aa, kw @ f_bb))
 
@@ -336,9 +372,6 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
         zeta = _normal_gram_solve(kv, shape, w_br)
         r3 = -0.75 * float(np.einsum("sm,sm->", zeta, w_br))
 
-    paa = float(np.einsum("st,st->", dots_aa, kv))
-    pbb = float(np.einsum("st,st->", dots_bb, kv))
-    pab = float(np.einsum("st,st->", dots_ab, kv))
     return _breakdown(r11, r12, r2, r3, paa * pbb - pab * pab, paa * pbb)
 
 

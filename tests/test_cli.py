@@ -183,6 +183,15 @@ def test_usage_errors_exit_2(capsys):
         ["oneill", "check", "--case", "flat", "--trials", "0"],
         ["oneill", "check", "--case", "flat", "--trials", "-3"],
         ["validate", "--suite", "m0_reduction", "--seed", "-1"],
+        # thread counts are positive
+        ["validate", "--suite", "m0_reduction", "--threads", "0"],
+        ["validate", "--suite", "m0_reduction", "--threads", "-2"],
+        # match needs at least one iteration and a tolerance that can be met
+        ["match", "--spec", "spec.json", "--source", "a.json", "--target", "b.json", "--max-iter", "0"],
+        ["match", "--spec", "spec.json", "--source", "a.json", "--target", "b.json", "--max-iter", "-1"],
+        ["match", "--spec", "spec.json", "--source", "a.json", "--target", "b.json", "--tol", "-1"],
+        ["match", "--spec", "spec.json", "--source", "a.json", "--target", "b.json", "--tol", "nan"],
+        ["match", "--spec", "spec.json", "--source", "a.json", "--target", "b.json", "--tol", "x"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)

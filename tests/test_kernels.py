@@ -369,6 +369,12 @@ def test_gram_matrix_is_spd():
         assert np.linalg.eigvalsh(gram)[0] > 0
 
 
+def test_gram_matrix_takes_one_configuration():
+    spec = KernelSpec("sobolev_bessel", n=3, l=3, A=0.6)
+    with pytest.raises(ConfigurationError, match=r"^points must be a \(p, d\) array, got shape \(2, 3, 2\)$"):
+        gram_matrix(spec, np.zeros((2, 3, 2)))
+
+
 def test_spec_json_round_trip():
     spec = KernelSpec("sobolev_bessel", n=3, l=4, A=0.25, c=2.5)
     again = spec_from_json(spec_to_json(spec))

@@ -231,3 +231,10 @@ def test_batched_geodesic_rhs_needs_momenta_of_the_same_batch():
     q = np.array([[[0.0, 0.0], [1.0, 0.0]]] * 3)
     with pytest.raises(ConfigurationError, match=r"^momenta must have shape \(3, 2, 2\), got \(2, 2\)$"):
         geodesic_rhs(metric, q, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (2,)])
+def test_positions_of_the_wrong_shape_refused(shape):
+    metric = LandmarkMetric(SPEC22, 2, 2)
+    with pytest.raises(ConfigurationError, match=r"^landmark positions must have shape \(2, 2\), got "):
+        geodesic_rhs(metric, np.ones(shape), np.zeros((2, 2)))

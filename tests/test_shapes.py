@@ -85,6 +85,68 @@ def test_shape_validation():
         )
 
 
+def _circle_fields(**change) -> dict:
+    circle = shapes.make_circle(6)
+    fields = {"x": circle.x, "w": circle.w, "tangents": circle.tangents, "projectors": circle.projectors}
+    return {**fields, **change}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"x": np.zeros(6)}, r"^samples must form a \(S, n\) array, got shape \(6,\)$"),
+    ({"w": np.ones(5)}, r"^weights must have shape \(6,\), got \(5,\)$"),
+    ({"tangents": np.zeros((6, 1, 3))}, r"^tangent frames must have shape \(6, m, 2\), got \(6, 1, 3\)$"),
+    ({"projectors": np.zeros((6, 2, 3))}, r"^projectors must have shape \(6, 2, 2\), got \(6, 2, 3\)$"),
+], ids=["samples", "weights", "tangents", "projectors"])
+def test_shape_fields_of_the_wrong_shape_refused(change, message):
+    with pytest.raises(ConfigurationError, match=message):
+        shapes.DiscreteSubmanifold(**_circle_fields(**change))
+
+
+def test_closed_curve_needs_three_samples_and_nonvanishing_chords():
+    with pytest.raises(ConfigurationError, match="^a closed curve needs at least 3 samples$"):
+        shapes.closed_curve(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    # samples 0 and 2 coincide, so the centered chord at sample 1 vanishes
+    back_and_forth = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(DegenerateConfigurationError, match="^curve samples collapsed"):
+        shapes.closed_curve(back_and_forth)
+
+
+def test_rederive_frames_refuses_surfaces():
+    """Frames are re-derived for curves only; an m = 2 shape is refused."""
+    x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    tangents = np.broadcast_to(np.eye(3)[:2], (3, 2, 3)).copy()
+    projectors = np.broadcast_to(np.diag([0.0, 0.0, 1.0]), (3, 3, 3)).copy()
+    sheet = shapes.DiscreteSubmanifold(x=x, w=np.ones(3), tangents=tangents, projectors=projectors)
+    with pytest.raises(ConfigurationError, match=r"^frame re-derivation implemented for curves \(m=1\), got m=2$"):
+        shapes.rederive_frames(sheet)
+
+
+@pytest.mark.parametrize("op", [
+    lambda shape, a: shapes.geodesic_rhs(SPEC, shape, a),
+    lambda shape, a: shapes.induced_pairing(SPEC, shape, a, a),
+    lambda shape, a: shapes.normality_defect(shape, a),
+], ids=["rhs", "pairing", "normality"])
+def test_momenta_of_the_wrong_shape_refused(op):
+    with pytest.raises(ConfigurationError, match=r"^momenta must have shape \(6, 2\), got \(6, 3\)$"):
+        op(shapes.make_circle(6), np.zeros((6, 3)))
+
+
+def test_normal_bundle_gram_too_large_is_refused_before_allocation(monkeypatch):
+    """The (S (n-m))^2 bracket Gram has a byte ceiling: above it the shape
+    is refused with a configuration error, not a MemoryError, and the solve
+    is never reached."""
+    circle = shapes.make_circle(16)
+    theta = np.arctan2(circle.x[:, 1], circle.x[:, 0])
+    a = np.cos(2.0 * theta)[:, None] * circle.x
+    b = np.sin(3.0 * theta)[:, None] * circle.x
+    allowed = shapes.curvature_terms(SPEC, circle, a, b)
+    assert allowed.r3 != 0.0
+    monkeypatch.setattr(shapes, "NORMAL_GRAM_MAX_BYTES", 8 * 16**2 - 1)
+    monkeypatch.setattr(shapes, "gram_solve", None)  # never reached
+    with pytest.raises(ConfigurationError, match=r"^normal-bundle Gram at S=16, n-m=1 needs 2.05e-06 GB "):
+        shapes.curvature_terms(SPEC, circle, a, b)
+
+
 def test_non_orthonormal_frames_refused():
     """A frame read back with its tangents scaled by 3 has projectors with
     eigenvalues (-8, 1); it is refused at construction, on every route in."""
