@@ -90,6 +90,8 @@ def euclidean(d: int) -> CometricDef:
 
 def sphere_stereographic(d: int = 2, radius: float = 1.0) -> CometricDef:
     """Round d-sphere of the given radius, stereographic chart."""
+    if not math.isfinite(radius):
+        raise ConfigurationError(f"sphere radius must be finite, got {radius!r}")
     if radius <= 0:
         raise ConfigurationError("sphere radius must be positive")
     r2 = radius * radius
@@ -193,20 +195,22 @@ def cometric_to_json(defn: CometricDef) -> dict:
 
 
 CATALOG_NAMES = ("euclidean", "sphere", "hyperbolic")
+_CATALOG_FORMS = "know euclidean[:d], sphere[:radius], hyperbolic"
 
 
 def catalog_cometric(name: str) -> CometricDef:
     """Resolve CLI-style catalog names: ``euclidean:d``, ``sphere``,
-    ``sphere:radius``, ``hyperbolic``."""
-    parts = name.split(":")
-    head = parts[0]
+    ``sphere:radius``, ``hyperbolic``; a further argument is refused."""
+    head, *args = name.split(":")
+    if head not in CATALOG_NAMES:
+        raise ConfigurationError(f"unknown catalog cometric {name!r} ({_CATALOG_FORMS})")
+    if len(args) > (head != "hyperbolic"):
+        raise ConfigurationError(f"too many catalog arguments in {name!r} ({_CATALOG_FORMS})")
     try:
         if head == "euclidean":
-            return euclidean(int(parts[1]) if len(parts) > 1 else 2)
+            return euclidean(int(args[0]) if args else 2)
         if head == "sphere":
-            return sphere_stereographic(2, float(parts[1]) if len(parts) > 1 else 1.0)
+            return sphere_stereographic(2, float(args[0]) if args else 1.0)
     except ValueError as exc:
         raise ConfigurationError(f"bad catalog argument in {name!r}: {exc}") from exc
-    if head == "hyperbolic":
-        return hyperbolic_half_plane()
-    raise ConfigurationError(f"unknown catalog cometric {name!r} (know euclidean[:d], sphere[:radius], hyperbolic)")
+    return hyperbolic_half_plane()

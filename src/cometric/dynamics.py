@@ -15,9 +15,9 @@ are differentiated by central differences in ``_endpoint_jacobian``, for
 Levenberg damping.  The Jacobian's 2·p·D shots step in lockstep as one
 batched state through the same loop (the landmark rhs takes leading batch
 axes), in chunks of columns under the byte budget ``SHOT_BATCH_BYTES``; each
-column keeps the bits of its shots stepped alone.  ``match`` never raises on exhaustion or on a diverging
-trial step (rejected like one that does not lower the residual): it reports
-``converged=False`` with the residuals.
+column keeps the bits of its shots stepped alone.  ``match`` never raises on
+exhaustion or on a diverging trial step (rejected like one that does not
+lower the residual): it reports ``converged=False`` with the residuals.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .landmark import LandmarkMetric, geodesic_rhs, hamiltonian
+from .landmark import LandmarkMetric, geodesic_rhs
 from .kernels import KernelSpec
 from . import shapes as shapes_mod
 
@@ -92,12 +92,11 @@ class ConservationReport:
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
-    """Autonomous system on stacked states of ``shape`` ``(2, *configuration)``,
-    with an observation hook.  ``rhs_observe(y)`` is ``(rhs(y), observe(y))``
-    from one pair block, bit for bit."""
+    """Autonomous system on stacked states of ``shape`` ``(2, *configuration)``.
+    ``rhs_observe(y)`` is ``rhs(y)`` together with the observation of ``y``
+    (its H, momenta and, for shapes, frame checks), from one pair block."""
 
     rhs: Callable[[np.ndarray], np.ndarray]
-    observe: Callable[[np.ndarray], dict]
     shape: tuple[int, ...]
     rhs_observe: Callable[[np.ndarray], tuple[np.ndarray, dict]]
 
@@ -122,14 +121,11 @@ def landmark_system(metric: LandmarkMetric) -> HamiltonianSystem:
     def observation(q: np.ndarray, mom: np.ndarray, h: float) -> dict:
         return {"H": h, "linear": mom.sum(axis=0), "angular": _angular_components(q, mom, pairs)}
 
-    def observe(y: np.ndarray) -> dict:
-        return observation(y[0], y[1], hamiltonian(metric, y[0], y[1]))
-
     def rhs_observe(y: np.ndarray) -> tuple[np.ndarray, dict]:
         qdot, pdot, h = geodesic_rhs(metric, y[0], y[1], True)  # energy by position: wrappers take *args
         return np.array((qdot, pdot)), observation(y[0], y[1], h)
 
-    return HamiltonianSystem(rhs=rhs, observe=observe, shape=(2, p, d), rhs_observe=rhs_observe)
+    return HamiltonianSystem(rhs=rhs, shape=(2, p, d), rhs_observe=rhs_observe)
 
 
 def shape_system(spec: KernelSpec, shape0: shapes_mod.DiscreteSubmanifold) -> HamiltonianSystem:
@@ -139,7 +135,7 @@ def shape_system(spec: KernelSpec, shape0: shapes_mod.DiscreteSubmanifold) -> Ha
     w = shape0.w.copy()
 
     def unpack(x: np.ndarray) -> shapes_mod.DiscreteSubmanifold:
-        # distinctness is tested once, by the pair block of geodesic_rhs or induced_pairing
+        # distinctness is tested once, by the pair block of geodesic_rhs
         return shapes_mod._unchecked(x, w, shape0.tangents, shape0.projectors)
 
     def rhs(y: np.ndarray) -> np.ndarray:
@@ -158,16 +154,12 @@ def shape_system(spec: KernelSpec, shape0: shapes_mod.DiscreteSubmanifold) -> Ha
             out["frame_quality"] = quality
         return out
 
-    def observe(y: np.ndarray) -> dict:
-        shp, a = unpack(y[0]), y[1]
-        return observation(shp, a, 0.5 * shapes_mod.induced_pairing(spec, shp, a, a))
-
     def rhs_observe(y: np.ndarray) -> tuple[np.ndarray, dict]:
         shp, a = unpack(y[0]), y[1]
         xdot, adot, h = shapes_mod.geodesic_rhs(spec, shp, a, True)
         return np.array((xdot, adot)), observation(shp, a, h)
 
-    return HamiltonianSystem(rhs=rhs, observe=observe, shape=(2, *shape0.x.shape), rhs_observe=rhs_observe)
+    return HamiltonianSystem(rhs=rhs, shape=(2, *shape0.x.shape), rhs_observe=rhs_observe)
 
 
 def _rk4_step(rhs: Callable, y: np.ndarray, dt: float, k1: np.ndarray) -> np.ndarray:
@@ -220,8 +212,9 @@ def integrate(system: HamiltonianSystem, y0: np.ndarray, config: IntegratorConfi
               ) -> tuple[np.ndarray, ConservationReport]:
     """Propagate and record every step.  Returns the states, shape
     ``(steps + 1, *system.shape)``, and the report, whose ``t`` is the time grid.
-    Each state but the last is observed by the first stage of the step that
-    leaves it (``system.rhs_observe``): one pair block per step."""
+    Every state is observed by ``system.rhs_observe``: each but the last by the
+    first stage of the step that leaves it, the last by one more call whose
+    right-hand side is discarded, so ``4 steps + 1`` pair blocks in all."""
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != system.shape:
         raise ConfigurationError(f"state must have shape {system.shape}, got {y0.shape}")
@@ -241,7 +234,7 @@ def integrate(system: HamiltonianSystem, y0: np.ndarray, config: IntegratorConfi
 
     for k, y in enumerate(_states(system.rhs, y0, config, first), 1):
         ys[k] = y
-    obs.append(system.observe(ys[-1]))
+    obs.append(system.rhs_observe(ys[-1])[1])
     report = ConservationReport(
         t=np.linspace(0.0, config.t_final, config.steps + 1),
         hamiltonian=np.array([o["H"] for o in obs]),

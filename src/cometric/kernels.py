@@ -244,14 +244,12 @@ def _pair_differences(x: np.ndarray, rows: slice) -> np.ndarray:
     ``t`` of each configuration in ``x`` (..., p, D), as a (..., rows, p, D)
     view of component-major storage: each component is one contiguous
     (rows, p) array, so pair loops run in long strides rather than strides of
-    D.  The storage (..., D, rows, p) is allocated C-ordered, not left to
+    D.  The storage (..., D, rows, p) is C-ordered by request, not left to
     numpy: ``PairBlock.contract``'s ``matmul`` picks its summation path from
     these strides, the same for every configuration of a batch as for one
     alone."""
     xt = x.mT
-    left = xt[..., rows, None]
-    out = np.empty(left.shape[:-1] + x.shape[-2:-1])
-    np.subtract(left, xt[..., None, :], out=out)
+    out = np.subtract(xt[..., rows, None], xt[..., None, :], order="C")
     return out.transpose(_component_last(x.ndim))
 
 
@@ -309,20 +307,6 @@ class PairBlock(NamedTuple):
         return _hessian(self.g, self.h, self.diff)
 
 
-def pair_block(spec: KernelSpec, points: np.ndarray, order: int, *, what: str = "points") -> PairBlock:
-    """Differences, distances and kernel profiles up to ``order`` (0, 1 or 2)
-    of every pair of ``points`` (..., p, D) in one pass: one configuration, or
-    a batch of them on leading axes.  Points wider than the kernel are refused
-    by :meth:`KernelSpec.require_ambient`; non-finite and coincident rows as
-    by :func:`check_distinct`, from the same distances, each configuration of
-    a batch as if alone.  The whole block: routes that only reduce over pairs
-    take it in row tiles, from :func:`pair_tiles`."""
-    pts = np.asarray(points, dtype=float)
-    spec.require_ambient(pts.shape[-1])
-    diff, rho = _distinct_pairs(pts, what)
-    return PairBlock(slice(None), diff, *_radial_profiles(spec, rho, order))
-
-
 # Budget of one row tile, in bytes of one (rows, p) float64 pair array of one
 # configuration: a pair reduction over p points takes its pairs in tiles of
 # TILE_BYTES // (8 p) rows (at least one), so it forms no p x p array, and the
@@ -361,23 +345,25 @@ class _RowTiles:
 
 
 def pair_tiles(spec: KernelSpec, points: np.ndarray, order: int, what: str) -> _WholeTile | _RowTiles:
-    """The pair data of ``points`` (..., p, D) up to ``order`` as row tiles:
-    iterating yields :class:`PairBlock` tiles in row order, and ``at(k)``
-    yields them with profiles up to ``k <= order`` only.  Refusals are those
-    of :func:`pair_block`.
+    """The pair data of ``points`` (..., p, D) up to ``order`` (0, 1 or 2) as
+    row tiles: one configuration, or a batch of them on leading axes, each
+    split and checked as if alone.  Iterating yields :class:`PairBlock` tiles
+    in row order, and ``at(k)`` yields them with profiles up to ``k <= order``
+    only.  Points wider than the kernel are refused by
+    :meth:`KernelSpec.require_ambient`; non-finite and coincident rows as by
+    :func:`check_distinct`, from the same distances.
 
-    Pairs that fit in one tile (:data:`TILE_BYTES`) are built at once, as
-    :func:`pair_block` builds them, and every pass yields that one block.
-    Otherwise each pass builds its tiles afresh, one at a time, refusing a
-    non-finite or overflowing tile when it meets it and a coincident pair, by
-    the diameter of the whole configuration, after the last tile: a route
-    that reduces each tile as it comes raises before it returns."""
+    Pairs that fit in one tile (:data:`TILE_BYTES`) are built and checked at
+    once, and every pass yields that one block, whose ``rows`` is
+    ``slice(None)``.  Otherwise each pass builds its tiles afresh, one at a
+    time, with the refusals of :func:`_distinct_tiles`: a route that reduces
+    each tile as it comes raises before it returns."""
     pts = np.asarray(points, dtype=float)
     spec.require_ambient(pts.shape[-1])
     p = pts.shape[-2]
     if 8 * p * p <= TILE_BYTES:
-        diff, rho = _distinct_pairs(pts, what)
-        return _WholeTile((PairBlock(slice(None), diff, *_radial_profiles(spec, rho, order)),))
+        ((rows, diff, dist),) = _distinct_tiles(pts, what)  # the whole pass: its refusals come first
+        return _WholeTile((PairBlock(rows, diff, *_radial_profiles(spec, dist, order)),))
     return _RowTiles(spec, pts, order, what)
 
 
@@ -425,38 +411,6 @@ def check_distinct(points: np.ndarray, *, what: str = "points") -> None:
         pass
 
 
-def _distinct_pairs(pts: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Pair differences and distances of the rows of ``pts``, after the tests of
-    :func:`check_distinct`.  A non-finite coordinate or an overflowing distance
-    makes the diameter non-finite (quietly: ``inf - inf`` would warn), and only
-    then are the coordinates inspected.  The diagonal of ``dist`` is exactly
-    zero, so a coincident pair shows as more than ``p`` entries within the
-    tolerance.
-
-    A batch (``pts`` of shape (..., p, D)) is tested as a whole against its
-    largest diameter, whose tolerance is the loosest of its members'.  Only if
-    that test fails is each member tested alone, in order, so the first that
-    fails raises its own message."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        diff = _pair_differences(pts, slice(None))
-        dist = np.sqrt(_pair_dot(diff, diff))
-    diam = float(dist.max(initial=0.0))
-    if pts.ndim > 2:
-        diagonal = dist.size // pts.shape[-2]
-        if not math.isfinite(diam) or np.count_nonzero(dist <= 1e-10 * max(diam, 1e-300)) > diagonal:
-            _each_member_alone(pts, what)
-        return diff, dist
-    if not math.isfinite(diam):
-        _refuse_infinite(pts, what, "are too far apart: a pair distance")
-    tol = 1e-10 * max(diam, 1e-300)
-    if np.count_nonzero(dist <= tol) > len(pts):
-        off = dist.copy()
-        np.fill_diagonal(off, diam + 1.0)
-        a, b = np.unravel_index(int(np.argmin(off)), off.shape)
-        raise DegenerateConfigurationError(f"coincident {what} {a} and {b} (separation {off[a, b]:.3e})")
-    return diff, dist
-
-
 def _each_member_alone(pts: np.ndarray, what: str) -> None:
     """Test each configuration of a batch alone, in order."""
     for member in pts.reshape(-1, *pts.shape[-2:]):
@@ -464,40 +418,54 @@ def _each_member_alone(pts: np.ndarray, what: str) -> None:
 
 
 def _distinct_tiles(pts: np.ndarray, what: str):
-    """Yield ``(rows, diff, dist)`` row tile by row tile, with the tests and
-    messages of :func:`_distinct_pairs`.  In one tile, that is its one call.
+    """Yield ``(rows, diff, dist)`` row tile by row tile: the one builder of
+    pair differences and distances, and the one test of :func:`check_distinct`.
 
-    Above one tile, each tile is refused when its largest distance is not
-    finite, and the smallest distance off the diagonal (its first place in
-    row-major order) is kept with the running diameter; after the last tile
-    it is compared with the tolerance of the whole configuration (of the
-    widest member, for a batch, whose members are then tested alone).  The
-    diagonal of each tile is exactly zero again when the tile is yielded."""
+    A non-finite coordinate or an overflowing distance makes a tile's largest
+    distance non-finite (quietly: ``inf - inf`` would warn), and only then are
+    the coordinates inspected, when that tile is met.  Each tile counts its
+    distances within 1e-10 of an upper bound of the diameter: the tile's own
+    largest distance when it is the one tile, else ``4 max_s |x_s - x_0|``
+    (twice the triangle inequality's, to cover rounding).  Its diagonal is
+    exactly zero, so only a tile with more such distances than diagonal
+    entries can hold a coincident pair, and only such a tile is searched for
+    its first nearest pair off the diagonal.  After the last tile that pair is
+    refused when it lies within 1e-10 of the exact diameter, named by its
+    first place in row-major order.
+
+    A batch (..., p, D) is tested as a whole at the tolerance of its widest
+    member, the loosest.  Only if that test fails is each member tested alone,
+    in order, so the first that fails raises its own message."""
     p = pts.shape[-2]
-    if 8 * p * p <= TILE_BYTES:
-        yield slice(None), *_distinct_pairs(pts, what)
-        return
-    step = TILE_BYTES // (8 * p) or 1
-    diam, near, where = 0.0, math.inf, (0, 0)
-    for lo in range(0, p, step):
-        rows = slice(lo, min(lo + step, p))
+    tiles, bound = (slice(None),), None
+    if 8 * p * p > TILE_BYTES:
+        step = TILE_BYTES // (8 * p) or 1
+        tiles = (slice(lo, min(lo + step, p)) for lo in range(0, p, step))
+        with np.errstate(invalid="ignore", over="ignore"):
+            reach = pts - pts[..., :1, :]
+            bound = 4.0 * math.sqrt(float(_pair_dot(reach, reach).max()))
+    diam, near, where = 0.0, math.inf, None
+    for rows in tiles:
         with np.errstate(invalid="ignore", over="ignore"):
             diff = _pair_differences(pts, rows)
             dist = np.sqrt(_pair_dot(diff, diff))
-        top = float(dist.max())
+        top = float(dist.max(initial=0.0))
         if not math.isfinite(top):
             if pts.ndim > 2:
                 _each_member_alone(pts, what)
             _refuse_infinite(pts, what, "are too far apart: a pair distance")
         diam = max(diam, top)
-        own = np.arange(rows.stop - lo)
-        dist[..., own, own + lo] = np.inf
-        k = int(np.argmin(dist))
-        if dist.flat[k] < near:
-            near, where = float(dist.flat[k]), (lo, k)
-        dist[..., own, own + lo] = 0.0
+        close = np.count_nonzero(dist <= 1e-10 * max(top if bound is None else bound, 1e-300))
+        if close * p > dist.size:  # more than the one zero per row on the diagonal
+            lo = rows.start or 0
+            own = np.arange(dist.shape[-2])
+            dist[..., own, own + lo] = np.inf
+            k = int(np.argmin(dist))
+            if dist.flat[k] < near:
+                near, where = float(dist.flat[k]), (lo, k)
+            dist[..., own, own + lo] = 0.0
         yield rows, diff, dist
-    if near <= 1e-10 * max(diam, 1e-300):
+    if where is not None and near <= 1e-10 * max(diam, 1e-300):
         if pts.ndim > 2:
             _each_member_alone(pts, what)
             return

@@ -26,7 +26,7 @@ from .errors import ConfigurationError
 from .jets import CometricJet, assemble_jet
 from .jsonio import float_array, integer
 from .kernels import GRAM_COND_LIMIT  # noqa: F401  (re-exported: read as landmark.GRAM_COND_LIMIT)
-from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, join_rows, pair_block, pair_tiles, tile_sum
+from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, join_rows, pair_tiles, tile_sum
 
 # Largest dense landmark jet, in bytes: its second derivative holds (pD)^4
 # doubles (4 GB at p=50, D=3), so the ceiling is checked before allocation.
@@ -88,7 +88,7 @@ def landmark_cometric_jet(metric: LandmarkMetric, q: np.ndarray) -> CometricJet:
     if 8 * (p * D) ** 4 > JET_MAX_BYTES:
         raise ConfigurationError(f"dense landmark jet at p={p}, D={D} needs {8 * (p * D) ** 4 / 1e9:.3g} GB "
                                  f"(limit {JET_MAX_BYTES / 1e9:.3g} GB)")
-    blk = pair_block(metric.kernel, _positions(metric, q), 2, what="landmarks")
+    (blk,) = _tiles(metric, q, 2)  # p D <= 76 under JET_MAX_BYTES: always one tile
     eye_d = np.eye(D)
     delta = np.eye(p)
     fac = delta[:, :, None] - delta[:, None, :]   # fac[c, a, b] = d_ca - d_cb

@@ -27,7 +27,7 @@ import numpy as np
 from .curvature import CurvatureBreakdown, _breakdown, _check_finite, _refuses_overflow
 from .errors import ConfigurationError, DegenerateConfigurationError
 from .jsonio import float_array, integer
-from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, join_rows, kernel_value, pair_tiles, tile_sum
+from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, join_rows, pair_tiles, tile_sum
 
 FRAME_TOL = 1e-10  # largest entry error of a frame's Gram or projector accepted as orthonormal
 
@@ -209,17 +209,10 @@ def _pairing(dots: np.ndarray, w: np.ndarray, blk: PairBlock) -> float:
     return float(np.einsum("st,st->", dots * w[blk.rows, None] * w[None, :], blk.value))
 
 
-def horizontal_velocity(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Field values ``u_a(y) = sum_t K(y - x_t) a_t w_t`` at query points ``y``
-    (shape (n,) or (Q, n))."""
+def horizontal_velocity(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray) -> np.ndarray:
+    """Field values ``u_a(x_s) = sum_t K(x_s - x_t) a_t w_t`` at the samples."""
     a = _check_mom(shape, a)
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    ys = y[None, :] if single else y
-    spec.require_ambient(shape.n)
-    kv = kernel_value(spec, ys[:, None, :] - shape.x[None, :, :])
-    u = (kv * shape.w[None, :]) @ a
-    return u[0] if single else u
+    return join_rows([(blk.value * shape.w[None, :]) @ a for blk in _tiles(spec, shape, 0)])
 
 
 def geodesic_rhs(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, energy: bool = False) -> tuple:

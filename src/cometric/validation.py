@@ -392,7 +392,7 @@ def suite_m0_reduction(seed: int, quick: bool) -> tuple[bool, str]:
 
     worst = max(
         worst,
-        gap(shapes.horizontal_velocity(spec, shape, a, shape.x), landmark_velocity(metric, q, a)),
+        gap(shapes.horizontal_velocity(spec, shape, a), landmark_velocity(metric, q, a)),
     )
     pair = shapes.induced_pairing(spec, shape, a, a)
     worst = max(worst, abs(0.5 * pair - landmark_hamiltonian(metric, q, a)))

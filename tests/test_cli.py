@@ -450,3 +450,28 @@ def test_malformed_input_exits_1_without_traceback(case, tmp_path, spec_file, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+_FORMS = "(know euclidean[:d], sphere[:radius], hyperbolic)"
+
+
+@pytest.mark.parametrize("cometric, point, line", [
+    ("catalog:hyperbolic:5", "0.1,0.2", f"too many catalog arguments in 'hyperbolic:5' {_FORMS}"),
+    ("catalog:sphere:2:-1", "0.1,0.2", f"too many catalog arguments in 'sphere:2:-1' {_FORMS}"),
+    ("catalog:euclidean:2:9", "0.1,0.2", f"too many catalog arguments in 'euclidean:2:9' {_FORMS}"),
+    ("catalog:torus", "0.1,0.2", f"unknown catalog cometric 'torus' {_FORMS}"),
+    ("catalog:sphere:nan", "0.1,0.2", "sphere radius must be finite, got nan"),
+    ("catalog:sphere:inf", "0.1,0.2", "sphere radius must be finite, got inf"),
+    ("catalog:sphere:-1", "0.1,0.2", "sphere radius must be positive"),
+    ("catalog:euclidean:0", "0.1,0.2", "cometric dimension must be >= 1, got 0"),
+    ("catalog:sphere", "0.1,0.2,0.3", "point has shape (3,), chart dimension is 2"),
+])
+def test_catalog_cometric_and_point_refusals_exit_1(cometric, point, line, capsys):
+    """A catalog argument beyond the name's own, a bad radius or dimension,
+    and a point of the wrong size each exit 1 with exactly one ``error:``
+    line, before anything is computed."""
+    argv = ["curvature", "chart", "--cometric", cometric, "--point", point, "--alpha", "1,0", "--beta", "0,1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"

@@ -50,7 +50,7 @@ def test_config_refuses_more_than_max_steps():
 def test_integrate_refuses_a_trajectory_it_cannot_allocate():
     """A trajectory beyond numpy's largest array is refused by name.  The
     initial state is a broadcast view, so nothing is allocated on the way."""
-    system = dynamics.HamiltonianSystem(rhs=None, observe=None, shape=(2, 10**8, 10**9), rhs_observe=None)
+    system = dynamics.HamiltonianSystem(rhs=None, shape=(2, 10**8, 10**9), rhs_observe=None)
     y0 = np.broadcast_to(0.0, system.shape)
     with pytest.raises(ConfigurationError, match=r"^cannot allocate a trajectory of 11 states of shape \(2, 100000000"):
         integrate(system, y0, IntegratorConfig(dt=0.1, t_final=1.0))
@@ -310,21 +310,17 @@ def test_match_integrates_once_per_shot(monkeypatch):
     """Criterion 10's pair converges in 4 iterations.  An iteration's 8
     Jacobian shots step as one batch, one batched rhs call per stage, so the
     start, 4 Jacobian batches and 4 accepted trials make 9 integrations of
-    100 RK4 steps.  No shot is monitored, so H is never evaluated."""
+    100 RK4 steps.  No shot is monitored, so no rhs call evaluates H."""
     pair, q0, target, config = _criterion_10_pair(1e-2)
     calls = {"rhs": 0, "H": 0}
-    rhs, ham = dynamics.geodesic_rhs, dynamics.hamiltonian
+    rhs = dynamics.geodesic_rhs
 
     def counting_rhs(*args):
         calls["rhs"] += 1
+        calls["H"] += len(args) > 3 and bool(args[3])  # the ``energy`` flag
         return rhs(*args)
 
-    def counting_hamiltonian(*args):
-        calls["H"] += 1
-        return ham(*args)
-
     monkeypatch.setattr(dynamics, "geodesic_rhs", counting_rhs)
-    monkeypatch.setattr(dynamics, "hamiltonian", counting_hamiltonian)
     result = match(pair, q0, target, config)
     assert result.iterations == 4 and len(result.residuals) == 5
     assert calls == {"rhs": (5 + 4) * 4 * 100, "H": 0}
@@ -402,7 +398,7 @@ def test_rhs_and_observe_refuse_coincident_points(kind):
     with pytest.raises(DegenerateConfigurationError) as want:
         check_distinct(x, what=what)
     y = np.array((x, 0.1 * x))
-    for call in (system.rhs, system.observe):
+    for call in (system.rhs, system.rhs_observe):
         with pytest.raises(DegenerateConfigurationError) as got:
             call(y)
         assert str(got.value) == str(want.value)
@@ -412,25 +408,26 @@ def test_rhs_and_observe_refuse_coincident_points(kind):
 def test_one_distinctness_test_per_stage_and_per_step(kind, monkeypatch):
     system, x, _ = _system(kind)
     calls = []
-    inner = kernels._distinct_pairs
+    inner = kernels._distinct_tiles
 
     def counting(pts, what):
         calls.append(what)
         return inner(pts, what)
 
-    monkeypatch.setattr(kernels, "_distinct_pairs", counting)
+    monkeypatch.setattr(kernels, "_distinct_tiles", counting)
     y = np.array((x, 0.1 * x))
     system.rhs(y)
     assert len(calls) == 1
-    system.observe(y)
+    system.rhs_observe(y)
     assert len(calls) == 2
 
 
 @pytest.mark.parametrize("kind", ["landmark", "curve"])
 def test_monitored_energy_is_the_hamiltonian_bit_for_bit(kind):
-    """Under RK4 the H of each state but the last comes from the first stage's
-    pair block; it equals ``landmark.hamiltonian`` and ``1/2 induced_pairing``
-    exactly, at every stored state, and so do the other observations."""
+    """Under RK4 the H of each state comes from the pair block of an rhs call
+    (the first stage's, and one more for the last state); it equals
+    ``landmark.hamiltonian`` and ``1/2 induced_pairing`` exactly, at every
+    stored state, and the other observations are those of ``rhs_observe``."""
     system, x, _ = _system(kind)
     ys, report = integrate(system, np.array((x, 0.3 * x[::-1])), IntegratorConfig(dt=0.05, t_final=0.5))
     circle = shapes.make_circle(8)
@@ -441,7 +438,7 @@ def test_monitored_energy_is_the_hamiltonian_bit_for_bit(kind):
             shp = shapes._unchecked(y[0], circle.w, circle.tangents, circle.projectors)
             h = 0.5 * shapes.induced_pairing(SPEC, shp, y[1], y[1])
         assert report.hamiltonian[k] == h
-        seen = system.observe(y)
+        seen = system.rhs_observe(y)[1]
         assert np.array_equal(report.linear[k], seen["linear"])
         assert np.array_equal(report.angular[k], seen["angular"])
         if kind == "curve":
@@ -452,12 +449,18 @@ def test_monitored_energy_is_the_hamiltonian_bit_for_bit(kind):
 @pytest.mark.parametrize("kind", ["landmark", "curve"])
 def test_rhs_observe_refuses_coincident_points_like_observe(kind):
     """The first stage that observes a state refuses a collision in it with
-    ``observe``'s error and message."""
+    the error and message of the energy routes it stands for
+    (``landmark.hamiltonian``, ``shapes.induced_pairing``)."""
     system, x, _ = _system(kind)
     x[2] = x[0]
     y = np.array((x, 0.1 * x))
     with pytest.raises(DegenerateConfigurationError) as want:
-        system.observe(y)
+        if kind == "landmark":
+            landmark.hamiltonian(LandmarkMetric(SPEC, *x.shape), x, y[1])
+        else:
+            circle = shapes.make_circle(8)
+            shapes.induced_pairing(SPEC, shapes._unchecked(x, circle.w, circle.tangents, circle.projectors),
+                                   y[1], y[1])
     with pytest.raises(DegenerateConfigurationError) as got:
         system.rhs_observe(y)
     assert str(got.value) == str(want.value)
@@ -472,13 +475,13 @@ def test_rk4_integrate_builds_one_pair_block_per_step(kind, monkeypatch):
     y0 = np.array((x, 0.1 * x))
     config = IntegratorConfig(dt=0.05, t_final=0.5)
     calls = []
-    inner = kernels._distinct_pairs
+    inner = kernels._distinct_tiles
 
     def counting(pts, what):
         calls.append(what)
         return inner(pts, what)
 
-    monkeypatch.setattr(kernels, "_distinct_pairs", counting)
+    monkeypatch.setattr(kernels, "_distinct_tiles", counting)
     integrate(system, y0, config)
     assert len(calls) == 4 * config.steps + 1
     del calls[:]
@@ -507,6 +510,6 @@ def test_shape_system_refuses_a_kernel_narrower_than_the_shape():
     circle = shapes.make_circle(8)
     system = shape_system(KernelSpec("sobolev_bessel", n=1, l=3), circle)
     y = np.array((circle.x, 0.1 * circle.x))
-    for call in (system.rhs, system.observe):
+    for call in (system.rhs, system.rhs_observe):
         with pytest.raises(ConfigurationError, match="^ambient dimension D=2 exceeds the kernel dimension n=1$"):
             call(y)

@@ -20,7 +20,7 @@ from cometric.kernels import (
     kernel_grad,
     kernel_hess,
     kernel_value,
-    pair_block,
+    pair_tiles,
     spec_from_json,
     spec_to_json,
 )
@@ -129,9 +129,9 @@ def test_jets_at_origin():
 def test_pair_block_orders():
     spec = KernelSpec("sobolev_bessel", n=1, l=2)
     pts = np.array([[0.0], [0.4]])
-    b0 = pair_block(spec, pts, 0)
+    (b0,) = pair_tiles(spec, pts, 0, "points")
     assert b0.g is None and b0.h is None
-    b1 = pair_block(spec, pts, 1)
+    (b1,) = pair_tiles(spec, pts, 1, "points")
     assert b1.g is not None and b1.h is None
     assert np.array_equal(b1.value, b0.value)
 
@@ -148,7 +148,7 @@ def test_pair_block_matches_pointwise_kernels(spec):
     rng = np.random.default_rng(31)
     dim = min(spec.n, 2)
     pts = rng.uniform(-1.5, 1.5, size=(6, dim))
-    blk = pair_block(spec, pts, 2)
+    (blk,) = pair_tiles(spec, pts, 2, "points")
     diff = pts[:, None, :] - pts[None, :, :]
     assert blk.diff.shape == diff.shape
     assert np.array_equal(blk.diff, diff)
@@ -164,7 +164,7 @@ def test_pair_block_radial_term_of_matern_three_halves():
     """For nu = 3/2 the r r^T coefficient is c' e^{-t}/t, t = |r|/sqrt(A)."""
     spec = KernelSpec("sobolev_bessel", n=3, l=3, A=0.7, c=1.3)
     pts = np.array([[0.0, 0.0, 0.0], [0.3, -0.4, 0.0]])
-    blk = pair_block(spec, pts, 2)
+    (blk,) = pair_tiles(spec, pts, 2, "points")
     t = 0.5 / np.sqrt(spec.A)
     cst = spec.c * spec.A**-1.5 * np.sqrt(np.pi / 2) / ((2 * np.pi) ** 1.5 * 4 * 2)
     assert blk.h[0, 1] == pytest.approx(cst / spec.A**2 * np.exp(-t) / t, rel=1e-14)
@@ -175,7 +175,7 @@ def test_pair_block_refuses_coincident_rows_like_check_distinct():
     spec = KernelSpec("sobolev_bessel", n=3, l=3)
     bad = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-14]])
     with pytest.raises(DegenerateConfigurationError) as own:
-        pair_block(spec, bad, 1, what="landmarks")
+        pair_tiles(spec, bad, 1, "landmarks")
     with pytest.raises(DegenerateConfigurationError) as ref:
         check_distinct(bad, what="landmarks")
     assert str(own.value) == str(ref.value)
@@ -269,65 +269,74 @@ def test_distinct_pairs_refuses_non_finite_coordinates(value, rows):
     points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])[:rows]
     points[-1, 0] = value
     with pytest.raises(ConfigurationError, match="^landmarks contain non-finite coordinates$"):
-        kernels._distinct_pairs(points, "landmarks")
+        check_distinct(points, what="landmarks")
 
 
 def test_distinct_pairs_refuses_an_overflowing_distance_as_overflow():
     """Finite rows whose distance overflows when squared are refused as such,
     not as the coincidence the infinite diameter would otherwise suggest."""
     with pytest.raises(ConfigurationError, match="^landmarks are too far apart: a pair distance overflows") as info:
-        kernels._distinct_pairs(np.array([[0.0, 0.0], [1e200, 0.0]]), "landmarks")
+        check_distinct(np.array([[0.0, 0.0], [1e200, 0.0]]), what="landmarks")
     assert not isinstance(info.value, DegenerateConfigurationError)
 
 
 def test_distinct_pairs_names_the_closest_coincident_pair():
     points = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1e-14]])
     with pytest.raises(DegenerateConfigurationError) as info:
-        kernels._distinct_pairs(points, "landmarks")
+        check_distinct(points, what="landmarks")
     assert str(info.value) == "coincident landmarks 1 and 3 (separation 1.000e-14)"
+
+
+PAIR_SPEC = KernelSpec("sobolev_bessel", n=3, l=3, A=0.7)
 
 
 @pytest.mark.parametrize("p,d", [(1, 2), (2, 2), (3, 2), (5, 3)])
 def test_distinct_pairs_layout(p, d):
-    """Distances keep an exactly zero diagonal after the check; differences are
-    a (p, p, D) view of C-ordered component-major storage, the strides that
-    ``PairBlock.contract``'s ``matmul`` was pinned to."""
+    """The one tile's differences are a (p, p, D) view of C-ordered
+    component-major storage, the strides that ``PairBlock.contract``'s
+    ``matmul`` was pinned to; its values are the pointwise kernel's at those
+    differences, bit for bit, ``K(0)`` on the diagonal."""
     points = np.random.default_rng(p).standard_normal((p, d))
-    diff, dist = kernels._distinct_pairs(points, "points")
-    assert np.array_equal(np.diag(dist), np.zeros(p))
-    assert diff.shape == (p, p, d) and diff.strides == (8 * p, 8, 8 * p * p)
-    assert diff.transpose(2, 0, 1).flags.c_contiguous
-    assert np.array_equal(diff, points[:, None, :] - points[None, :, :])
-    assert np.array_equal(dist, np.sqrt(np.sum(diff * diff, axis=-1)))
+    (blk,) = pair_tiles(PAIR_SPEC, points, 0, "points")
+    assert blk.rows == slice(None)
+    assert blk.diff.shape == (p, p, d) and blk.diff.strides == (8 * p, 8, 8 * p * p)
+    assert blk.diff.transpose(2, 0, 1).flags.c_contiguous
+    assert np.array_equal(blk.diff, points[:, None, :] - points[None, :, :])
+    assert np.array_equal(blk.value, kernel_value(PAIR_SPEC, blk.diff))
+    assert np.array_equal(np.diag(blk.value), np.full(p, kernel_value(PAIR_SPEC, np.zeros(d))))
 
 
 def test_batched_distinct_pairs_is_each_member_alone():
-    """A batch keeps each member's differences, distances and strides."""
+    """A batch keeps each member's differences, values and strides."""
     points = np.random.default_rng(3).standard_normal((4, 5, 3))
-    diff, dist = kernels._distinct_pairs(points, "points")
-    assert diff.shape == (4, 5, 5, 3) and diff.transpose(0, 3, 1, 2).flags.c_contiguous
-    for member, d, r in zip(points, diff, dist):
-        one_diff, one_dist = kernels._distinct_pairs(member, "points")
-        assert np.array_equal(d, one_diff) and d.strides == one_diff.strides
-        assert np.array_equal(r, one_dist)
+    (blk,) = pair_tiles(PAIR_SPEC, points, 0, "points")
+    assert blk.diff.shape == (4, 5, 5, 3) and blk.diff.transpose(0, 3, 1, 2).flags.c_contiguous
+    for member, d, v in zip(points, blk.diff, blk.value):
+        (one,) = pair_tiles(PAIR_SPEC, member, 0, "points")
+        assert np.array_equal(d, one.diff) and d.strides == one.diff.strides
+        assert np.array_equal(v, one.value)
 
 
 def test_batched_distinct_pairs_refuses_a_member_with_its_own_message():
     """A collision in one member raises exactly that member's unbatched error,
     tested against its own diameter: a pair that is coincident only at the
-    tolerance of a wider member passes."""
+    tolerance of a wider member passes, and its tile, searched for it, keeps
+    a zero diagonal (``h = 0``, ``K(0)``) in every member."""
     rng = np.random.default_rng(4)
     points = rng.standard_normal((3, 4, 2))
     points[2, 3] = points[2, 1] + 1e-13
     with pytest.raises(DegenerateConfigurationError) as want:
-        kernels._distinct_pairs(points[2], "landmarks")
+        check_distinct(points[2], what="landmarks")
     with pytest.raises(DegenerateConfigurationError) as got:
-        kernels._distinct_pairs(points, "landmarks")
+        check_distinct(points, what="landmarks")
     assert str(got.value) == str(want.value) == "coincident landmarks 1 and 3 (separation 1.414e-13)"
     close = np.array([[[0.0, 0.0], [1e-9, 0.0]], [[0.0, 0.0], [1e3, 0.0]]])
-    kernels._distinct_pairs(close, "landmarks")
+    check_distinct(close, what="landmarks")
+    (blk,) = pair_tiles(PAIR_SPEC, close, 2, "landmarks")
+    assert np.all(blk.h[:, [0, 1], [0, 1]] == 0.0)
+    assert np.all(blk.value[:, [0, 1], [0, 1]] == kernel_value(PAIR_SPEC, np.zeros(2)))
     with pytest.raises(DegenerateConfigurationError):
-        kernels._distinct_pairs(np.array([[0.0, 0.0], [1e-9, 0.0], [1e3, 0.0]]), "landmarks")
+        check_distinct(np.array([[0.0, 0.0], [1e-9, 0.0], [1e3, 0.0]]), what="landmarks")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -335,7 +344,7 @@ def test_batched_distinct_pairs_refuses_a_non_finite_member(value):
     points = np.random.default_rng(5).standard_normal((3, 4, 2))
     points[1, 2, 0] = value
     with pytest.raises(ConfigurationError, match="^landmarks contain non-finite coordinates$"):
-        kernels._distinct_pairs(points, "landmarks")
+        check_distinct(points, what="landmarks")
 
 
 @pytest.mark.parametrize("fn", [kernel_value, kernel_grad, kernel_hess])

@@ -308,7 +308,7 @@ def test_zero_dimensional_shape_reduces_to_landmarks():
     shape = shapes.landmark_shape(q)
 
     assert np.array_equal(
-        shapes.horizontal_velocity(SPEC, shape, a, shape.x), landmark_velocity(metric, q, a)
+        shapes.horizontal_velocity(SPEC, shape, a), landmark_velocity(metric, q, a)
     )
     sx, sa = shapes.geodesic_rhs(SPEC, shape, a)
     lx, la = landmark_rhs(metric, q, a)
@@ -328,7 +328,7 @@ def test_zero_dimensional_shape_reduces_to_landmarks():
     lambda spec, shape, a: shapes.curvature_terms(spec, shape, a, a[::-1].copy()),
     lambda spec, shape, a: shapes.geodesic_rhs(spec, shape, a),
     lambda spec, shape, a: shapes.induced_pairing(spec, shape, a, a),
-    lambda spec, shape, a: shapes.horizontal_velocity(spec, shape, a, shape.x),
+    lambda spec, shape, a: shapes.horizontal_velocity(spec, shape, a),
 ], ids=["curvature_terms", "geodesic_rhs", "induced_pairing", "horizontal_velocity"])
 def test_kernel_narrower_than_the_shape_refused(op):
     """A kernel on R^1 is not positive definite on the plane: the shape routes

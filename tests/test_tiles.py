@@ -6,10 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cometric import kernels, landmark, shapes
 from cometric.errors import ConfigurationError, DegenerateConfigurationError
-from cometric.kernels import KernelSpec, check_distinct, gram_matrix, pair_block, pair_tiles
+from cometric.kernels import KernelSpec, check_distinct, gram_matrix, pair_tiles
 from cometric.landmark import LandmarkMetric
 
 SPEC = KernelSpec("sobolev_bessel", n=3, l=3, A=0.7)
@@ -102,7 +103,7 @@ def test_tiled_routes_agree_with_one_tile(route, p, rows, monkeypatch):
 def test_tiles_cover_every_row_once_with_the_whole_block_data(monkeypatch):
     p = 23
     q = _ring(p)
-    whole = pair_block(SPEC, q, 2)
+    (whole,) = pair_tiles(SPEC, q, 2, "points")
     monkeypatch.setattr(kernels, "TILE_BYTES", _tile_bytes(p, 4))
     tiles = list(pair_tiles(SPEC, q, 2, "points"))
     assert [(t.rows.start, t.rows.stop) for t in tiles] == [(lo, min(lo + 4, p)) for lo in range(0, p, 4)]
@@ -115,13 +116,11 @@ def test_tiles_cover_every_row_once_with_the_whole_block_data(monkeypatch):
 
 def test_pairs_that_fit_make_one_tile_the_whole_block():
     """Up to p = 128 the shipped tile holds every pair: the one tile is the
-    whole block, built as ``pair_block`` builds it, for every pass."""
+    whole block, built once and the same for every pass."""
     q = _ring(128)
     tiles = pair_tiles(SPEC, q, 1, "points")
     (one,) = list(tiles)
-    assert one.rows == slice(None) and list(tiles.at(0)) == [one]
-    whole = pair_block(SPEC, q, 1)
-    assert all(np.array_equal(x, y) for x, y in zip(one[1:], whole[1:]))
+    assert one.rows == slice(None) and list(tiles.at(0)) == [one] and list(tiles)[0] is one
     assert len(list(pair_tiles(SPEC, _ring(129), 1, "points"))) == 2
 
 
@@ -166,6 +165,60 @@ def test_a_pair_is_coincident_by_the_diameter_of_the_whole_configuration(monkeyp
                     check_distinct(q)
             else:
                 check_distinct(q)
+
+
+def _verdict(call) -> tuple | None:
+    """None when ``call`` passes, else the type and message of its refusal."""
+    try:
+        call()
+    except (ConfigurationError, DegenerateConfigurationError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _pass_verdicts(pts: np.ndarray) -> list:
+    """The verdicts of ``check_distinct`` and of each ``pair_tiles`` pass: the
+    one tile is checked while it is built, row tiles by every pass."""
+    verdicts = [_verdict(lambda: check_distinct(pts, what="landmarks"))]
+    try:
+        tiles = pair_tiles(SPEC, pts, 2, "landmarks")
+    except (ConfigurationError, DegenerateConfigurationError) as exc:
+        return [*verdicts, (type(exc), str(exc))]
+    return [*verdicts, _verdict(lambda: list(tiles)), _verdict(lambda: list(tiles.at(0)))]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p=st.integers(9, 20), rows=st.integers(3, 5), place=st.sampled_from(["first", "middle", "last"]),
+       ratio=st.floats(0.25, 4.0), seed=st.integers(0, 2**16))
+def test_coincidence_verdict_does_not_depend_on_tile_size(p, rows, place, ratio, seed):
+    """A pair ``ratio * 1e-10 * diameter`` apart, in the first, a middle or
+    the last tile of ``rows`` rows: ``check_distinct`` and every pass of
+    ``pair_tiles`` give one verdict, error type and message, at one tile and
+    in row tiles, alone and as the middle member of a batch of three (a wider
+    and a narrower ring beside it).  Below the ratio 1 the pair is refused by
+    name, above it every pass passes; pairs up to 4 diameters' worth of the
+    tolerance apart make their tile a candidate above one tile."""
+    q = _ring(p, seed)
+    tile = [range(lo, min(lo + rows, p)) for lo in range(0, p, rows)]
+    rows_of = {"first": tile[0], "middle": tile[len(tile) // 2], "last": tile[-1]}[place]
+    i, j = (rows_of[0], rows_of[-1]) if len(rows_of) > 1 else (rows_of[0] - 1, rows_of[0])
+    q[j] = q[i]
+    diameter = float(np.sqrt(((q[:, None, :] - q[None, :, :]) ** 2).sum(axis=-1)).max())
+    angle = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi)
+    q[j] = q[i] + ratio * 1e-10 * diameter * np.array([np.cos(angle), np.sin(angle)])
+    batch = np.stack([2.0 * _ring(p, seed + 1), q, 0.5 * _ring(p, seed + 2)])
+    want = _verdict(lambda: check_distinct(q, what="landmarks"))
+    if abs(ratio - 1.0) > 1e-6:
+        assert (want is not None) == (ratio < 1.0)
+    if want is not None:
+        assert want[0] is DegenerateConfigurationError
+        assert want[1].startswith(f"coincident landmarks {i} and {j} (separation ")
+    with pytest.MonkeyPatch.context() as patch:
+        for tile_bytes in (ONE_TILE, _tile_bytes(p, rows)):
+            patch.setattr(kernels, "TILE_BYTES", tile_bytes)
+            for pts in (q, batch):
+                verdicts = _pass_verdicts(pts)
+                assert verdicts == [want] * len(verdicts)
 
 
 @pytest.mark.parametrize("row, message", [

@@ -24,7 +24,8 @@ def test_registry_covers_every_tolerance(monkeypatch):
     suite in registry order, and the two that integrate landmark geodesics
     (their size does not depend on ``quick``) make only the rhs calls they
     need: conservation reuses the pair's dt = 1e-3 endpoint for the
-    step-halving ratio (4 000 + 4 000 + 8 000 + 16 000 calls), and matching
+    step-halving ratio (4 001 + 4 001 + 8 000 + 16 000 calls: a monitored
+    integration observes its last state with one more call), and matching
     builds its round-trip target with one ``_endpoint`` (400 calls) instead
     of a ``shoot`` whose Jacobian (one more batched integration) it would
     discard.  Each Gauss-Newton iteration's Jacobian shots step as one batch,
@@ -53,7 +54,7 @@ def test_registry_covers_every_tolerance(monkeypatch):
         monkeypatch.setitem(SUITES, name, counted(name, suite))
     results = run_suites(quick=True)
     assert [r.name for r in results] == list(SUITES)
-    assert rhs_calls == {**dict.fromkeys(SUITES, 0), "conservation": 32_000, "matching": 6_800}
+    assert rhs_calls == {**dict.fromkeys(SUITES, 0), "conservation": 32_002, "matching": 6_800}
 
 
 def test_unknown_suite_rejected():
