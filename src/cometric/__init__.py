@@ -41,7 +41,6 @@ from .errors import (
     GeometryError,
     MetricDegeneracyError,
     ParseError,
-    UnsupportedError,
 )
 from .jets import CometricJet, assemble_jet
 from .kernels import (
@@ -68,7 +67,7 @@ __all__ = [
     "SuiteResult", "TOLERANCES",
     "GeometryError", "ConfigurationError", "ParseError", "DomainEvaluationError",
     "MetricDegeneracyError", "DegenerateConfigurationError", "ConditioningError",
-    "DivergenceError", "UnsupportedError",
+    "DivergenceError",
     "assemble_jet", "catalog_case", "catalog_cometric", "christoffel",
     "closed_curve", "cometric_from_json", "cometric_jet", "cometric_to_json",
     "euclidean", "force", "gram_matrix", "hopf_case", "hyperbolic_half_plane",

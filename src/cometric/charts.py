@@ -28,13 +28,7 @@ from .dsl import Expr, Const, Var, parse
 from .errors import ConfigurationError
 from .jets import CometricJet, assemble_jet
 from .jsonio import integer
-from .kernels import (
-    GAUSSIAN_FAMILY,
-    KernelSpec,
-    _bessel_const,
-    _bessel_order_k,
-    _bessel_poly,
-)
+from .kernels import KernelSpec, _bessel_const, _bessel_order_k, _bessel_poly
 
 
 @dataclass(frozen=True)
@@ -113,8 +107,6 @@ def _kernel_expr(spec: KernelSpec, vars_a: list[int], vars_b: list[int]) -> Expr
     rho2: Expr = Const(0.0)
     for va, vb in zip(vars_a, vars_b):
         rho2 = dsl.add_(rho2, dsl.pow_(dsl.sub_(Var(va), Var(vb)), 2))
-    if spec.family == GAUSSIAN_FAMILY:
-        return dsl.mul_(Const(spec.c), dsl.call_("exp", dsl.neg_(dsl.div_(rho2, Const(spec.A)))))
     k = _bessel_order_k(spec)
     t = dsl.div_(dsl.call_("sqrt", rho2), Const(math.sqrt(spec.A)))
     coeffs = _bessel_poly(k)
@@ -134,7 +126,7 @@ def landmark_cometric_def(spec: KernelSpec, p: int, D: int) -> CometricDef:
     if p < 1 or D < 1:
         raise ConfigurationError("landmark chart needs p >= 1, D >= 1")
     spec.require_curvature_grade()
-    k0 = float(spec.c) if spec.family == GAUSSIAN_FAMILY else _bessel_const(spec) * float(_bessel_poly(_bessel_order_k(spec))[-1])
+    k0 = _bessel_const(spec) * float(_bessel_poly(_bessel_order_k(spec))[-1])
     entries: dict[tuple[int, int], Expr] = {}
     for a in range(p):
         for i in range(D):

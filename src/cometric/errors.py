@@ -58,8 +58,3 @@ class DivergenceError(GeometryError):
     def __init__(self, message: str, t_last: float) -> None:
         super().__init__(f"{message} (last finite t={t_last:.6g})")
         self.t_last = t_last
-
-
-class UnsupportedError(GeometryError):
-    """The requested operation is not defined for this input (for example a
-    Fourier-oracle evaluation of a kernel family that has no Fourier form)."""

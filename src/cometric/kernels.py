@@ -1,21 +1,16 @@
 """Radial reproducing kernels and their jets.
 
-Two families:
+One family, ``sobolev_bessel``: the kernel of the Sobolev operator
+``L = (1 - A Delta)^l``, whose Fourier transform is ``(1 + A |xi|^2)^(-l)`` on
+R^n.  For odd ``n`` (half-integer Matern order ``nu = l - n/2``) it has the
+closed form
 
-* ``sobolev_bessel`` — the kernel whose Fourier transform is
-  ``(1 + A |xi|^2)^(-l)`` on R^n.  For odd ``n`` (half-integer Matern order
-  ``nu = l - n/2``) it has the closed form
+    K(r) = c * A^(-n/2) / ((2 pi)^(n/2) 2^(l-1) (l-1)!) * E_nu(|r|/sqrt(A))
 
-      K(r) = c * A^(-n/2) / ((2 pi)^(n/2) 2^(l-1) (l-1)!) * E_nu(|r|/sqrt(A))
-
-  with ``E_nu(t) = t^nu K_nu(t)`` (modified Bessel of the second kind), which
-  for half-integer ``nu = k + 1/2`` collapses to ``sqrt(pi/2) e^(-t) P_k(t)``
-  with the polynomial ``P_k(t) = sum_j (k+j)! / (j! (k-j)! 2^j) t^(k-j)``.
-  Even ``n`` would need integer-order Bessel functions and is rejected.
-
-* ``gaussian`` — ``K(r) = c * exp(-|r|^2 / A)``.  Test-only family: it is not
-  the transform of any ``(1+A|xi|^2)^(-l)`` symbol, so the Fourier oracle
-  refuses it.
+with ``E_nu(t) = t^nu K_nu(t)`` (modified Bessel of the second kind), which
+for half-integer ``nu = k + 1/2`` collapses to ``sqrt(pi/2) e^(-t) P_k(t)``
+with the polynomial ``P_k(t) = sum_j (k+j)! / (j! (k-j)! 2^j) t^(k-j)``.
+Even ``n`` would need integer-order Bessel functions and is rejected.
 
 Gradients and Hessians use the recurrence ``d/dt E_nu = -t E_(nu-1)``, which is
 free of cancellation; nothing here evaluates a Bessel function numerically.
@@ -37,62 +32,50 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConditioningError,
-    ConfigurationError,
-    DegenerateConfigurationError,
-    UnsupportedError,
-)
+from .errors import ConditioningError, ConfigurationError, DegenerateConfigurationError
 from .jsonio import integer, number
 
 BESSEL_FAMILY = "sobolev_bessel"
-GAUSSIAN_FAMILY = "gaussian"
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """Validated kernel parameters.
 
-    ``n`` is the ambient dimension the kernel's symbol lives in, ``l`` the
-    symbol exponent (Bessel family only), ``A`` the squared length scale and
-    ``c`` a positive amplitude.
+    ``family`` is :data:`BESSEL_FAMILY`, ``n`` the ambient dimension the
+    kernel's symbol lives in, ``l`` the symbol exponent, ``A`` the squared
+    length scale and ``c`` a positive amplitude.
     """
 
     family: str
     n: int
-    l: int | None = None
+    l: int
     A: float = 1.0
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.family not in (BESSEL_FAMILY, GAUSSIAN_FAMILY):
-            raise ConfigurationError(f"unknown kernel family {self.family!r}")
+        if self.family != BESSEL_FAMILY:
+            raise ConfigurationError(f"unknown kernel family {self.family!r} (know {BESSEL_FAMILY})")
         if not isinstance(self.n, int) or self.n < 1:
             raise ConfigurationError(f"kernel dimension n must be a positive integer, got {self.n!r}")
         if not (isinstance(self.A, (int, float)) and math.isfinite(self.A) and self.A > 0):
             raise ConfigurationError(f"kernel scale A must be positive and finite, got {self.A!r}")
         if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c > 0):
             raise ConfigurationError(f"kernel amplitude c must be positive and finite, got {self.c!r}")
-        if self.family == BESSEL_FAMILY:
-            if not isinstance(self.l, int) or self.l < 1:
-                raise ConfigurationError(f"Bessel kernel needs an integer exponent l >= 1, got {self.l!r}")
-            if self.n % 2 == 0:
-                raise ConfigurationError(
-                    f"Bessel kernel closed form needs odd n (half-integer Matern order); got n={self.n}"
-                )
-            if 2 * self.l <= self.n:
-                raise ConfigurationError(
-                    f"Bessel kernel with 2l <= n is not continuous (n={self.n}, l={self.l})"
-                )
-        else:
-            if self.l is not None:
-                raise ConfigurationError("gaussian kernel takes no exponent l")
+        if not isinstance(self.l, int) or self.l < 1:
+            raise ConfigurationError(f"Bessel kernel needs an integer exponent l >= 1, got {self.l!r}")
+        if self.n % 2 == 0:
+            raise ConfigurationError(
+                f"Bessel kernel closed form needs odd n (half-integer Matern order); got n={self.n}"
+            )
+        if 2 * self.l <= self.n:
+            raise ConfigurationError(
+                f"Bessel kernel with 2l <= n is not continuous (n={self.n}, l={self.l})"
+            )
 
     @functools.cached_property
     def is_curvature_grade(self) -> bool:
         """True when second-order jets exist everywhere (C^2 kernel)."""
-        if self.family == GAUSSIAN_FAMILY:
-            return True
         return 2 * self.l > self.n + 2
 
     def require_curvature_grade(self) -> None:
@@ -171,29 +154,22 @@ def _radial_profiles(
     ``h`` is 0 where ``r = 0``: its ``r r^T`` factor vanishes there, while for
     ``nu = 3/2`` the profile ``E_(nu-2)`` itself diverges.
     """
-    if spec.family == GAUSSIAN_FAMILY:
-        e = np.exp(-(rho * rho) / spec.A)
-        value = spec.c * e
-        g = (-2.0 * spec.c / spec.A) * e if order >= 1 else None
-        radial = (4.0 * spec.c / spec.A**2) * e if order >= 2 else None
+    if order >= 1:
+        spec.require_curvature_grade()
+    cst, k, sqrt_a = spec._bessel_profile
+    t = rho / sqrt_a
+    e = np.exp(-t)
+    value = _scaled_poly(cst, e, k, t)
+    g = _scaled_poly(-cst / spec.A, e, k - 1, t) if order >= 1 else None
+    if order < 2:
+        return value, g, None
+    tt = np.where(rho == 0.0, 1.0, t)
+    if k == 1:
+        radial = e / tt
+        radial *= cst / spec.A**2
     else:
-        if order >= 1:
-            spec.require_curvature_grade()
-        cst, k, sqrt_a = spec._bessel_profile
-        t = rho / sqrt_a
-        e = np.exp(-t)
-        value = _scaled_poly(cst, e, k, t)
-        g = _scaled_poly(-cst / spec.A, e, k - 1, t) if order >= 1 else None
-        radial = None
-        if order >= 2:
-            tt = np.where(rho == 0.0, 1.0, t)
-            if k == 1:
-                radial = e / tt
-                radial *= cst / spec.A**2
-            else:
-                radial = _scaled_poly(cst / spec.A**2, e, k - 2, tt)
-    h = None if radial is None else np.where(rho == 0.0, 0.0, radial)
-    return value, g, h
+        radial = _scaled_poly(cst / spec.A**2, e, k - 2, tt)
+    return value, g, np.where(rho == 0.0, 0.0, radial)
 
 
 def _hessian(g: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -396,12 +372,7 @@ def spec_from_json(obj: dict) -> KernelSpec:
 
 
 def spec_to_json(spec: KernelSpec) -> dict:
-    obj: dict = {"family": spec.family, "n": spec.n}
-    if spec.l is not None:
-        obj["l"] = spec.l
-    obj["A"] = spec.A
-    obj["c"] = spec.c
-    return obj
+    return {"family": spec.family, "n": spec.n, "l": spec.l, "A": spec.A, "c": spec.c}
 
 
 def check_distinct(points: np.ndarray, *, what: str = "points") -> None:
@@ -523,8 +494,6 @@ def kernel_fourier_oracle(spec: KernelSpec, r: np.ndarray, quad_points: int = 10
     """
     from scipy.special import spherical_jn
 
-    if spec.family != BESSEL_FAMILY:
-        raise UnsupportedError(f"kernel family {spec.family!r} has no Fourier-integral definition")
     if quad_points < 1_000:
         raise ConfigurationError("quad_points must be at least 1000")
     r = np.asarray(r, dtype=float)

@@ -160,7 +160,7 @@ def test_landmark_cometric_def_matches_direct_kernel():
     assert np.allclose(jet.ginv, want, rtol=1e-12, atol=1e-15)
 
     rng = np.random.default_rng(8)
-    for spec in (spec, KernelSpec("sobolev_bessel", n=3, l=4, A=1.3, c=0.7), KernelSpec("gaussian", n=3, A=0.9, c=1.2)):
+    for spec in (spec, KernelSpec("sobolev_bessel", n=3, l=4, A=1.3, c=0.7), KernelSpec("sobolev_bessel", n=3, l=8, A=0.9 / 32, c=1.2)):
         for p, D in ((2, 1), (2, 2), (3, 1), (3, 2)):
             q = rng.uniform(-0.5, 0.5, size=(p, D))
             q[:, 0] += 0.8 * np.arange(p)

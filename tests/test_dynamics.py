@@ -153,7 +153,9 @@ def _column_loop_jacobian(rhs, y0, config):
 
 
 def _jacobian_case(family, p, d):
-    spec = SPEC if family == "bessel" else KernelSpec("gaussian", n=3, A=0.9, c=1.2)
+    # "gaussian": the Bessel kernel near its Gaussian limit (A = a / (4 l), l
+    # large, tends to a multiple of exp(-|r|^2 / a)), on the k >= 2 branch
+    spec = SPEC if family == "bessel" else KernelSpec("sobolev_bessel", n=3, l=8, A=0.9 / 32, c=1.2)
     rng = np.random.default_rng(100 * p + d)
     q0 = rng.uniform(-1.0, 1.0, size=(p, d))
     q0[:, 0] += 1.5 * np.arange(p)

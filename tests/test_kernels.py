@@ -7,11 +7,7 @@ import pytest
 from scipy.special import jv
 
 from cometric import kernels
-from cometric.errors import (
-    ConfigurationError,
-    DegenerateConfigurationError,
-    UnsupportedError,
-)
+from cometric.errors import ConfigurationError, DegenerateConfigurationError
 from cometric.kernels import (
     KernelSpec,
     check_distinct,
@@ -42,15 +38,22 @@ def test_frozen_values_one_dimensional():
     )
 
 
-def test_gaussian_values():
-    spec = KernelSpec("gaussian", n=2, A=2.0, c=1.0)
-    assert float(kernel_value(spec, np.zeros(2))) == pytest.approx(1.0)
-    r = np.array([1.0, 1.0])
-    assert float(kernel_value(spec, r)) == pytest.approx(np.exp(-1.0), rel=1e-15)
+def test_bessel_kernel_tends_to_the_gaussian_as_l_grows():
+    """With ``A = a / (4 l)`` the symbol ``(1 + A |xi|^2)^(-l)`` tends to
+    ``exp(-a |xi|^2 / 4)``, the transform of a multiple of ``exp(-|r|^2 / a)``:
+    the normalised profile's largest gap to it falls like ``1/l``."""
+    a = 0.9
+    r = np.linspace(0.0, 3.0, 31)[:, None] * np.array([1.0, 0.0, 0.0])
+    gaps = []
+    for l in (8, 16, 32, 64):
+        value = kernel_value(KernelSpec("sobolev_bessel", n=3, l=l, A=a / (4 * l)), r)
+        gaps.append(np.abs(value / value[0] - np.exp(-(r * r).sum(axis=1) / a)).max())
+    assert gaps[-1] < 0.012
+    assert all(0.45 < later / earlier < 0.55 for earlier, later in zip(gaps, gaps[1:]))
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^unknown kernel family 'nope' \(know sobolev_bessel\)$"):
         KernelSpec("nope", n=1, l=2)
     with pytest.raises(ConfigurationError):
         KernelSpec("sobolev_bessel", n=2, l=3)  # even n has no closed form here
@@ -60,8 +63,6 @@ def test_spec_validation():
         KernelSpec("sobolev_bessel", n=1, l=2, A=-1.0)
     with pytest.raises(ConfigurationError):
         KernelSpec("sobolev_bessel", n=1, l=2, c=0.0)
-    with pytest.raises(ConfigurationError):
-        KernelSpec("gaussian", n=2, l=3)
 
 
 def test_curvature_grade():
@@ -71,7 +72,6 @@ def test_curvature_grade():
     assert not rough.is_curvature_grade
     with pytest.raises(ConfigurationError):
         rough.require_curvature_grade()
-    assert KernelSpec("gaussian", n=2).is_curvature_grade
 
 
 def test_gradient_matches_finite_differences():
@@ -80,7 +80,7 @@ def test_gradient_matches_finite_differences():
         KernelSpec("sobolev_bessel", n=1, l=3, A=0.7, c=2.0),
         KernelSpec("sobolev_bessel", n=3, l=3, A=1.3),
         KernelSpec("sobolev_bessel", n=3, l=4, A=0.5),
-        KernelSpec("gaussian", n=2, A=1.1, c=0.7),
+        KernelSpec("sobolev_bessel", n=5, l=5, A=1.1, c=0.7),
     ]
     h = 1e-6
     for spec in specs:
@@ -140,7 +140,7 @@ def test_pair_block_orders():
     KernelSpec("sobolev_bessel", n=3, l=3, A=0.7, c=1.3),   # Matern 3/2: h = e^{-t}/t term
     KernelSpec("sobolev_bessel", n=3, l=4, A=1.1),          # Matern 5/2
     KernelSpec("sobolev_bessel", n=1, l=3, A=0.5, c=2.0),   # Matern 5/2 in R^1
-    KernelSpec("gaussian", n=2, A=1.4, c=0.6),
+    KernelSpec("sobolev_bessel", n=3, l=8, A=0.05, c=0.6),  # Matern 13/2: P_6
 ])
 def test_pair_block_matches_pointwise_kernels(spec):
     """Every entry of the block, the diagonal (t = 0) included, equals the
@@ -238,9 +238,7 @@ def test_fourier_oracle_matches_general_order_bessel_reference(n, l, A, c):
         assert abs(kernel_fourier_oracle(spec, rho) - want) <= 1e-13 * (1.0 + abs(want))
 
 
-def test_fourier_oracle_rejects_gaussian_and_tiny_grids():
-    with pytest.raises(UnsupportedError):
-        kernel_fourier_oracle(KernelSpec("gaussian", n=2), 1.0)
+def test_fourier_oracle_rejects_tiny_grids():
     with pytest.raises(ConfigurationError):
         kernel_fourier_oracle(KernelSpec("sobolev_bessel", n=1, l=2), 1.0, quad_points=10)
 
@@ -388,8 +386,9 @@ def test_spec_json_round_trip():
     spec = KernelSpec("sobolev_bessel", n=3, l=4, A=0.25, c=2.5)
     again = spec_from_json(spec_to_json(spec))
     assert again == spec
-    gauss = KernelSpec("gaussian", n=2, A=1.5)
-    assert spec_from_json(spec_to_json(gauss)) == gauss
+    assert spec_to_json(spec) == {"family": "sobolev_bessel", "n": 3, "l": 4, "A": 0.25, "c": 2.5}
+    matern32 = KernelSpec("sobolev_bessel", n=3, l=3, A=1.5)
+    assert spec_from_json(spec_to_json(matern32)) == matern32
     with pytest.raises(ConfigurationError):
         spec_from_json({"family": "sobolev_bessel"})
     with pytest.raises(ConfigurationError):

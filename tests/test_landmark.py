@@ -208,7 +208,9 @@ def test_state_json_errors():
         state_from_json({"D": 3, "q": [[0, 0]], "p": [[0, 0]]})
 
 
-@pytest.mark.parametrize("spec", [SPEC22, KernelSpec("gaussian", n=3, A=0.9, c=1.2)], ids=["bessel", "gaussian"])
+# "gaussian": the Bessel kernel near its Gaussian limit (A = a / (4 l), l large,
+# tends to a multiple of exp(-|r|^2 / a)), whose profiles take the k >= 2 branch
+@pytest.mark.parametrize("spec", [SPEC22, KernelSpec("sobolev_bessel", n=3, l=8, A=0.9 / 32, c=1.2)], ids=["bessel", "gaussian"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_batched_geodesic_rhs_is_each_configuration_alone(spec, dim):
     """A (B, p, D) batch gives, bit for bit, the B unbatched right-hand sides,

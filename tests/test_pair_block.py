@@ -24,7 +24,7 @@ TERMS = ("r11", "r12", "r2", "r3", "total", "denominator")
 SPECS = [
     KernelSpec("sobolev_bessel", n=3, l=3, A=0.8),          # Matern 3/2
     KernelSpec("sobolev_bessel", n=3, l=4, A=1.3, c=0.7),   # Matern 5/2
-    KernelSpec("gaussian", n=3, A=0.9, c=1.2),
+    KernelSpec("sobolev_bessel", n=3, l=8, A=0.9 / 32, c=1.2),  # Matern 13/2, near the Gaussian limit
 ]
 
 
