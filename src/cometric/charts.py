@@ -26,7 +26,7 @@ import numpy as np
 from . import dsl
 from .dsl import Expr, Const, Var, parse
 from .errors import ConfigurationError
-from .jets import CometricJet, assemble_jet
+from .jets import CometricJet, assemble_jet, require_dense_jet
 from .jsonio import integer
 from .kernels import KernelSpec, _bessel_const, _bessel_order_k, _bessel_poly
 
@@ -59,19 +59,23 @@ class CometricDef:
 
 
 def cometric_jet(defn: CometricDef, x: np.ndarray) -> CometricJet:
-    """Exact 2-jet of the cometric at ``x`` (one :func:`dsl.jet` per entry)."""
+    """Exact 2-jet of the cometric at ``x`` (one :func:`dsl.jet` per entry),
+    refused above :data:`jets.JET_MAX_BYTES`.  An entry whose jet overflows
+    is refused by :func:`assemble_jet` as non-finite, without a warning."""
     x = np.asarray(x, dtype=float)
     d = defn.dim
     if x.shape != (d,):
         raise ConfigurationError(f"point has shape {x.shape}, chart dimension is {d}")
+    require_dense_jet(d, f"chart jet at d={d}")
     ginv = np.zeros((d, d))
     dginv = np.zeros((d, d, d))
     ddginv = np.zeros((d, d, d, d))
-    for (i, j), e in defn.entries.items():
-        v, g, h = dsl.jet(e, x)
-        ginv[i - 1, j - 1] = ginv[j - 1, i - 1] = v
-        dginv[:, i - 1, j - 1] = dginv[:, j - 1, i - 1] = g
-        ddginv[:, :, i - 1, j - 1] = ddginv[:, :, j - 1, i - 1] = h
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (i, j), e in defn.entries.items():
+            v, g, h = dsl.jet(e, x)
+            ginv[i - 1, j - 1] = ginv[j - 1, i - 1] = v
+            dginv[:, i - 1, j - 1] = dginv[:, j - 1, i - 1] = g
+            ddginv[:, :, i - 1, j - 1] = ddginv[:, :, j - 1, i - 1] = h
     return assemble_jet(x, ginv, dginv, ddginv)
 
 
@@ -89,6 +93,8 @@ def sphere_stereographic(d: int = 2, radius: float = 1.0) -> CometricDef:
     if radius <= 0:
         raise ConfigurationError("sphere radius must be positive")
     r2 = radius * radius
+    if not 0.0 < 4.0 * r2 * r2 < math.inf:
+        raise ConfigurationError(f"sphere radius {radius!r} is out of range: 4 R^4 is not a positive finite float")
     s: Expr = Const(0.0)
     for k in range(1, d + 1):
         s = dsl.add_(s, dsl.pow_(Var(k), 2))

@@ -256,8 +256,11 @@ class _Parser:
             return e
         m = _TOKEN_NUMBER.match(self.text, self.pos)
         if m:
+            value = float(m.group())
+            if value == math.inf:
+                raise ParseError(f"number {m.group()!r} is beyond the float range", self.pos)
             self.pos = m.end()
-            return Const(float(m.group()))
+            return Const(value)
         m = _TOKEN_IDENT.match(self.text, self.pos)
         if m:
             name = m.group()
@@ -306,7 +309,7 @@ def _render(e: Expr, min_level: int) -> str:
         s = f"{_render(e.base, 9)}^{expo}"
     elif isinstance(e, Call):
         s = f"{e.fn}({_render(e.arg, 0)})"
-    else:  # pragma: no cover
+    else:
         raise TypeError(f"not an expression: {e!r}")
     if _LEVEL[type(e)] < min_level:
         return f"({s})"
@@ -444,7 +447,7 @@ def differentiate(e: Expr, var: int) -> Expr:
             outer = neg_(call_("sin", e.arg))
         elif e.fn == "tanh":
             outer = sub_(Const(1.0), pow_(call_("tanh", e.arg), 2))
-        else:  # pragma: no cover
+        else:
             raise TypeError(f"unknown function {e.fn!r}")
         return mul_(outer, da)
     raise TypeError(f"not an expression: {e!r}")

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricDegeneracyError
+from .errors import ConfigurationError, MetricDegeneracyError
+
+# Largest dense 2-jet, in bytes: the second derivative of a d-dimensional jet
+# holds d^4 doubles (4 GB at d = 150), so every builder checks this ceiling
+# with :func:`require_dense_jet` before it allocates.
+JET_MAX_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -32,6 +37,13 @@ class CometricJet:
     @property
     def dim(self) -> int:
         return self.ginv.shape[0]
+
+
+def require_dense_jet(d: int, what: str) -> None:
+    """Refuse a dense ``d``-dimensional 2-jet above :data:`JET_MAX_BYTES`;
+    ``what`` names it (``"landmark jet at p=50, D=3"``)."""
+    if 8 * d**4 > JET_MAX_BYTES:
+        raise ConfigurationError(f"dense {what} needs {8 * d**4 / 1e9:.3g} GB (limit {JET_MAX_BYTES / 1e9:.3g} GB)")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -23,14 +23,10 @@ import numpy as np
 
 from .curvature import CurvatureBreakdown, _breakdown, _check_finite, _refuses_overflow
 from .errors import ConfigurationError
-from .jets import CometricJet, assemble_jet
+from .jets import CometricJet, assemble_jet, require_dense_jet
 from .jsonio import float_array, integer
 from .kernels import GRAM_COND_LIMIT  # noqa: F401  (re-exported: read as landmark.GRAM_COND_LIMIT)
 from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, join_rows, pair_tiles, tile_sum
-
-# Largest dense landmark jet, in bytes: its second derivative holds (pD)^4
-# doubles (4 GB at p=50, D=3), so the ceiling is checked before allocation.
-JET_MAX_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -82,12 +78,10 @@ def _check_mom(metric: LandmarkMetric, a: np.ndarray, batch: tuple[int, ...] = (
 
 def landmark_cometric_jet(metric: LandmarkMetric, q: np.ndarray) -> CometricJet:
     """Exact 2-jet of the landmark cometric at ``q`` (flattened chart); refused
-    above :data:`JET_MAX_BYTES`."""
+    above :data:`jets.JET_MAX_BYTES`."""
     metric.kernel.require_curvature_grade()
     p, D = metric.p, metric.D
-    if 8 * (p * D) ** 4 > JET_MAX_BYTES:
-        raise ConfigurationError(f"dense landmark jet at p={p}, D={D} needs {8 * (p * D) ** 4 / 1e9:.3g} GB "
-                                 f"(limit {JET_MAX_BYTES / 1e9:.3g} GB)")
+    require_dense_jet(p * D, f"landmark jet at p={p}, D={D}")
     (blk,) = _tiles(metric, q, 2)  # p D <= 76 under JET_MAX_BYTES: always one tile
     eye_d = np.eye(D)
     delta = np.eye(p)

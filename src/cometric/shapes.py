@@ -20,6 +20,7 @@ kernel Gram solve to the normal bundle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,8 +156,12 @@ def make_circle(samples: int, radius: float = 1.0, center: tuple[float, float] =
     """Uniformly sampled circle in R^2 with exact uniform weights ``2 pi r / S``."""
     if samples < 3:
         raise ConfigurationError("a circle needs at least 3 samples")
+    if not math.isfinite(radius):
+        raise ConfigurationError(f"circle radius must be finite, got {radius!r}")
     if radius <= 0:
         raise ConfigurationError("circle radius must be positive")
+    if not (math.isfinite(center[0]) and math.isfinite(center[1])):
+        raise ConfigurationError(f"circle center must be finite, got ({center[0]}, {center[1]})")
     theta = 2.0 * np.pi * np.arange(samples) / samples
     x = np.stack([center[0] + radius * np.cos(theta), center[1] + radius * np.sin(theta)], axis=1)
     t = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]

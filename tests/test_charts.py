@@ -129,6 +129,16 @@ def test_cometric_from_json_errors():
         charts.cometric_from_json({"dim": 2, "entries": {"1,1": "1", "2,2": "1", "5,1": "0"}})
 
 
+def test_cometric_def_refuses_lower_triangle_entries_and_empty_landmark_charts():
+    one = dsl.Const(1.0)
+    with pytest.raises(ConfigurationError, match=r"^entry index \(2,1\) outside upper triangle of dim 2$"):
+        charts.CometricDef(dim=2, entries={(1, 1): one, (2, 2): one, (2, 1): dsl.Const(0.5)})
+    spec = KernelSpec("sobolev_bessel", n=3, l=3)
+    for p, D in ((0, 2), (2, 0)):
+        with pytest.raises(ConfigurationError, match=r"^landmark chart needs p >= 1, D >= 1$"):
+            charts.landmark_cometric_def(spec, p, D)
+
+
 def test_catalog_names():
     assert charts.catalog_cometric("euclidean:4").dim == 4
     assert charts.catalog_cometric("hyperbolic").dim == 2

@@ -13,6 +13,7 @@ from cometric.christoffel import (
     sectional_numerator_oracle,
 )
 from cometric.curvature import numerator_coordinate
+from cometric.errors import ConfigurationError
 from cometric.validation import random_cometric, suite_christoffel
 
 
@@ -106,3 +107,9 @@ def test_christoffel_suite_passes_at_seed_32():
     the seed where a two-point stencil missed it (1.4e-7)."""
     ok, detail = suite_christoffel(32, quick=False)
     assert ok, detail
+
+
+def test_oracle_refuses_vectors_of_another_dimension():
+    jet = charts.cometric_jet(charts.hyperbolic_half_plane(), np.array([0.2, 1.1]))
+    with pytest.raises(ConfigurationError, match=r"^vectors must have shape \(2,\), got \(3,\) and \(2,\)$"):
+        sectional_numerator_oracle(jet, np.ones(3), np.ones(2))

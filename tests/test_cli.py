@@ -463,15 +463,42 @@ _FORMS = "(know euclidean[:d], sphere[:radius], hyperbolic)"
     ("catalog:sphere:nan", "0.1,0.2", "sphere radius must be finite, got nan"),
     ("catalog:sphere:inf", "0.1,0.2", "sphere radius must be finite, got inf"),
     ("catalog:sphere:-1", "0.1,0.2", "sphere radius must be positive"),
+    ("catalog:sphere:1e200", "0,0", "sphere radius 1e+200 is out of range: 4 R^4 is not a positive finite float"),
+    ("catalog:sphere:1e-200", "0,0", "sphere radius 1e-200 is out of range: 4 R^4 is not a positive finite float"),
+    ("catalog:euclidean:80", ",".join(["0"] * 80), "dense chart jet at d=80 needs 0.328 GB (limit 0.268 GB)"),
     ("catalog:euclidean:0", "0.1,0.2", "cometric dimension must be >= 1, got 0"),
     ("catalog:sphere", "0.1,0.2,0.3", "point has shape (3,), chart dimension is 2"),
 ])
 def test_catalog_cometric_and_point_refusals_exit_1(cometric, point, line, capsys):
     """A catalog argument beyond the name's own, a bad radius or dimension,
-    and a point of the wrong size each exit 1 with exactly one ``error:``
-    line, before anything is computed."""
+    a point of the wrong size and a dense jet above the ceiling each exit 1
+    with exactly one ``error:`` line, before anything is computed."""
     argv = ["curvature", "chart", "--cometric", cometric, "--point", point, "--alpha", "1,0", "--beta", "0,1"]
     assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (lambda d: _chart(d, entries={"1,1": "1 + 1e400*x1^2", "2,2": "1"}),
+     "number '1e400' is beyond the float range (at offset 4)"),
+    (lambda d: [*_chart(d, entries={"1,1": "1 + x1*x1*x2", "2,2": "1"})[:4],
+                "--point", "1e200,1", "--alpha", "1,0", "--beta", "0,1"],
+     "jet contains non-finite entries"),
+    (lambda d: ["shape", "make", "--samples", "8", "--radius", "inf"], "circle radius must be finite, got inf"),
+    (lambda d: ["shape", "make", "--samples", "8", "--radius", "nan"], "circle radius must be finite, got nan"),
+    (lambda d: ["shape", "make", "--samples", "8", "--center", "nan,0"], "circle center must be finite, got (nan, 0.0)"),
+    (lambda d: ["kernel", "eval", "--spec", _raw(d, b'{"family": "gaussian", "n": 2, "A": 0.9}'), "--r", "0,1"],
+     "unknown kernel family 'gaussian' (know sobolev_bessel)"),
+], ids=["literal beyond float", "overflowing entry jet", "circle radius inf", "circle radius nan",
+        "circle center nan", "gaussian family"])
+def test_out_of_range_input_exits_1_with_one_error_line(argv, line, tmp_path, capsys):
+    """A chart literal or entry jet beyond the float range, a circle off it
+    and the removed kernel family are each refused with one ``error:`` line
+    and nothing else on stderr: no numpy warning (warnings fail this suite),
+    no traceback."""
+    assert main(argv(tmp_path)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {line}\n"

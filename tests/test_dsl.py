@@ -220,3 +220,26 @@ def test_differentiate_constant_is_zero():
 
 def test_max_var():
     assert dsl.max_var(dsl.parse("x1 + sin(x3) * x2")) == 3
+
+
+@pytest.mark.parametrize("walk", [dsl.to_string, lambda e: dsl.jet(e, [0.0]), lambda e: dsl.evaluate(e, [0.0]),
+                                  lambda e: dsl.differentiate(e, 1), dsl.max_var],
+                         ids=["to_string", "jet", "evaluate", "differentiate", "max_var"])
+def test_tree_walkers_refuse_what_is_not_an_expression(walk):
+    """A foreign object anywhere in a tree is a TypeError naming it, not a
+    wrong value: at the root and below an operator."""
+    for tree in (object(), dsl.Add(dsl.Var(1), 7)):
+        with pytest.raises(TypeError, match="^not an expression: "):
+            walk(tree)
+
+
+def test_differentiate_refuses_an_unknown_function():
+    with pytest.raises(TypeError, match="^unknown function 'erf'$"):
+        dsl.differentiate(dsl.Call("erf", dsl.Var(1)), 1)
+
+
+def test_walk_refuses_a_variable_beyond_the_point_and_an_overflowing_power():
+    with pytest.raises(DomainEvaluationError, match="^expression uses x3 but the point has dimension 2$"):
+        dsl.evaluate(dsl.parse("x1 + x3"), [1.0, 2.0])
+    with pytest.raises(DomainEvaluationError, match="^overflow in power: "):
+        dsl.jet(dsl.parse("x1^2"), [1e200])

@@ -78,6 +78,26 @@ def test_check_case_rejects_degenerate_points():
         submersion.check_case(bad, np.zeros(2))
 
 
+def test_case_refuses_projections_that_do_not_fit_its_charts():
+    from cometric import charts
+
+    flat2, flat1 = charts.euclidean(2), charts.euclidean(1)
+    with pytest.raises(ConfigurationError, match=r"^projection has 2 components, base dimension is 1$"):
+        submersion.SubmersionCase("two", flat2, flat1, (dsl.parse("x1"), dsl.parse("x2")))
+    with pytest.raises(ConfigurationError, match=r"^projection uses more variables than the total space has$"):
+        submersion.SubmersionCase("wide", flat2, flat1, (dsl.parse("x3"),))
+
+
+def test_check_case_refuses_a_projection_that_is_not_a_riemannian_submersion():
+    from cometric import charts
+
+    # J G_E J^T = 4 against G_B = 1: a full-rank projection that scales lengths
+    stretch = submersion.SubmersionCase("stretch", charts.euclidean(2), charts.euclidean(1), (dsl.parse("2*x1"),))
+    with pytest.raises(MetricDegeneracyError,
+                       match=r"^stretch: pushforward deviates from the base cometric by 3\.000e\+00 at \[0\.1, 0\.2\]$"):
+        submersion.check_case(stretch, np.array([0.1, 0.2]))
+
+
 def test_product_case_vertical_term_vanishes():
     rng = np.random.default_rng(31)
     case = submersion.product_case()
