@@ -1,7 +1,13 @@
 """Shared pytest plumbing: collect acceptance verdict lines and print them
 in a summary section that survives output capture."""
 
-import pytest
+import os
+
+# One BLAS thread, as in the benchmark: the golden ledger's Gram solves round
+# differently on two.  Set before any test module loads numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -9,11 +9,15 @@ suites back ``cometric validate``.
 
 import numpy as np
 
-from cometric.validation import run_suites
+import golden
+from cometric.validation import SUITES, run_suites
+
+DETAILS: dict[str, str] = {}  # suite -> detail, from the criteria above the ledger test
 
 
 def _check(number: int, suite: str, acceptance_log, budget: float | None = None) -> None:
     result = run_suites([suite], seed=0)[0]
+    DETAILS[suite] = result.detail
     status = "PASS" if result.passed else "FAIL"
     line = f"ACCEPTANCE {number:02d} {status}  [{suite}] {result.detail} ({result.elapsed:.2f}s)"
     acceptance_log.append(line)
@@ -95,3 +99,14 @@ def test_acceptance_is_deterministic(acceptance_log):
     second = run_suites(["constant_curvature"], seed=0)[0]
     assert first.detail == second.detail
     assert np.isclose(first.elapsed, second.elapsed, atol=60.0)  # sanity only
+
+
+def test_suite_details_match_the_ledger():
+    """The ten details at seed 0 are those in ``tests/golden.json``.  They
+    come from the criteria above; a suite is run here only when its
+    criterion was not (a selected run)."""
+    ledger = golden.load()
+    golden.skip_on_another_build(ledger)
+    missing = [name for name in SUITES if name not in DETAILS]
+    DETAILS.update({r.name: r.detail for r in run_suites(missing, seed=0)})
+    assert {name: DETAILS[name] for name in SUITES} == ledger["suite_details"]
