@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -257,7 +258,9 @@ def _cmd_validate(args) -> int:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
 

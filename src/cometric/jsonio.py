@@ -4,7 +4,10 @@ trajectory tables.
 ``stdlib json`` cannot pin significant digits, so a small recursive emitter
 formats every float with ``%.17g`` (lossless round-trip) while keeping key
 order exactly as insertion order.  Identical inputs therefore serialize to
-identical bytes, which the CLI's determinism contract relies on.
+identical bytes, which the CLI's determinism contract relies on.  A float
+array is formatted in one pass and laid out as its nested lists would be, a
+trajectory row is one ``%`` format, and :func:`float_array` checks an
+all-number input in bulk, walking its leaves only to name what it refuses.
 """
 
 from __future__ import annotations
@@ -27,6 +30,33 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _block(items: list[str], depth: int) -> str:
+    """A list laid out one item per line, closed at ``depth``."""
+    pad_in = "  " * (depth + 1)
+    return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + "  " * depth + "]"
+
+
+def _emit_floats(arr: np.ndarray, depth: int) -> str:
+    """A non-empty float array as ``dumps`` writes its ``tolist()``: short rows
+    of numbers on one line, every other list one item per line."""
+    flat = arr.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        _fmt_float(float(flat[~finite][0]))  # refuses the first, as the element walk would
+    values = flat.tolist()
+    items = [f"{x:.17g}" for x in values]
+    for i in np.flatnonzero((flat == np.trunc(flat)) & (np.abs(flat) < 1e16)).tolist():
+        items[i] = f"{values[i]:.1f}"
+    leaf = depth + arr.ndim - 1
+    m = arr.shape[-1]
+    rows = [items[i:i + m] for i in range(0, len(items), m)]
+    lists = ["[" + ", ".join(row) + "]" if sum(map(len, row)) < 72 else _block(row, leaf) for row in rows]
+    for size in reversed(arr.shape[:-1]):  # group into the enclosing lists, innermost first
+        leaf -= 1
+        lists = [_block(lists[i:i + size], leaf) for i in range(0, len(lists), size)]
+    return lists[0]
+
+
 def dumps(obj: Any) -> str:
     """Serialize to JSON text with deterministic float formatting and a
     two-space indent."""
@@ -45,6 +75,8 @@ def dumps(obj: Any) -> str:
         if isinstance(o, str):
             return json.dumps(o)
         if isinstance(o, np.ndarray):
+            if o.dtype == np.float64 and o.ndim and o.size:
+                return _emit_floats(o, depth)
             o = o.tolist()
         if isinstance(o, (list, tuple)):
             if len(o) == 0:
@@ -52,7 +84,7 @@ def dumps(obj: Any) -> str:
             items = [emit(v, depth + 1) for v in o]
             if all(not isinstance(v, (list, tuple, dict, np.ndarray)) for v in o) and sum(map(len, items)) < 72:
                 return "[" + ", ".join(items) + "]"
-            return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
+            return _block(items, depth)
         if isinstance(o, dict):
             if not o:
                 return "{}"
@@ -104,7 +136,15 @@ def float_array(value: Any, what: str) -> np.ndarray:
     """Nested JSON lists of finite numbers as a float array; ragged lists are
     refused, and so is any string, boolean or ``null`` among the numbers, which
     ``np.asarray`` would read as a number (``"1e0"`` and ``true`` as 1.0)."""
-    leaves = [value]
+    try:  # the common case: a rectangular array of ints and floats, checked in bulk
+        grid = np.array(value, dtype=object)
+        if set(map(type, grid.ravel().tolist())) <= {float, int}:
+            arr = grid.astype(float)
+            if np.isfinite(arr).all():
+                return arr
+    except (OverflowError, TypeError, ValueError):
+        pass
+    leaves = [value]  # name what is refused
     while leaves:
         leaf = leaves.pop()
         if isinstance(leaf, list):
@@ -140,12 +180,7 @@ def trajectory_csv(
     cols += [f"P_{i+1}" for i in range(d)]
     cols += [f"L_{i+1}{j+1}" for i in range(d) for j in range(i + 1, d)]
     lines = [",".join(cols)]
-    for idx in range(k):
-        row = [f"{ts[idx]:.17g}"]
-        row += [f"{v:.17g}" for v in qs[idx].reshape(-1)]
-        row += [f"{v:.17g}" for v in ps[idx].reshape(-1)]
-        row.append(f"{hams[idx]:.17g}")
-        row += [f"{v:.17g}" for v in linear[idx]]
-        row += [f"{v:.17g}" for v in angular[idx]]
-        lines.append(",".join(row))
+    row = ",".join(["%.17g"] * len(cols))
+    table = np.column_stack([ts, qs.reshape(k, p * d), ps.reshape(k, p * d), hams, linear, angular])
+    lines += [row % tuple(values) for values in table.tolist()]
     return "\n".join(lines) + "\n"

@@ -301,8 +301,9 @@ def _normal_gram_solve(kv: np.ndarray, shape: DiscreteSubmanifold, w_field: np.n
         raise ConfigurationError(f"normal-bundle Gram at S={s}, n-m={r} needs {8 * (s * r) ** 2 / 1e9:.3g} GB "
                                  f"(limit {NORMAL_GRAM_MAX_BYTES / 1e9:.3g} GB)")
     w_hat = np.einsum("sri,si->sr", basis, w_field)
-    cross = np.einsum("sri,tqi->srtq", basis, basis)  # V_s V_t^T blocks
-    mat = (kv[:, None, :, None] * cross).reshape(s * r, s * r)
+    mat = np.einsum("sri,tqi->srtq", basis, basis)  # V_s V_t^T blocks
+    mat *= kv[:, None, :, None]  # in place: the products of kv * cross, bit for bit
+    mat = mat.reshape(s * r, s * r)
     zeta_hat = gram_solve(mat, w_hat.reshape(-1), "normal-bundle Gram").reshape(s, r)
     return np.einsum("sri,sr->si", basis, zeta_hat)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cometric import jsonio, shapes, validation
-from cometric.cli import main
+from cometric.cli import build_parser, main
 
 
 @pytest.fixture
@@ -197,6 +197,33 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         assert info.value.code == 2, argv
         assert capsys.readouterr().out == "", argv
+
+
+def test_cached_parser_is_reentrant(tmp_path, spec_file, capsys):
+    """The parser is built once per process; a usage error, then a command
+    with ``--beta``, then one without, each give the bytes they give alone."""
+    state = _write_state(tmp_path, "three.json", 2, [[0.0, 0.0], [1.0, 0.2], [-0.3, 0.8]],
+                         [[0.1, 0.0], [0.0, -0.2], [0.3, 0.1]])
+    landmark = ["curvature", "landmark", "--spec", spec_file, "--state", state]
+    with_beta = [*landmark, "--beta=0.2,-0.1,0,0.3,-0.4,0.1"]
+
+    def alone(argv):
+        build_parser.cache_clear()
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    want_beta, want_plain = alone(with_beta), alone(landmark)
+    assert want_beta != want_plain
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as info:
+        main(["curvature", "landmark", "--spec", spec_file])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert main(with_beta) == 0
+    assert capsys.readouterr().out == want_beta
+    assert main(landmark) == 0
+    assert capsys.readouterr().out == want_plain
+    assert build_parser.cache_info().misses == 1
 
 
 def test_computation_error_exits_1(tmp_path, spec_file, capsys):

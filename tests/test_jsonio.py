@@ -1,7 +1,11 @@
 """Deterministic JSON emission and trajectory CSV rendering."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cometric import jsonio, shapes
 from cometric.errors import ConfigurationError
@@ -152,3 +156,199 @@ def test_trajectory_csv_one_dimensional():
     text = jsonio.trajectory_csv(ts, qs, ps, hams, linear, angular)
     header = text.split("\n", 1)[0]
     assert header == "t,q_1_1,q_2_1,p_1_1,p_2_1,H,P_1"
+
+
+# --- the bulk paths against the element-at-a-time code they replaced ----------
+#
+# ``_ref_dumps``, ``_ref_float_array`` and ``_ref_trajectory_csv`` are the
+# bodies of ``dumps``, ``float_array`` and ``trajectory_csv`` before the writer
+# formatted float arrays in one pass, the reader checked leaves in bulk and a
+# trajectory row became one ``%`` format.  The bulk paths must give the same
+# bytes, and refuse the same inputs with the same messages.
+
+
+def _ref_fmt_float(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        raise ConfigurationError(f"cannot serialize non-finite number {x!r}")
+    if x == int(x) and abs(x) < 1e16:
+        # keep integral floats readable but unambiguous
+        return f"{x:.1f}"
+    return f"{x:.17g}"
+
+
+def _ref_dumps(obj):
+    def emit(o, depth):
+        pad = "  " * depth
+        pad_in = "  " * (depth + 1)
+        if o is None:
+            return "null"
+        if isinstance(o, bool):
+            return "true" if o else "false"
+        if isinstance(o, (int, np.integer)):
+            return str(int(o))
+        if isinstance(o, (float, np.floating)):
+            return _ref_fmt_float(float(o))
+        if isinstance(o, str):
+            return json.dumps(o)
+        if isinstance(o, np.ndarray):
+            o = o.tolist()
+        if isinstance(o, (list, tuple)):
+            if len(o) == 0:
+                return "[]"
+            items = [emit(v, depth + 1) for v in o]
+            if all(not isinstance(v, (list, tuple, dict, np.ndarray)) for v in o) and sum(map(len, items)) < 72:
+                return "[" + ", ".join(items) + "]"
+            return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            rows = []
+            for k, v in o.items():
+                if not isinstance(k, str):
+                    raise ConfigurationError(f"JSON object keys must be strings, got {k!r}")
+                rows.append(pad_in + json.dumps(k) + ": " + emit(v, depth + 1))
+            return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        raise ConfigurationError(f"cannot serialize object of type {type(o).__name__}")
+
+    return emit(obj, 0) + "\n"
+
+
+def _ref_float_array(value, what):
+    leaves = [value]
+    while leaves:
+        leaf = leaves.pop()
+        if isinstance(leaf, list):
+            leaves.extend(leaf)
+        elif isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise ConfigurationError(f"{what} must be a rectangular array of numbers, got {repr(leaf)[:32]}")
+    try:
+        arr = np.asarray(value, dtype=float)
+        finite = bool(np.isfinite(arr).all())
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what} must be a rectangular array of numbers") from exc
+    if not finite:
+        raise ConfigurationError(f"{what} contain non-finite entries")
+    return arr
+
+
+def _ref_trajectory_csv(ts, qs, ps, hams, linear, angular):
+    k, p, d = qs.shape
+    cols = ["t"]
+    cols += [f"q_{a+1}_{i+1}" for a in range(p) for i in range(d)]
+    cols += [f"p_{a+1}_{i+1}" for a in range(p) for i in range(d)]
+    cols += ["H"]
+    cols += [f"P_{i+1}" for i in range(d)]
+    cols += [f"L_{i+1}{j+1}" for i in range(d) for j in range(i + 1, d)]
+    lines = [",".join(cols)]
+    for idx in range(k):
+        row = [f"{ts[idx]:.17g}"]
+        row += [f"{v:.17g}" for v in qs[idx].reshape(-1)]
+        row += [f"{v:.17g}" for v in ps[idx].reshape(-1)]
+        row.append(f"{hams[idx]:.17g}")
+        row += [f"{v:.17g}" for v in linear[idx]]
+        row += [f"{v:.17g}" for v in angular[idx]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(fn, *args):
+    """What ``fn`` gives: its result, or the type and message it raises."""
+    try:
+        return "ok", fn(*args)
+    except ConfigurationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, -3.0, 0.5, 1e16, -1e16, 1e16 - 2.0, 9007199254740993.0, 1e300, -1e300,
+                  5e-324, 2.2250738585072014e-308, 1e-310, 123456789012345.0, 0.1, 2.0 ** 60]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-10**17, 10**17).map(float))
+SHAPES = st.one_of(st.just((0,)), st.tuples(st.integers(1, 12)), st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                   st.tuples(st.integers(1, 4), st.just(1), st.integers(1, 4)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(shape=SHAPES, data=st.data())
+def test_dumps_of_float_arrays_matches_the_element_walk(shape, data):
+    arr = np.array(data.draw(st.lists(FLOATS, min_size=math.prod(shape), max_size=math.prod(shape))),
+                   dtype=float).reshape(shape)
+    ints = data.draw(st.lists(st.integers(-10**20, 10**20), max_size=4))
+    payload = {"a": arr, "listed": arr.tolist(), "ints": ints, "int_array": np.array(ints[:1], dtype=np.int64),
+               "nested": [arr, {"b": arr}], "scalar": float(arr.flat[0]) if arr.size else 0.25}
+    assert jsonio.dumps(payload) == _ref_dumps(payload)
+
+
+@pytest.mark.parametrize("row, one_line", [
+    ([1.2345678901234567] * 4, False),  # 4 x 18 = 72 characters: one number per line
+    ([1.2345678901234567] * 3 + [12345678901234568.0], True),  # 71 characters
+], ids=["72", "71"])
+def test_dumps_row_width_boundary_matches_the_element_walk(row, one_line):
+    payload = {"row": np.array(row), "rows": np.array([row, row])}
+    text = jsonio.dumps(payload)
+    assert text == _ref_dumps(payload)
+    assert ('"row": [1.2' in text) == one_line
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("shape, at", [((5,), 3), ((3, 2), 0), ((2, 1, 3), 5)], ids=["1d", "2d", "3d"])
+def test_dumps_refuses_non_finite_array_entries_as_the_element_walk(shape, at, bad):
+    arr = np.linspace(-1.0, 1.0, math.prod(shape))
+    arr[at] = bad
+    arr[-1] = -bad  # a later non-finite entry: the first one is named
+    payload = {"ok": [1.5], "a": arr.reshape(shape)}
+    got, want = _outcome(jsonio.dumps, payload), _outcome(_ref_dumps, payload)
+    assert got == want and got[0] == "ConfigurationError"
+
+
+BAD_LEAVES = [True, False, "1e0", "0", None, float("nan"), float("inf"), -float("inf"), 10**400, [], [1.0]]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(shape=SHAPES, data=st.data())
+def test_float_array_matches_the_leaf_walk(shape, data):
+    """Accepted values give the same bits; refused ones the same message."""
+    leaves = data.draw(st.lists(st.one_of(FLOATS, st.integers(-2**70, 2**70)),
+                                min_size=math.prod(shape), max_size=math.prod(shape)))
+    value = np.array(leaves, dtype=object).reshape(shape).tolist()
+    if leaves and data.draw(st.booleans()):
+        bad = data.draw(st.sampled_from(BAD_LEAVES))
+        row = value
+        while isinstance(row[0], list):
+            row = row[data.draw(st.integers(0, len(row) - 1))]
+        row[data.draw(st.integers(0, len(row) - 1))] = bad
+    if len(shape) > 1 and data.draw(st.booleans()):
+        value[-1].pop()  # ragged
+    got, want = _outcome(jsonio.float_array, value, "values"), _outcome(_ref_float_array, value, "values")
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert (got[1].dtype, got[1].shape, got[1].tobytes()) == (want[1].dtype, want[1].shape, want[1].tobytes())
+    else:
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("value", [
+    [[0.0, 1.0], [True, 1.0]], [[0.0, "1e0"]], [[0.0, None], [1.0, 2.0]], [[0.0, 1.0], [2.0]],
+    [[0.0, 10**400]], [float("nan")], [[1.0, -float("inf")]], [[0.0, [1.0]], [2.0, 3.0]],
+    True, "1e0", None, {"a": 1.0}, 3.0, [], [[], []],
+], ids=repr)
+def test_float_array_refusals_and_edges_match_the_leaf_walk(value):
+    got, want = _outcome(jsonio.float_array, value, "q"), _outcome(_ref_float_array, value, "q")
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert (got[1].shape, got[1].tobytes()) == (want[1].shape, want[1].tobytes())
+    else:
+        assert got[1] == want[1]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(1, 3), p=st.integers(1, 3), d=st.integers(1, 3), data=st.data())
+def test_trajectory_csv_matches_the_element_walk(k, p, d, data):
+    def draw(*shape):
+        values = data.draw(st.lists(st.one_of(FLOATS, st.sampled_from([float("nan"), float("inf")])),
+                                    min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.array(values, dtype=float).reshape(shape)
+
+    args = (draw(k), draw(k, p, d), draw(k, p, d), draw(k), draw(k, d), draw(k, d * (d - 1) // 2))
+    assert jsonio.trajectory_csv(*args) == _ref_trajectory_csv(*args)
