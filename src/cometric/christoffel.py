@@ -48,14 +48,13 @@ class MetricJet:
 
 
 def metric_jet_from_cometric(jet: CometricJet) -> MetricJet:
+    """Pairwise products over stacked matrices: O(d^5), where one three-operand
+    ``einsum`` is O(d^6)."""
     g = jet.gcov
-    dGi = jet.dginv
-    dg = -np.einsum("ip,spq,qj->sij", g, dGi, g)
-    ddg = -(
-        np.einsum("tip,spq,qj->stij", dg, dGi, g)
-        + np.einsum("ip,stpq,qj->stij", g, jet.ddginv, g)
-        + np.einsum("ip,spq,tqj->stij", g, dGi, dg)
-    )
+    g_dgi = g @ jet.dginv   # [s] = g (d_s g^{-1})
+    dgi_g = jet.dginv @ g   # [s] = (d_s g^{-1}) g
+    dg = -(g_dgi @ g)
+    ddg = -(dg[None] @ dgi_g[:, None] + g @ jet.ddginv @ g + g_dgi[:, None] @ dg[None])
     return MetricJet(x=jet.x, gcov=g, dgcov=dg, ddgcov=ddg, ginv=jet.ginv)
 
 
