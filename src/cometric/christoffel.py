@@ -48,8 +48,7 @@ class MetricJet:
 
 
 def metric_jet_from_cometric(jet: CometricJet) -> MetricJet:
-    """Pairwise products over stacked matrices: O(d^5), where one three-operand
-    ``einsum`` is O(d^6)."""
+    """Pairwise products of stacked matrices, O(d^5) (a 3-operand ``einsum`` is O(d^6))."""
     g = jet.gcov
     g_dgi = g @ jet.dginv   # [s] = g (d_s g^{-1})
     dgi_g = jet.dginv @ g   # [s] = (d_s g^{-1}) g

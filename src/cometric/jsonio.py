@@ -36,6 +36,11 @@ def _block(items: list[str], depth: int) -> str:
     return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + "  " * depth + "]"
 
 
+def _row(items: list[str], depth: int) -> str:
+    """A list of numbers: on one line when short, else one per line."""
+    return "[" + ", ".join(items) + "]" if sum(map(len, items)) < 72 else _block(items, depth)
+
+
 def _emit_floats(arr: np.ndarray, depth: int) -> str:
     """A non-empty float array as ``dumps`` writes its ``tolist()``: short rows
     of numbers on one line, every other list one item per line."""
@@ -48,9 +53,7 @@ def _emit_floats(arr: np.ndarray, depth: int) -> str:
     for i in np.flatnonzero((flat == np.trunc(flat)) & (np.abs(flat) < 1e16)).tolist():
         items[i] = f"{values[i]:.1f}"
     leaf = depth + arr.ndim - 1
-    m = arr.shape[-1]
-    rows = [items[i:i + m] for i in range(0, len(items), m)]
-    lists = ["[" + ", ".join(row) + "]" if sum(map(len, row)) < 72 else _block(row, leaf) for row in rows]
+    lists = [_row(items[i:i + arr.shape[-1]], leaf) for i in range(0, len(items), arr.shape[-1])]
     for size in reversed(arr.shape[:-1]):  # group into the enclosing lists, innermost first
         leaf -= 1
         lists = [_block(lists[i:i + size], leaf) for i in range(0, len(lists), size)]
@@ -82,8 +85,8 @@ def dumps(obj: Any) -> str:
             if len(o) == 0:
                 return "[]"
             items = [emit(v, depth + 1) for v in o]
-            if all(not isinstance(v, (list, tuple, dict, np.ndarray)) for v in o) and sum(map(len, items)) < 72:
-                return "[" + ", ".join(items) + "]"
+            if all(not isinstance(v, (list, tuple, dict, np.ndarray)) for v in o):
+                return _row(items, depth)
             return _block(items, depth)
         if isinstance(o, dict):
             if not o:

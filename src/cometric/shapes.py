@@ -303,8 +303,7 @@ def _normal_gram_solve(kv: np.ndarray, shape: DiscreteSubmanifold, w_field: np.n
     w_hat = np.einsum("sri,si->sr", basis, w_field)
     mat = np.einsum("sri,tqi->srtq", basis, basis)  # V_s V_t^T blocks
     mat *= kv[:, None, :, None]  # in place: the products of kv * cross, bit for bit
-    mat = mat.reshape(s * r, s * r)
-    zeta_hat = gram_solve(mat, w_hat.reshape(-1), "normal-bundle Gram").reshape(s, r)
+    zeta_hat = gram_solve(mat.reshape(s * r, s * r), w_hat.reshape(-1), "normal-bundle Gram").reshape(s, r)
     return np.einsum("sri,sr->si", basis, zeta_hat)
 
 
