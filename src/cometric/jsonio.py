@@ -6,7 +6,7 @@ formats every float with ``%.17g`` (lossless round-trip) while keeping key
 order exactly as insertion order.  Identical inputs therefore serialize to
 identical bytes, which the CLI's determinism contract relies on.  A float
 array is formatted in one pass and laid out as its nested lists would be, a
-trajectory row is one ``%`` format, and :func:`float_array` checks an
+trajectory row is one ``map`` of ``%.17g``, and :func:`float_array` checks an
 all-number input in bulk, walking its leaves only to name what it refuses.
 """
 
@@ -30,15 +30,13 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+ONE_LINE = 72  # a list of numbers whose items total fewer characters stays on one line
+
+
 def _block(items: list[str], depth: int) -> str:
-    """A list laid out one item per line, closed at ``depth``."""
-    pad_in = "  " * (depth + 1)
-    return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + "  " * depth + "]"
-
-
-def _row(items: list[str], depth: int) -> str:
-    """A list of numbers: on one line when short, else one per line."""
-    return "[" + ", ".join(items) + "]" if sum(map(len, items)) < 72 else _block(items, depth)
+    """A non-empty list laid out one item per line, closed at ``depth``."""
+    pad_in = "\n" + "  " * (depth + 1)
+    return "[" + pad_in + ("," + pad_in).join(items) + "\n" + "  " * depth + "]"
 
 
 def _emit_floats(arr: np.ndarray, depth: int) -> str:
@@ -52,8 +50,10 @@ def _emit_floats(arr: np.ndarray, depth: int) -> str:
     items = [f"{x:.17g}" for x in values]
     for i in np.flatnonzero((flat == np.trunc(flat)) & (np.abs(flat) < 1e16)).tolist():
         items[i] = f"{values[i]:.1f}"
-    leaf = depth + arr.ndim - 1
-    lists = [_row(items[i:i + arr.shape[-1]], leaf) for i in range(0, len(items), arr.shape[-1])]
+    leaf, m = depth + arr.ndim - 1, arr.shape[-1]
+    lists = list(map(("[" + ", ".join(["{}"] * m) + "]").format, *(items[j::m] for j in range(m))))
+    for r in [r for r, row in enumerate(lists) if len(row) - 2 * m >= ONE_LINE]:  # m - 1 ", " and "[]"
+        lists[r] = _block(items[r * m:(r + 1) * m], leaf)
     for size in reversed(arr.shape[:-1]):  # group into the enclosing lists, innermost first
         leaf -= 1
         lists = [_block(lists[i:i + size], leaf) for i in range(0, len(lists), size)]
@@ -85,8 +85,8 @@ def dumps(obj: Any) -> str:
             if len(o) == 0:
                 return "[]"
             items = [emit(v, depth + 1) for v in o]
-            if all(not isinstance(v, (list, tuple, dict, np.ndarray)) for v in o):
-                return _row(items, depth)
+            if all(not isinstance(v, (list, tuple, dict, np.ndarray)) for v in o) and sum(map(len, items)) < ONE_LINE:
+                return "[" + ", ".join(items) + "]"
             return _block(items, depth)
         if isinstance(o, dict):
             if not o:
@@ -183,7 +183,6 @@ def trajectory_csv(
     cols += [f"P_{i+1}" for i in range(d)]
     cols += [f"L_{i+1}{j+1}" for i in range(d) for j in range(i + 1, d)]
     lines = [",".join(cols)]
-    row = ",".join(["%.17g"] * len(cols))
     table = np.column_stack([ts, qs.reshape(k, p * d), ps.reshape(k, p * d), hams, linear, angular])
-    lines += [row % tuple(values) for values in table.tolist()]
+    lines += [",".join(map("%.17g".__mod__, values)) for values in table.tolist()]
     return "\n".join(lines) + "\n"

@@ -163,8 +163,8 @@ def test_trajectory_csv_one_dimensional():
 # ``_ref_dumps``, ``_ref_float_array`` and ``_ref_trajectory_csv`` are the
 # bodies of ``dumps``, ``float_array`` and ``trajectory_csv`` before the writer
 # formatted float arrays in one pass, the reader checked leaves in bulk and a
-# trajectory row became one ``%`` format.  The bulk paths must give the same
-# bytes, and refuse the same inputs with the same messages.
+# trajectory row became one ``map`` of ``%.17g``.  The bulk paths must give
+# the same bytes, and refuse the same inputs with the same messages.
 
 
 def _ref_fmt_float(x: float) -> str:
