@@ -52,7 +52,7 @@ def _emit_floats(arr: np.ndarray, depth: int) -> str:
         items[i] = f"{values[i]:.1f}"
     leaf, m = depth + arr.ndim - 1, arr.shape[-1]
     lists = list(map(("[" + ", ".join(["{}"] * m) + "]").format, *(items[j::m] for j in range(m))))
-    for r in [r for r, row in enumerate(lists) if len(row) - 2 * m >= ONE_LINE]:  # m - 1 ", " and "[]"
+    for r in [r for r, row in enumerate(lists) if len(row) - 2 * m >= ONE_LINE]:  # less brackets and ", "s
         lists[r] = _block(items[r * m:(r + 1) * m], leaf)
     for size in reversed(arr.shape[:-1]):  # group into the enclosing lists, innermost first
         leaf -= 1

@@ -302,7 +302,7 @@ def _normal_gram_solve(kv: np.ndarray, shape: DiscreteSubmanifold, w_field: np.n
                                  f"(limit {NORMAL_GRAM_MAX_BYTES / 1e9:.3g} GB)")
     w_hat = np.einsum("sri,si->sr", basis, w_field)
     mat = np.einsum("sri,tqi->srtq", basis, basis)  # V_s V_t^T blocks
-    mat *= kv[:, None, :, None]  # in place: the products of kv * cross, bit for bit
+    mat *= kv[:, None, :, None]  # in place: an elementwise product has the same bits either way
     zeta_hat = gram_solve(mat.reshape(s * r, s * r), w_hat.reshape(-1), "normal-bundle Gram").reshape(s, r)
     return np.einsum("sri,sr->si", basis, zeta_hat)
 
