@@ -261,6 +261,16 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def _assert_float_array_matches_the_leaf_walk(value):
+    """The same array, bit for bit, or the same refusal."""
+    got, want = _outcome(jsonio.float_array, value, "q"), _outcome(_ref_float_array, value, "q")
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert (got[1].dtype, got[1].shape, got[1].tobytes()) == (want[1].dtype, want[1].shape, want[1].tobytes())
+    else:
+        assert got[1] == want[1]
+
+
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, -3.0, 0.5, 1e16, -1e16, 1e16 - 2.0, 9007199254740993.0, 1e300, -1e300,
                   5e-324, 2.2250738585072014e-308, 1e-310, 123456789012345.0, 0.1, 2.0 ** 60]
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False),
@@ -320,12 +330,7 @@ def test_float_array_matches_the_leaf_walk(shape, data):
         row[data.draw(st.integers(0, len(row) - 1))] = bad
     if len(shape) > 1 and data.draw(st.booleans()):
         value[-1].pop()  # ragged
-    got, want = _outcome(jsonio.float_array, value, "values"), _outcome(_ref_float_array, value, "values")
-    assert got[0] == want[0]
-    if got[0] == "ok":
-        assert (got[1].dtype, got[1].shape, got[1].tobytes()) == (want[1].dtype, want[1].shape, want[1].tobytes())
-    else:
-        assert got[1] == want[1]
+    _assert_float_array_matches_the_leaf_walk(value)
 
 
 @pytest.mark.parametrize("value", [
@@ -334,12 +339,7 @@ def test_float_array_matches_the_leaf_walk(shape, data):
     True, "1e0", None, {"a": 1.0}, 3.0, [], [[], []],
 ], ids=repr)
 def test_float_array_refusals_and_edges_match_the_leaf_walk(value):
-    got, want = _outcome(jsonio.float_array, value, "q"), _outcome(_ref_float_array, value, "q")
-    assert got[0] == want[0]
-    if got[0] == "ok":
-        assert (got[1].shape, got[1].tobytes()) == (want[1].shape, want[1].tobytes())
-    else:
-        assert got[1] == want[1]
+    _assert_float_array_matches_the_leaf_walk(value)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
