@@ -69,7 +69,7 @@ def dumps(obj: Any) -> str:
         pad_in = "  " * (depth + 1)
         if o is None:
             return "null"
-        if isinstance(o, bool):
+        if isinstance(o, (bool, np.bool_)):
             return "true" if o else "false"
         if isinstance(o, (int, np.integer)):
             return str(int(o))
@@ -80,7 +80,7 @@ def dumps(obj: Any) -> str:
         if isinstance(o, np.ndarray):
             if o.dtype == np.float64 and o.ndim and o.size:
                 return _emit_floats(o, depth)
-            o = o.tolist()
+            return emit(o.tolist(), depth)  # a 0-d array as its scalar
         if isinstance(o, (list, tuple)):
             if len(o) == 0:
                 return "[]"

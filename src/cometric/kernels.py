@@ -14,8 +14,8 @@ Even ``n`` would need integer-order Bessel functions and is rejected.
 
 Gradients and Hessians use the recurrence ``d/dt E_nu = -t E_(nu-1)``, which is
 free of cancellation; nothing here evaluates a Bessel function numerically.
-The only scipy dependency is ``scipy.special.spherical_jn`` inside the
-quadrature oracle, whose Bessel order ``n/2 - 1`` is a half-integer.
+The only scipy dependency is ``scipy.linalg.lapack``, imported by :func:`gram_solve`;
+the quadrature oracle's Bessel functions, of half-integer order, are elementary.
 
 Smoothness grades: a spec is *value-grade* when ``2l > n`` (continuous kernel)
 and *curvature-grade* when ``2l > n + 2`` (C^2 kernel, i.e. Matern order
@@ -343,6 +343,14 @@ def pair_tiles(spec: KernelSpec, points: np.ndarray, order: int, what: str) -> _
     return _RowTiles(spec, pts, order, what)
 
 
+def row_slices(p: int) -> tuple[slice, ...]:
+    """Row tiles over ``p`` points: ``slice(None)``, or ``TILE_BYTES // (8 p)`` rows (at least 1) each."""
+    if 8 * p * p <= TILE_BYTES:
+        return (slice(None),)
+    step = TILE_BYTES // (8 * p) or 1
+    return tuple(slice(lo, min(lo + step, p)) for lo in range(0, p, step))
+
+
 def join_rows(parts: list) -> np.ndarray:
     """Per-tile rows (..., rows, k) joined in row order; one tile's rows as they are."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
@@ -408,10 +416,8 @@ def _distinct_tiles(pts: np.ndarray, what: str):
     member, the loosest.  Only if that test fails is each member tested alone,
     in order, so the first that fails raises its own message."""
     p = pts.shape[-2]
-    tiles, bound = (slice(None),), None
-    if 8 * p * p > TILE_BYTES:
-        step = TILE_BYTES // (8 * p) or 1
-        tiles = (slice(lo, min(lo + step, p)) for lo in range(0, p, step))
+    tiles, bound = row_slices(p), None
+    if len(tiles) > 1:
         with np.errstate(invalid="ignore", over="ignore"):
             reach = pts - pts[..., :1, :]
             bound = 4.0 * math.sqrt(float(_pair_dot(reach, reach).max()))
@@ -462,14 +468,20 @@ GRAM_COND_LIMIT = 1e12
 
 
 def gram_solve(gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve ``gram x = rhs`` for a symmetric ``what`` Gram matrix, refused when
-    its 2-norm condition number ``max|eig| / min|eig|`` is not finite or exceeds
-    :data:`GRAM_COND_LIMIT`.  The one guarded kernel-Gram solve."""
-    lam = np.abs(np.linalg.eigvalsh(gram))
-    cond = float(lam.max() / lam.min()) if lam.min() > 0.0 else np.inf
-    if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
-        raise ConditioningError(f"{what} matrix condition number {cond:.3e} exceeds {GRAM_COND_LIMIT:.0e}")
-    return np.linalg.solve(gram, rhs)
+    """Solve ``gram x = rhs`` for a symmetric ``what`` Gram matrix, consumed: LAPACK ``dpotrf``
+    overwrites it with its Cholesky factor.  Refused when that fails (not numerically positive
+    definite) or when the 1-norm condition number ``dpocon`` estimates is not finite or exceeds
+    :data:`GRAM_COND_LIMIT`; then solved by ``dpotrs``.  The one guarded kernel-Gram solve."""
+    from scipy.linalg import lapack
+    anorm = lapack.dlange("1", gram.T)
+    chol, info = lapack.dpotrf(gram.T, lower=1, overwrite_a=1, clean=0)  # gram.T: F-ordered, not copied
+    if info:
+        raise ConditioningError(f"{what} matrix condition number exceeds {GRAM_COND_LIMIT:.0e}: not positive definite")
+    rcond = lapack.dpocon(chol, anorm, uplo="L")[0]
+    cond = 1.0 / rcond if rcond > 0.0 else math.inf
+    if not cond <= GRAM_COND_LIMIT:
+        raise ConditioningError(f"{what} matrix condition number {cond:.3e} exceeds {GRAM_COND_LIMIT:.0e} (1-norm estimate)")
+    return lapack.dpotrs(chol, rhs, lower=1)[0]
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -486,14 +498,11 @@ def kernel_fourier_oracle(spec: KernelSpec, r: np.ndarray, quad_points: int = 10
     evaluated with composite 16-point Gauss-Legendre panels on [0, S], S chosen
     so the analytic tail bound is below 1e-10.  For odd ``n`` the order is
     ``n/2 - 1 = k + 1/2`` and the Bessel function is elementary (DLMF 10.16.1,
-    10.47.3): ``J_(k+1/2)(z) = sqrt(2/(pi z)) R_k(z)`` with ``R_(-1)(z) = cos z``
-    and ``R_k(z) = z j_k(z)`` (spherical Bessel ``j_k``) for ``k >= 0``.  Still a
-    full quadrature on ``quad_points`` nodes; this is the measurement the closed
-    form is validated against, not a production path, and it shares nothing
-    with the closed form.
+    10.47.3): ``J_(k+1/2)(z) = sqrt(2/(pi z)) R_k(z)``, :func:`_riccati_bessel`.
+    Still a full quadrature on ``quad_points`` nodes; this is the measurement
+    the closed form is validated against, not a production path, and it shares
+    nothing with the closed form.
     """
-    from scipy.special import spherical_jn
-
     if quad_points < 1_000:
         raise ConfigurationError("quad_points must be at least 1000")
     r = np.asarray(r, dtype=float)
@@ -527,9 +536,7 @@ def kernel_fourier_oracle(spec: KernelSpec, r: np.ndarray, quad_points: int = 10
         k = (n - 3) // 2
 
         def integrand(s: np.ndarray) -> np.ndarray:
-            z = rho * s
-            riccati = np.cos(z) if k < 0 else spherical_jn(k, z) * z
-            del z  # not needed below; the product would otherwise hold one more node-sized array
+            riccati = _riccati_bessel(k, rho * s)
             return amp * s ** ((n - 1) // 2) * (1.0 + A * s * s) ** (-l) * riccati
 
     panels = max(4, quad_points // 16)
@@ -540,3 +547,13 @@ def kernel_fourier_oracle(spec: KernelSpec, r: np.ndarray, quad_points: int = 10
     values = integrand(nodes.ravel())  # before the weights exist: lower peak memory
     weights = half[:, None] * _GL_WEIGHTS[None, :]
     return float(np.sum(values * weights.ravel()))
+
+
+def _riccati_bessel(k: int, z: np.ndarray) -> np.ndarray:
+    """``R_k(z) = z j_k(z)``, ``k >= -1``, from ``R_(-1) = cos z`` and ``R_0 = sin z`` upward by
+    ``R_(j+1) = (2j+1)/z R_j - R_(j-1)`` (DLMF 10.51.1), forming only the arrays ``k`` needs.
+    Digits lost where ``z << k`` are negligible after the oracle's factor ``s^((n-1)/2)``."""
+    lo, hi = (np.cos(z) if k != 0 else None), (np.sin(z) if k >= 0 else None)
+    for j in range(k):
+        lo, hi = hi, (2 * j + 1) / z * hi - lo
+    return lo if k < 0 else hi

@@ -28,7 +28,7 @@ import numpy as np
 from .curvature import CurvatureBreakdown, _breakdown, _check_finite, _refuses_overflow
 from .errors import ConfigurationError, DegenerateConfigurationError
 from .jsonio import float_array, integer
-from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, join_rows, pair_tiles, tile_sum
+from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, join_rows, pair_tiles, row_slices, tile_sum
 
 FRAME_TOL = 1e-10  # largest entry error of a frame's Gram or projector accepted as orthonormal
 
@@ -359,9 +359,12 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
     r12 = float(np.einsum("s,sm,sm->", w, f_aa, d_bb) + np.einsum("s,sm,sm->", w, f_bb, d_aa)
                 - np.einsum("s,sm,sm->", w, f_ab, d_ab + d_ba))
 
-    ww = w[:, None] * w[None, :]
-    kw = kv * ww
-    r2 = float(np.einsum("sm,sm->", f_ab, kw @ f_ab) - np.einsum("sm,sm->", f_aa, kw @ f_bb))
+    kw_ab, kw_bb = [], []
+    for rows in row_slices(len(w)):  # rows of w_s w_t K_st: no S x S temporary
+        kw = kv[rows] * (w[rows, None] * w[None, :])
+        kw_ab.append(kw @ f_ab)
+        kw_bb.append(kw @ f_bb)
+    r2 = float(np.einsum("sm,sm->", f_ab, join_rows(kw_ab)) - np.einsum("sm,sm->", f_aa, join_rows(kw_bb)))
 
     w_br = d_ab - d_ba
     if float(np.abs(w_br).max()) == 0.0:

@@ -312,6 +312,18 @@ def test_dumps_refuses_non_finite_array_entries_as_the_element_walk(shape, at, b
     assert got == want and got[0] == "ConfigurationError"
 
 
+@pytest.mark.parametrize("scalar", [np.float64(1.5), np.float64(-3.0), np.int64(7), np.bool_(True)],
+                         ids=["float", "integral", "int", "bool"])
+def test_dumps_writes_a_zero_dimensional_array_as_its_scalar(scalar):
+    assert jsonio.dumps({"x": np.array(scalar)}) == jsonio.dumps({"x": scalar})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_dumps_refuses_a_non_finite_zero_dimensional_array(bad):
+    with pytest.raises(ConfigurationError, match="cannot serialize non-finite number"):
+        jsonio.dumps({"x": np.array(bad)})
+
+
 BAD_LEAVES = [True, False, "1e0", "0", None, float("nan"), float("inf"), -float("inf"), 10**400, [], [1.0]]
 
 

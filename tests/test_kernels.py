@@ -228,14 +228,19 @@ def _jv_oracle(spec, r, quad_points=100_000):
     return float(np.sum(integrand(nodes.ravel()) * weights.ravel()))
 
 
-@pytest.mark.parametrize("n,l,A,c", [(1, 2, 1.0, 1.0), (3, 3, 0.8, 1.0), (5, 4, 1.3, 0.7)])
+@pytest.mark.parametrize("n,l,A,c", [(1, 2, 1.0, 1.0), (3, 3, 0.8, 1.0), (5, 4, 1.3, 0.7), (7, 5, 0.9, 1.1)])
 def test_fourier_oracle_matches_general_order_bessel_reference(n, l, A, c):
     """The elementary half-integer Bessel functions (cos for n = 1, z j_k(z)
-    for n = 3, 5) give the general-order integrand's sums on the same nodes."""
+    for n = 3, 5, 7; n = 7 is the first to run the upward recurrence past
+    R_1) give the general-order integrand's sums on the same nodes, to 1e-13
+    absolute and 1e-10 relative.  The kernel values are small (about 5e-6 at
+    n = 7), so the relative bound is the one that bites: the recurrence loses
+    digits at small ``rho s``, and n = 7 read 7e-12 at rho = 0.05."""
     spec = KernelSpec("sobolev_bessel", n=n, l=l, A=A, c=c)
     for rho in (0.0, 0.05, 0.3, 1.0, 2.5, 4.0):
         want = _jv_oracle(spec, rho)
-        assert abs(kernel_fourier_oracle(spec, rho) - want) <= 1e-13 * (1.0 + abs(want))
+        gap = abs(kernel_fourier_oracle(spec, rho) - want)
+        assert gap <= 1e-13 * (1.0 + abs(want)) and gap <= 1e-10 * abs(want)
 
 
 def test_fourier_oracle_rejects_tiny_grids():
