@@ -480,7 +480,8 @@ def gram_solve(gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     rcond = lapack.dpocon(chol, anorm, uplo="L")[0]
     cond = 1.0 / rcond if rcond > 0.0 else math.inf
     if not cond <= GRAM_COND_LIMIT:
-        raise ConditioningError(f"{what} matrix condition number {cond:.3e} exceeds {GRAM_COND_LIMIT:.0e} (1-norm estimate)")
+        raise ConditioningError(f"{what} matrix condition number {cond:.3e} exceeds {GRAM_COND_LIMIT:.0e} "
+                                "(1-norm estimate)")
     return lapack.dpotrs(chol, rhs, lower=1)[0]
 
 
@@ -550,9 +551,9 @@ def kernel_fourier_oracle(spec: KernelSpec, r: np.ndarray, quad_points: int = 10
 
 
 def _riccati_bessel(k: int, z: np.ndarray) -> np.ndarray:
-    """``R_k(z) = z j_k(z)``, ``k >= -1``, from ``R_(-1) = cos z`` and ``R_0 = sin z`` upward by
-    ``R_(j+1) = (2j+1)/z R_j - R_(j-1)`` (DLMF 10.51.1), forming only the arrays ``k`` needs.
-    Digits lost where ``z << k`` are negligible after the oracle's factor ``s^((n-1)/2)``."""
+    """``R_k(z) = z j_k(z)``, ``k >= -1``, from ``R_(-1) = cos z``, ``R_0 = sin z`` and ``R_(j+1) = (2j+1)/z R_j -
+    R_(j-1)`` (DLMF 10.51.1), forming only the arrays ``k`` needs; what upward loses where ``z << k`` is negligible
+    after the oracle's factor ``s^((n-1)/2)``."""
     lo, hi = (np.cos(z) if k != 0 else None), (np.sin(z) if k >= 0 else None)
     for j in range(k):
         lo, hi = hi, (2 * j + 1) / z * hi - lo

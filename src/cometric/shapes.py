@@ -360,8 +360,7 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
                 - np.einsum("s,sm,sm->", w, f_ab, d_ab + d_ba))
 
     kw_ab, kw_bb = [], []
-    for rows in row_slices(len(w)):  # rows of w_s w_t K_st: no S x S temporary
-        kw = kv[rows] * (w[rows, None] * w[None, :])
+    for kw in (kv[rows] * (w[rows, None] * w[None, :]) for rows in row_slices(len(w))):  # w_s w_t K_st, by rows
         kw_ab.append(kw @ f_ab)
         kw_bb.append(kw @ f_bb)
     r2 = float(np.einsum("sm,sm->", f_ab, join_rows(kw_ab)) - np.einsum("sm,sm->", f_aa, join_rows(kw_bb)))
