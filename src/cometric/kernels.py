@@ -14,7 +14,7 @@ Even ``n`` would need integer-order Bessel functions and is rejected.
 
 Gradients and Hessians use the recurrence ``d/dt E_nu = -t E_(nu-1)``, which is
 free of cancellation; nothing here evaluates a Bessel function numerically.
-The only scipy dependency is ``scipy.linalg.lapack``, imported by :func:`gram_solve`;
+Everything here is numpy: :func:`gram_solve` factors, estimates and solves in blocks;
 the quadrature oracle's Bessel functions, of half-integer order, are elementary.
 
 Smoothness grades: a spec is *value-grade* when ``2l > n`` (continuous kernel)
@@ -466,23 +466,81 @@ def gram_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
 # curvature routines refuse.
 GRAM_COND_LIMIT = 1e12
 
+# Width of the diagonal blocks of the Gram's Cholesky factor.  Above 64, OpenBLAS's own
+# Cholesky rounds differently at two threads than at one; up to 64 it does not, and matrix
+# products split no sum across threads, so every byte computed from this factor was the
+# same at one and two threads (more were not tried).
+GRAM_BLOCK = 64
+
 
 def gram_solve(gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve ``gram x = rhs`` for a symmetric ``what`` Gram matrix, consumed: LAPACK ``dpotrf``
-    overwrites it with its Cholesky factor.  Refused when that fails (not numerically positive
-    definite) or when the 1-norm condition number ``dpocon`` estimates is not finite or exceeds
-    :data:`GRAM_COND_LIMIT`; then solved by ``dpotrs``.  The one guarded kernel-Gram solve."""
-    from scipy.linalg import lapack
-    anorm = lapack.dlange("1", gram.T)
-    chol, info = lapack.dpotrf(gram.T, lower=1, overwrite_a=1, clean=0)  # gram.T: F-ordered, not copied
-    if info:
-        raise ConditioningError(f"{what} matrix condition number exceeds {GRAM_COND_LIMIT:.0e}: not positive definite")
-    rcond = lapack.dpocon(chol, anorm, uplo="L")[0]
-    cond = 1.0 / rcond if rcond > 0.0 else math.inf
+    """Solve ``gram x = rhs`` for a symmetric ``what`` Gram matrix, consumed: its upper triangle
+    is overwritten with ``U``, ``gram = U^T U``, factored in :data:`GRAM_BLOCK` blocks.  Refused
+    when a diagonal block fails to factor (not numerically positive definite) or when the 1-norm
+    condition number, ``|gram|_1`` times the Hager-Higham estimate of ``|gram^-1|_1``, is not
+    finite or exceeds :data:`GRAM_COND_LIMIT`.  The one guarded kernel-Gram solve."""
+    anorm = max(float(np.abs(gram[k:k + GRAM_BLOCK]).sum(axis=1).max()) for k in range(0, len(gram), GRAM_BLOCK))
+    blocks = _cholesky_in_place(gram, what)
+    cond = anorm * _inverse_norm_estimate(gram, blocks)
     if not cond <= GRAM_COND_LIMIT:
         raise ConditioningError(f"{what} matrix condition number {cond:.3e} exceeds {GRAM_COND_LIMIT:.0e} "
                                 "(1-norm estimate)")
-    return lapack.dpotrs(chol, rhs, lower=1)[0]
+    return _cholesky_solve(gram, blocks, rhs)
+
+
+def _cholesky_in_place(g: np.ndarray, what: str) -> list[tuple[slice, np.ndarray]]:
+    """Overwrite the upper triangle of ``g`` with ``U``, ``g = U^T U``, one row block at a time
+    (left-looking: a block subtracts the rows above it in one matrix product, then the lower
+    Cholesky factor ``D`` of its diagonal block gives ``D^T`` there and ``D^-1`` times the rest
+    of the row).  Returns each block's rows and ``D^-1``, which the substitutions apply."""
+    blocks = []
+    for k in range(0, len(g), GRAM_BLOCK):
+        rows = slice(k, k + GRAM_BLOCK)
+        g[rows, k:] -= g[:k, rows].T @ g[:k, k:]
+        try:
+            low = np.linalg.cholesky(g[rows, rows])
+        except np.linalg.LinAlgError:
+            raise ConditioningError(f"{what} matrix condition number exceeds {GRAM_COND_LIMIT:.0e}: "
+                                    "not positive definite") from None
+        inv = np.linalg.inv(low)
+        g[rows, rows.stop:] = inv @ g[rows, rows.stop:]
+        g[rows, rows] = low.T
+        blocks.append((rows, inv))
+    return blocks
+
+
+def _cholesky_solve(u: np.ndarray, blocks: list[tuple[slice, np.ndarray]], b: np.ndarray) -> np.ndarray:
+    """``x`` with ``U^T U x = b``, by block substitution: forward with ``U^T``, then back with ``U``."""
+    x = np.array(b, dtype=float)
+    for rows, inv in blocks:
+        x[rows] = inv @ (x[rows] - u[:rows.start, rows].T @ x[:rows.start])
+    for rows, inv in reversed(blocks):
+        x[rows] = inv.T @ (x[rows] - u[rows, rows.stop:] @ x[rows.stop:])
+    return x
+
+
+def _inverse_norm_estimate(u: np.ndarray, blocks: list[tuple[slice, np.ndarray]]) -> float:
+    """A lower bound on ``|A^-1|_1`` for ``A = U^T U``, by the iteration of LAPACK ``dlacn2``
+    (Higham, ACM TOMS 14, 1988; ``A`` is symmetric, so its transpose solves are the same solves):
+    at most five steps, then the alternating-sign vector."""
+    p = len(u)
+    y = _cholesky_solve(u, blocks, np.full(p, 1.0 / p))
+    if p == 1:
+        return abs(float(y[0]))
+    est, sign = float(np.abs(y).sum()), np.where(y >= 0.0, 1.0, -1.0)
+    j = int(np.argmax(np.abs(_cholesky_solve(u, blocks, sign))))
+    for _ in range(4):
+        y = _cholesky_solve(u, blocks, np.eye(1, p, j)[0])
+        old, est, new = est, float(np.abs(y).sum()), np.where(y >= 0.0, 1.0, -1.0)
+        if (new == sign).all() or est <= old:
+            break
+        sign = new
+        z = _cholesky_solve(u, blocks, sign)
+        last, j = j, int(np.argmax(np.abs(z)))
+        if z[last] == abs(z[j]):
+            break
+    alt = np.where(np.arange(p) % 2, -1.0, 1.0) * (1.0 + np.arange(p) / (p - 1))
+    return max(est, 2.0 * float(np.abs(_cholesky_solve(u, blocks, alt)).sum()) / (3 * p))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -496,8 +554,11 @@ def kernel_fourier_oracle(spec: KernelSpec, r: np.ndarray, quad_points: int = 10
         K(0)   = (2 pi)^(-n) vol(S^(n-1)) * int_0^inf s^(n-1) (1+A s^2)^(-l) ds
         K(rho) = (2 pi)^(-n/2) rho^(1-n/2) * int_0^inf s^(n/2) (1+A s^2)^(-l) J_(n/2-1)(rho s) ds
 
-    evaluated with composite 16-point Gauss-Legendre panels on [0, S], S chosen
-    so the analytic tail bound is below 1e-10.  For odd ``n`` the order is
+    evaluated with composite 16-point Gauss-Legendre panels.  At ``rho = 0``
+    they cover [0, pi/2] after ``s = tan(theta) / sqrt(A)``, which turns the
+    integrand into the smooth ``A^(-n/2) sin^(n-1) theta cos^(2l-n-1) theta``;
+    otherwise they cover [0, S], S chosen so the analytic tail bound is below
+    1e-10.  For odd ``n`` the order is
     ``n/2 - 1 = k + 1/2`` and the Bessel function is elementary (DLMF 10.16.1,
     10.47.3): ``J_(k+1/2)(z) = sqrt(2/(pi z)) R_k(z)``, :func:`_riccati_bessel`.
     Still a full quadrature on ``quad_points`` nodes; this is the measurement
@@ -511,14 +572,11 @@ def kernel_fourier_oracle(spec: KernelSpec, r: np.ndarray, quad_points: int = 10
     n, l, A, c = spec.n, spec.l, spec.A, spec.c
 
     if rho < 1e-12:
-        pref = c * (2 * math.pi) ** (-n) * (2 * math.pi ** (n / 2) / math.gamma(n / 2))
-        # tail: pref * A^-l * S^(n-2l) / (2l-n) <= 1e-10
-        expo = 2 * l - n
-        s_max = (pref * A ** (-l) / (expo * 1e-10)) ** (1.0 / expo)
-        s_max = max(s_max, 50.0 / math.sqrt(A))
+        pref = c * (2 * math.pi) ** (-n) * (2 * math.pi ** (n / 2) / math.gamma(n / 2)) * A ** (-n / 2)
+        s_max = math.pi / 2  # in theta
 
-        def integrand(s: np.ndarray) -> np.ndarray:
-            return pref * s ** (n - 1) * (1.0 + A * s * s) ** (-l)
+        def integrand(theta: np.ndarray) -> np.ndarray:
+            return pref * np.sin(theta) ** (n - 1) * np.cos(theta) ** (2 * l - n - 1)
 
     else:
         mu = n / 2 - 1

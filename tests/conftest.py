@@ -3,8 +3,10 @@ in a summary section that survives output capture."""
 
 import os
 
-# One BLAS thread, as in the benchmark: the golden ledger's Gram solves round
-# differently on two.  Set before any test module loads numpy.
+# One BLAS thread, as in the benchmark.  The golden ledger's bytes are the same
+# at two threads (test_golden checks that in a subprocess); at more they are
+# unverified, so tier-1 does not depend on the host's core count.  Set before
+# any test module loads numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest  # noqa: E402

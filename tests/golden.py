@@ -22,13 +22,10 @@ import ctypes
 import hashlib
 import json
 import math
-import os
 import re
 import sys
 import tempfile
 from pathlib import Path
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as in tests/conftest.py, before numpy loads BLAS
 
 import numpy as np
 from numpy._core import _multiarray_umath
@@ -41,27 +38,36 @@ SPACING = 0.35  # neighbour spacing of the ring and circle inputs, in kernel len
 
 def build() -> dict:
     """What fixes the ledger's bytes besides the program: the numpy and
-    OpenBLAS versions, the OpenBLAS core and thread count in use (the Gram
-    solves round differently on two threads), and numpy's active SIMD targets."""
+    OpenBLAS versions, the OpenBLAS core in use and numpy's active SIMD
+    targets.  Not the OpenBLAS thread count: the Gram solve splits no sum
+    across threads (``test_gram_outputs_do_not_depend_on_the_thread_count``)."""
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
-    core = threads = None
-    try:  # numpy's bundled OpenBLAS, as loaded into this process
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            lib = ctypes.CDLL(next(line.split()[-1] for line in maps if "scipy_openblas64_" in line))
-        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
-        core = lib.scipy_openblas_get_corename64_().decode()
-        threads = lib.scipy_openblas_get_num_threads64_()
-    except (OSError, StopIteration, AttributeError):
-        pass
     features = _multiarray_umath.__cpu_features__
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
-            "blas_core": core, "blas_threads": threads,
+            "blas_core": _openblas("corename", ctypes.c_char_p, bytes.decode),
             "simd": [f for f in _multiarray_umath.__cpu_dispatch__ if features.get(f)]}
 
 
+def blas_threads() -> int | None:
+    """The thread count of numpy's bundled OpenBLAS in this process."""
+    return _openblas("num_threads", ctypes.c_int, int)
+
+
+def _openblas(name: str, restype, convert):
+    """``scipy_openblas_get_<name>64_()`` of numpy's bundled OpenBLAS, as
+    loaded into this process, or None when it is not that library."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            lib = ctypes.CDLL(next(line.split()[-1] for line in maps if "scipy_openblas64_" in line))
+        fn = getattr(lib, f"scipy_openblas_get_{name}64_")
+    except (OSError, StopIteration, AttributeError):
+        return None
+    fn.restype = restype
+    return convert(fn())
+
+
 def describe(b: dict) -> str:
-    return (f"numpy {b['numpy']} with {b['blas']} ({b['blas_core']} core, {b['blas_threads']} threads), "
-            f"SIMD {' '.join(b['simd']) or 'baseline'}")
+    return f"numpy {b['numpy']} with {b['blas']} ({b['blas_core']} core), SIMD {' '.join(b['simd']) or 'baseline'}"
 
 
 def skip_on_another_build(ledger: dict) -> None:

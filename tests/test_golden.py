@@ -3,9 +3,16 @@ on the fixed inputs of ``tests/golden.py`` are those recorded.
 
 A change that moves them regenerates the ledger with
 ``PYTHONPATH=src python tests/golden.py`` and lists each moved entry.  On a
-numpy or BLAS build other than the recorded one (or another BLAS core,
-thread count or SIMD target) the tests skip, naming both.
+numpy or BLAS build other than the recorded one (or another BLAS core or
+SIMD target) the tests skip, naming both.  The BLAS thread count is not part
+of the build: the outputs whose Gram solves span several blocks are checked
+at two threads too.
 """
+
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +20,7 @@ import cometric.cli
 import golden
 
 LEDGER = golden.load()
+TESTS = Path(__file__).resolve().parent
 
 
 @pytest.fixture(scope="module")
@@ -32,3 +40,32 @@ def test_output_matches_the_ledger(name, argvs, tmp_path):
     if "text" in want:
         assert got.get("text") == want["text"]
     assert got["sha256"] == want["sha256"]
+
+
+TWO_THREADS = """
+import hashlib, json, sys
+from pathlib import Path
+
+import cometric.cli, golden
+
+out = Path(sys.argv[1]) / "out"
+argvs = json.loads(sys.argv[2])
+sha = {name: hashlib.sha256(golden.run(cometric, argv, out)).hexdigest() for name, argv in argvs.items()}
+print(json.dumps({"threads": golden.blas_threads(), "sha256": sha}))
+"""
+
+
+def test_gram_outputs_do_not_depend_on_the_thread_count(argvs, tmp_path):
+    """The two ledger outputs whose Gram solves exceed one block, run in a
+    fresh process at ``OPENBLAS_NUM_THREADS=2``, have the ledger's bytes
+    (recorded at one thread).  Skipped where OpenBLAS cannot run two threads."""
+    golden.skip_on_another_build(LEDGER)
+    names = ["curvature_landmark_p400", "curvature_shape_s512"]
+    out = subprocess.run([sys.executable, "-c", TWO_THREADS, str(tmp_path),
+                          json.dumps({name: argvs[name] for name in names})],
+                         capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": f"{TESTS.parent / 'src'}:{TESTS}", "OPENBLAS_NUM_THREADS": "2"})
+    seen = json.loads(out.stdout)
+    if seen["threads"] != 2:
+        pytest.skip(f"OpenBLAS runs {seen['threads']} thread(s) here, not 2")
+    assert seen["sha256"] == {name: LEDGER["outputs"][name]["sha256"] for name in names}

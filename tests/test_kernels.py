@@ -235,12 +235,32 @@ def test_fourier_oracle_matches_general_order_bessel_reference(n, l, A, c):
     R_1) give the general-order integrand's sums on the same nodes, to 1e-13
     absolute and 1e-10 relative.  The kernel values are small (about 5e-6 at
     n = 7), so the relative bound is the one that bites: the recurrence loses
-    digits at small ``rho s``, and n = 7 read 7e-12 at rho = 0.05."""
+    digits at small ``rho s``, and n = 7 read 7e-12 at rho = 0.05.  At rho = 0
+    no Bessel function enters: the test below covers it."""
     spec = KernelSpec("sobolev_bessel", n=n, l=l, A=A, c=c)
-    for rho in (0.0, 0.05, 0.3, 1.0, 2.5, 4.0):
+    for rho in (0.05, 0.3, 1.0, 2.5, 4.0):
         want = _jv_oracle(spec, rho)
         gap = abs(kernel_fourier_oracle(spec, rho) - want)
         assert gap <= 1e-13 * (1.0 + abs(want)) and gap <= 1e-10 * abs(want)
+
+
+ORIGIN_SPECS = [(n, l) for n in (1, 3, 5, 7, 9) for l in range(n // 2 + 1, n + 4)]
+
+
+@pytest.mark.parametrize("n,l", ORIGIN_SPECS)
+def test_fourier_oracle_at_the_origin(n, l):
+    """At r = 0 the oracle's integral is ``A^(-n/2) Gamma(n/2) Gamma(l - n/2) / (2 Gamma(l))``
+    times its prefactor, for every odd n <= 9 and n/2 < l <= n + 3; oracle, that identity and
+    the closed form agree to 2e-15 relative (7.8e-16 seen).  The 2l - n = 1 specs (1, 1),
+    (3, 2), (5, 3) and (7, 4) read 3.4e-4, 3.4e-4, 3.4e-4 and 3.6e-5 at A = c = 1 with the earlier
+    s-panels, against 0.5, 0.0398, 1.58e-3 and 4.2e-5."""
+    for A in (0.3, 1.0, 2.5):
+        spec = KernelSpec("sobolev_bessel", n=n, l=l, A=A, c=1.3)
+        beta = math.gamma(n / 2) * math.gamma(l - n / 2) / (2 * math.gamma(l))
+        exact = 1.3 * (2 * math.pi) ** -n * 2 * math.pi ** (n / 2) / math.gamma(n / 2) * A ** (-n / 2) * beta
+        quad = kernel_fourier_oracle(spec, np.zeros(n))
+        assert quad == pytest.approx(exact, rel=2e-15, abs=0.0)
+        assert quad == pytest.approx(float(kernel_value(spec, np.zeros(n))), rel=2e-15, abs=0.0)
 
 
 def test_fourier_oracle_rejects_tiny_grids():
