@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -254,8 +255,9 @@ class PairBlock(NamedTuple):
     (..., rows, p, D); ``value``, ``g`` and ``h`` are (..., rows, p) with
     ``K = value``, ``grad K = g diff`` and ``Hess K = g I + h diff diff^T`` at
     ``diff[..., i, t, :]``.  ``g`` and ``h`` are None above the block's order.
-    A named tuple: it is built once per right-hand-side call, and costs a
-    third of a frozen dataclass to build.
+    A :func:`pair_tiles` pass builds each tile once and yields it once: a
+    route that needs the tiles twice asks for a second pass.  A named tuple
+    costs a third of a frozen dataclass to build.
     """
 
     rows: slice
@@ -295,52 +297,23 @@ class PairBlock(NamedTuple):
 TILE_BYTES = 2**17
 
 
-class _WholeTile(tuple):
-    """The one tile of a configuration whose pairs fit in one: its whole
-    :class:`PairBlock`, the same for every pass."""
+def pair_tiles(spec: KernelSpec, points: np.ndarray, order: int, what: str) -> Iterator[PairBlock]:
+    """One pass over the pair data of ``points`` (..., p, D) up to ``order``
+    (0, 1 or 2): one configuration, or a batch of them on leading axes, each
+    split and checked as if alone.  The pass yields :class:`PairBlock` row
+    tiles in row order, one at a time; pairs that fit in one tile
+    (:func:`row_slices`) come as the one whole block, whose ``rows`` is
+    ``slice(None)``.
 
-    def at(self, order: int) -> _WholeTile:
-        return self
-
-
-class _RowTiles:
-    """Row tiles of a configuration too large for one, built afresh by every
-    pass, one at a time."""
-
-    __slots__ = ("spec", "points", "order", "what")
-
-    def __init__(self, spec: KernelSpec, pts: np.ndarray, order: int, what: str) -> None:
-        self.spec, self.points, self.order, self.what = spec, pts, order, what
-
-    def __iter__(self):
-        return self.at(self.order)
-
-    def at(self, order: int):
-        return (PairBlock(rows, diff, *_radial_profiles(self.spec, dist, order))
-                for rows, diff, dist in _distinct_tiles(self.points, self.what))
-
-
-def pair_tiles(spec: KernelSpec, points: np.ndarray, order: int, what: str) -> _WholeTile | _RowTiles:
-    """The pair data of ``points`` (..., p, D) up to ``order`` (0, 1 or 2) as
-    row tiles: one configuration, or a batch of them on leading axes, each
-    split and checked as if alone.  Iterating yields :class:`PairBlock` tiles
-    in row order, and ``at(k)`` yields them with profiles up to ``k <= order``
-    only.  Points wider than the kernel are refused by
-    :meth:`KernelSpec.require_ambient`; non-finite and coincident rows as by
-    :func:`check_distinct`, from the same distances.
-
-    Pairs that fit in one tile (:data:`TILE_BYTES`) are built and checked at
-    once, and every pass yields that one block, whose ``rows`` is
-    ``slice(None)``.  Otherwise each pass builds its tiles afresh, one at a
-    time, with the refusals of :func:`_distinct_tiles`: a route that reduces
-    each tile as it comes raises before it returns."""
+    Points wider than the kernel are refused by
+    :meth:`KernelSpec.require_ambient` when called.  Non-finite and coincident
+    rows are refused as by :func:`check_distinct`, from the same distances, as
+    the pass meets them: a route that reduces each tile as it comes raises
+    before it returns.  A route that needs two passes asks for two."""
     pts = np.asarray(points, dtype=float)
     spec.require_ambient(pts.shape[-1])
-    p = pts.shape[-2]
-    if 8 * p * p <= TILE_BYTES:
-        ((rows, diff, dist),) = _distinct_tiles(pts, what)  # the whole pass: its refusals come first
-        return _WholeTile((PairBlock(rows, diff, *_radial_profiles(spec, dist, order)),))
-    return _RowTiles(spec, pts, order, what)
+    return (PairBlock(rows, diff, *_radial_profiles(spec, dist, order))
+            for rows, diff, dist in _distinct_tiles(pts, what))
 
 
 def row_slices(p: int) -> tuple[slice, ...]:
@@ -383,7 +356,7 @@ def spec_to_json(spec: KernelSpec) -> dict:
     return {"family": spec.family, "n": spec.n, "l": spec.l, "A": spec.A, "c": spec.c}
 
 
-def check_distinct(points: np.ndarray, *, what: str = "points") -> None:
+def check_distinct(points: np.ndarray, *, what: str) -> None:
     """Reject non-finite coordinates, pair distances that overflow, and
     coincident rows (tolerance 1e-10 * diameter)."""
     for _ in _distinct_tiles(np.asarray(points, dtype=float), what):

@@ -167,7 +167,7 @@ def stress(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) 
     a = _check_mom(metric, a)
     b = _check_mom(metric, b)
     _check_finite(a, b)
-    u = join_rows([blk.value @ a for blk in tiles.at(0)])
+    u = velocity(metric, q, a)
     return join_rows([_stress(blk, blk.rate(u)[1], b) for blk in tiles])
 
 
@@ -206,7 +206,7 @@ def curvature(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarra
     a = _check_mom(metric, a)
     b = _check_mom(metric, b)
     _check_finite(a, b)
-    kv = join_rows([blk.value for blk in tiles.at(0)])  # the Gram: r2 and r3 need all of it
+    kv = join_rows([blk.value for blk in _tiles(metric, q, 0)])  # the Gram: r2 and r3 need all of it
     u_a, u_b = kv @ a, kv @ b
 
     parts = list(zip(*(_curvature_tile(blk, a, b, u_a, u_b) for blk in tiles)))
@@ -250,8 +250,3 @@ def state_from_json(obj: dict) -> tuple[int, np.ndarray, np.ndarray]:
     check_distinct(q, what="landmarks")
     return D, q, mom
 
-
-def state_to_json(q: np.ndarray, mom: np.ndarray) -> dict:
-    q = np.asarray(q, dtype=float)
-    mom = np.asarray(mom, dtype=float)
-    return {"D": int(q.shape[1]), "q": q.tolist(), "p": mom.tolist()}

@@ -272,9 +272,8 @@ def stress_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
     _check_finite(a, b)
-    tiles, w = _tiles(spec, shape, 1), shape.w
-    u = join_rows([(blk.value * w[None, :]) @ a for blk in tiles.at(0)])
-    return _normal(shape, [_stress_rows(blk, w, blk.rate(u)[1], b) for blk in tiles])
+    u = horizontal_velocity(spec, shape, a)
+    return _normal(shape, [_stress_rows(blk, shape.w, blk.rate(u)[1], b) for blk in _tiles(spec, shape, 1)])
 
 
 def _normal_basis(shape: DiscreteSubmanifold) -> np.ndarray:
@@ -342,16 +341,15 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
     b = _check_mom(shape, b)
     _check_finite(a, b)
     w = shape.w
-    tiles = _tiles(spec, shape, 2)
     kv, u_a, u_b = [], [], []
-    for blk in tiles.at(0):  # the Gram: r2 and r3 need all of it
+    for blk in _tiles(spec, shape, 0):  # the Gram: r2 and r3 need all of it
         kw = blk.value * w[None, :]
         kv.append(blk.value)
         u_a.append(kw @ a)
         u_b.append(kw @ b)
     kv, u_a, u_b = join_rows(kv), join_rows(u_a), join_rows(u_b)
 
-    parts = list(zip(*(_curvature_tile(blk, w, a, b, u_a, u_b) for blk in tiles)))
+    parts = list(zip(*(_curvature_tile(blk, w, a, b, u_a, u_b) for blk in _tiles(spec, shape, 2))))
     h_bb, h_ab, h_aa, paa, pbb, pab = map(tile_sum, parts[:6])
     f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba = (_normal(shape, rows) for rows in parts[6:])
 

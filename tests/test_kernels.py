@@ -175,7 +175,7 @@ def test_pair_block_refuses_coincident_rows_like_check_distinct():
     spec = KernelSpec("sobolev_bessel", n=3, l=3)
     bad = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-14]])
     with pytest.raises(DegenerateConfigurationError) as own:
-        pair_tiles(spec, bad, 1, "landmarks")
+        list(pair_tiles(spec, bad, 1, "landmarks"))
     with pytest.raises(DegenerateConfigurationError) as ref:
         check_distinct(bad, what="landmarks")
     assert str(own.value) == str(ref.value)
@@ -270,10 +270,10 @@ def test_fourier_oracle_rejects_tiny_grids():
 
 def test_check_distinct():
     good = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    check_distinct(good)
+    check_distinct(good, what="points")
     bad = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-14]])
     with pytest.raises(DegenerateConfigurationError):
-        check_distinct(bad)
+        check_distinct(bad, what="points")
     spec = KernelSpec("sobolev_bessel", n=3, l=3)
     for value in (np.nan, np.inf):
         for points in (good[:1].copy(), good.copy()):

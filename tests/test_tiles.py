@@ -52,7 +52,7 @@ def _landmark_routes(p: int) -> dict:
         "stress": lambda: landmark.stress(metric, q, a, b),
         "curvature": lambda: landmark.curvature(metric, q, a, b),
         "gram": lambda: gram_matrix(SPEC, q),
-        "check_distinct": lambda: check_distinct(q),
+        "check_distinct": lambda: check_distinct(q, what="points"),
     }
 
 
@@ -110,18 +110,33 @@ def test_tiles_cover_every_row_once_with_the_whole_block_data(monkeypatch):
     for name in ("value", "g", "h"):
         assert np.array_equal(np.concatenate([getattr(t, name) for t in tiles]), getattr(whole, name))
     assert np.array_equal(np.concatenate([t.diff for t in tiles]), whole.diff)
-    low = list(pair_tiles(SPEC, q, 2, "points").at(0))
+    low = list(pair_tiles(SPEC, q, 0, "points"))
     assert all(t.g is None and t.h is None for t in low)
 
 
 def test_pairs_that_fit_make_one_tile_the_whole_block():
     """Up to p = 128 the shipped tile holds every pair: the one tile is the
-    whole block, built once and the same for every pass."""
-    q = _ring(128)
-    tiles = pair_tiles(SPEC, q, 1, "points")
-    (one,) = list(tiles)
-    assert one.rows == slice(None) and list(tiles.at(0)) == [one] and list(tiles)[0] is one
+    whole block."""
+    (one,) = pair_tiles(SPEC, _ring(128), 1, "points")
+    assert one.rows == slice(None)
     assert len(list(pair_tiles(SPEC, _ring(129), 1, "points"))) == 2
+
+
+@pytest.mark.parametrize("p", [3, 200], ids=["one-tile", "row-tiles"])
+@pytest.mark.parametrize("route", ["geodesic_rhs", "stress", "curvature"])
+def test_input_bad_in_two_ways_gets_one_refusal_whatever_the_tile_count(route, p):
+    """Coincident landmarks 0 and 1 and momenta of the wrong width: the
+    momenta are refused first, at one tile as in row tiles, since every pass
+    checks its pairs only as it meets them."""
+    assert (len(kernels.row_slices(p)) > 1) == (p > 128)
+    q = _ring(p)
+    q[1] = q[0]
+    mom = np.ones((p, 3))
+    metric = LandmarkMetric(SPEC, p, 2)
+    args = (mom,) if route == "geodesic_rhs" else (mom, mom)
+    with pytest.raises(ConfigurationError) as info:
+        getattr(landmark, route)(metric, q, *args)
+    assert str(info.value) == f"momenta must have shape ({p}, 2), got ({p}, 3)"
 
 
 @pytest.mark.parametrize("first", [30, 3], ids=["same-tile", "across-tiles"])
@@ -162,9 +177,9 @@ def test_a_pair_is_coincident_by_the_diameter_of_the_whole_configuration(monkeyp
             monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
             if refused:
                 with pytest.raises(DegenerateConfigurationError, match="^coincident points 18 and 19 "):
-                    check_distinct(q)
+                    check_distinct(q, what="points")
             else:
-                check_distinct(q)
+                check_distinct(q, what="points")
 
 
 def _verdict(call) -> tuple | None:
@@ -177,14 +192,11 @@ def _verdict(call) -> tuple | None:
 
 
 def _pass_verdicts(pts: np.ndarray) -> list:
-    """The verdicts of ``check_distinct`` and of each ``pair_tiles`` pass: the
-    one tile is checked while it is built, row tiles by every pass."""
-    verdicts = [_verdict(lambda: check_distinct(pts, what="landmarks"))]
-    try:
-        tiles = pair_tiles(SPEC, pts, 2, "landmarks")
-    except (ConfigurationError, DegenerateConfigurationError) as exc:
-        return [*verdicts, (type(exc), str(exc))]
-    return [*verdicts, _verdict(lambda: list(tiles)), _verdict(lambda: list(tiles.at(0)))]
+    """The verdicts of ``check_distinct`` and of an order-2 and an order-0
+    ``pair_tiles`` pass, each of which checks its tiles as it meets them."""
+    return [_verdict(lambda: check_distinct(pts, what="landmarks")),
+            _verdict(lambda: list(pair_tiles(SPEC, pts, 2, "landmarks"))),
+            _verdict(lambda: list(pair_tiles(SPEC, pts, 0, "landmarks")))]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
