@@ -26,7 +26,7 @@ import numpy as np
 from . import dsl
 from .dsl import Expr, Const, Var, parse
 from .errors import ConfigurationError
-from .jets import CometricJet, assemble_jet, require_dense_jet
+from .jets import CometricJet, assemble_jet, require_dense
 from .jsonio import integer
 from .kernels import KernelSpec, _bessel_const, _bessel_order_k, _bessel_poly
 
@@ -60,13 +60,13 @@ class CometricDef:
 
 def cometric_jet(defn: CometricDef, x: np.ndarray) -> CometricJet:
     """Exact 2-jet of the cometric at ``x`` (one :func:`dsl.jet` per entry),
-    refused above :data:`jets.JET_MAX_BYTES`.  An entry whose jet overflows
+    refused above :data:`jets.DENSE_MAX_BYTES` (``8 d^4`` bytes).  An entry whose jet overflows
     is refused by :func:`assemble_jet` as non-finite, without a warning."""
     x = np.asarray(x, dtype=float)
     d = defn.dim
     if x.shape != (d,):
         raise ConfigurationError(f"point has shape {x.shape}, chart dimension is {d}")
-    require_dense_jet(d, f"chart jet at d={d}")
+    require_dense(8 * d**4, f"chart jet at d={d}")
     ginv = np.zeros((d, d))
     dginv = np.zeros((d, d, d))
     ddginv = np.zeros((d, d, d, d))

@@ -29,6 +29,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
+from .jets import require_dense
 from .landmark import LandmarkMetric, geodesic_rhs
 from .kernels import KernelSpec
 from . import shapes as shapes_mod
@@ -218,12 +219,9 @@ def integrate(system: HamiltonianSystem, y0: np.ndarray, config: IntegratorConfi
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != system.shape:
         raise ConfigurationError(f"state must have shape {system.shape}, got {y0.shape}")
-    try:
-        ys = np.empty((config.steps + 1, *system.shape))
-    except (ValueError, MemoryError) as exc:  # numpy's refusal of an oversized array
-        raise ConfigurationError(
-            f"cannot allocate a trajectory of {config.steps + 1:.4g} states of shape {system.shape}"
-        ) from exc
+    require_dense(8 * (config.steps + 1) * math.prod(system.shape),
+                  f"trajectory of {config.steps + 1} states of shape {system.shape}")
+    ys = np.empty((config.steps + 1, *system.shape))
     ys[0] = y0
     obs: list[dict] = []
 

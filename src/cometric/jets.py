@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import ConfigurationError, MetricDegeneracyError
 
-# Largest dense 2-jet, in bytes: the second derivative of a d-dimensional jet
-# holds d^4 doubles (4 GB at d = 150), so every builder checks this ceiling
-# with :func:`require_dense_jet` before it allocates.
-JET_MAX_BYTES = 2**28
+# Largest dense array a route may hold, in bytes: a d-dimensional 2-jet holds
+# d^4 doubles (4 GB at d = 150), a kernel Gram p^2.  Every dense builder
+# checks it with :func:`require_dense` before it allocates.
+DENSE_MAX_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,11 @@ class CometricJet:
         return self.ginv.shape[0]
 
 
-def require_dense_jet(d: int, what: str) -> None:
-    """Refuse a dense ``d``-dimensional 2-jet above :data:`JET_MAX_BYTES`;
+def require_dense(nbytes: int, what: str) -> None:
+    """Refuse a dense array of ``nbytes`` above :data:`DENSE_MAX_BYTES`;
     ``what`` names it (``"landmark jet at p=50, D=3"``)."""
-    if 8 * d**4 > JET_MAX_BYTES:
-        raise ConfigurationError(f"dense {what} needs {8 * d**4 / 1e9:.3g} GB (limit {JET_MAX_BYTES / 1e9:.3g} GB)")
+    if nbytes > DENSE_MAX_BYTES:
+        raise ConfigurationError(f"dense {what} needs {nbytes / 1e9:.3g} GB (limit {DENSE_MAX_BYTES / 1e9:.3g} GB)")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

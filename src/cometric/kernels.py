@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConditioningError, ConfigurationError, DegenerateConfigurationError
+from .jets import require_dense
 from .jsonio import integer, number
 
 BESSEL_FAMILY = "sobolev_bessel"
@@ -73,6 +74,14 @@ class KernelSpec:
             raise ConfigurationError(
                 f"Bessel kernel with 2l <= n is not continuous (n={self.n}, l={self.l})"
             )
+        try:
+            cst = self._bessel_profile[0]
+            in_range = all(0.0 < f < math.inf for f in (cst, cst / self.A, cst / self.A**2))
+        except ArithmeticError:  # Python floats raise where numpy gives inf: overflow, or A^2 underflowing to 0
+            in_range = False
+        if not in_range:
+            raise ConfigurationError(f"kernel (n={self.n}, l={self.l}, A={self.A:g}, c={self.c:g}) is out of range: "
+                                     "its closed-form factors const, const/A and const/A^2 must be positive finite floats")
 
     @functools.cached_property
     def is_curvature_grade(self) -> bool:
@@ -424,7 +433,8 @@ def _distinct_tiles(pts: np.ndarray, what: str):
 
 
 def gram_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
-    """Matrix K(q_a - q_b) for rows of ``points`` (pairwise distinct).
+    """Matrix K(q_a - q_b) for rows of ``points`` (pairwise distinct), refused
+    above :data:`jets.DENSE_MAX_BYTES` (8 p^2 bytes) before the first tile.
 
     Symmetric exactly (the profile sees only squared coordinates), positive
     definite for distinct points by Bochner's theorem.
@@ -432,6 +442,7 @@ def gram_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ConfigurationError(f"points must be a (p, d) array, got shape {pts.shape}")
+    require_dense(8 * len(pts) ** 2, f"kernel Gram at p={len(pts)}")
     return join_rows([blk.value for blk in pair_tiles(spec, pts, 0, "points")])
 
 

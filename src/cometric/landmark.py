@@ -23,7 +23,7 @@ import numpy as np
 
 from .curvature import CurvatureBreakdown, _breakdown, _check_finite, _refuses_overflow
 from .errors import ConfigurationError
-from .jets import CometricJet, assemble_jet, require_dense_jet
+from .jets import CometricJet, assemble_jet, require_dense
 from .jsonio import float_array, integer
 from .kernels import GRAM_COND_LIMIT  # noqa: F401  (re-exported: read as landmark.GRAM_COND_LIMIT)
 from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, join_rows, pair_tiles, tile_sum
@@ -78,11 +78,11 @@ def _check_mom(metric: LandmarkMetric, a: np.ndarray, batch: tuple[int, ...] = (
 
 def landmark_cometric_jet(metric: LandmarkMetric, q: np.ndarray) -> CometricJet:
     """Exact 2-jet of the landmark cometric at ``q`` (flattened chart); refused
-    above :data:`jets.JET_MAX_BYTES`."""
+    above :data:`jets.DENSE_MAX_BYTES` (``8 (p D)^4`` bytes)."""
     metric.kernel.require_curvature_grade()
     p, D = metric.p, metric.D
-    require_dense_jet(p * D, f"landmark jet at p={p}, D={D}")
-    (blk,) = _tiles(metric, q, 2)  # p D <= 76 under JET_MAX_BYTES: always one tile
+    require_dense(8 * (p * D) ** 4, f"landmark jet at p={p}, D={D}")
+    (blk,) = _tiles(metric, q, 2)  # p D <= 76 under DENSE_MAX_BYTES: always one tile
     eye_d = np.eye(D)
     delta = np.eye(p)
     fac = delta[:, :, None] - delta[:, None, :]   # fac[c, a, b] = d_ca - d_cb
@@ -206,6 +206,7 @@ def curvature(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarra
     a = _check_mom(metric, a)
     b = _check_mom(metric, b)
     _check_finite(a, b)
+    require_dense(8 * metric.p**2, f"kernel Gram at p={metric.p}")
     kv = join_rows([blk.value for blk in _tiles(metric, q, 0)])  # the Gram: r2 and r3 need all of it
     u_a, u_b = kv @ a, kv @ b
 

@@ -27,15 +27,11 @@ import numpy as np
 
 from .curvature import CurvatureBreakdown, _breakdown, _check_finite, _refuses_overflow
 from .errors import ConfigurationError, DegenerateConfigurationError
+from .jets import require_dense
 from .jsonio import float_array, integer
 from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, join_rows, pair_tiles, row_slices, tile_sum
 
 FRAME_TOL = 1e-10  # largest entry error of a frame's Gram or projector accepted as orthonormal
-
-# Largest normal-bundle Gram of the bracket term, in bytes: it is the dense
-# (S (n-m))^2 system, and its per-pair frame blocks take as much again, so the
-# ceiling is checked before either is allocated.
-NORMAL_GRAM_MAX_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -162,6 +158,7 @@ def make_circle(samples: int, radius: float = 1.0, center: tuple[float, float] =
         raise ConfigurationError("circle radius must be positive")
     if not (math.isfinite(center[0]) and math.isfinite(center[1])):
         raise ConfigurationError(f"circle center must be finite, got ({center[0]}, {center[1]})")
+    require_dense(32 * samples, f"circle at S={samples}")
     theta = 2.0 * np.pi * np.arange(samples) / samples
     x = np.stack([center[0] + radius * np.cos(theta), center[1] + radius * np.sin(theta)], axis=1)
     t = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
@@ -296,9 +293,7 @@ def _normal_gram_solve(kv: np.ndarray, shape: DiscreteSubmanifold, w_field: np.n
         return gram_solve(kv, w_field, "kernel Gram")
     basis = _normal_basis(shape)  # (S, n-m, n)
     s, r, n = basis.shape
-    if 8 * (s * r) ** 2 > NORMAL_GRAM_MAX_BYTES:
-        raise ConfigurationError(f"normal-bundle Gram at S={s}, n-m={r} needs {8 * (s * r) ** 2 / 1e9:.3g} GB "
-                                 f"(limit {NORMAL_GRAM_MAX_BYTES / 1e9:.3g} GB)")
+    require_dense(8 * (s * r) ** 2, f"normal-bundle Gram at S={s}, n-m={r}")
     w_hat = np.einsum("sri,si->sr", basis, w_field)
     mat = np.einsum("sri,tqi->srtq", basis, basis)  # V_s V_t^T blocks
     mat *= kv[:, None, :, None]  # in place: an elementwise product has the same bits either way
@@ -341,6 +336,7 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
     b = _check_mom(shape, b)
     _check_finite(a, b)
     w = shape.w
+    require_dense(8 * len(w) ** 2, f"kernel Gram at S={len(w)}")
     kv, u_a, u_b = [], [], []
     for blk in _tiles(spec, shape, 0):  # the Gram: r2 and r3 need all of it
         kw = blk.value * w[None, :]
@@ -393,6 +389,7 @@ def shape_from_json(obj: dict) -> tuple[DiscreteSubmanifold, np.ndarray | None]:
         t = t.reshape(x.shape[0], 0, n)
     if t.shape != (x.shape[0], m, n):
         raise ConfigurationError(f"tangents must be ({x.shape[0]}, {m}, {n}), got {t.shape}")
+    require_dense(8 * x.shape[0] * n * n, f"shape projectors at S={x.shape[0]}, n={n}")
     proj = np.broadcast_to(np.eye(n), (x.shape[0], n, n)) - np.einsum("smi,smj->sij", t, t)
     shape = DiscreteSubmanifold(x=x, w=w, tangents=t, projectors=np.ascontiguousarray(proj))
     mom = None

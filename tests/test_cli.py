@@ -518,14 +518,54 @@ def test_catalog_cometric_and_point_refusals_exit_1(cometric, point, line, capsy
     (lambda d: ["shape", "make", "--samples", "8", "--center", "nan,0"], "circle center must be finite, got (nan, 0.0)"),
     (lambda d: ["kernel", "eval", "--spec", _raw(d, b'{"family": "gaussian", "n": 2, "A": 0.9}'), "--r", "0,1"],
      "unknown kernel family 'gaussian' (know sobolev_bessel)"),
+    *[(lambda d, n=n, l=l, A=A: ["kernel", "eval", "--spec", _spec(d, n=n, l=l, A=A), "--r", "0,1"],
+       f"kernel (n={n}, l={l}, A={A:g}, c=1) is out of range: its closed-form factors const, const/A and const/A^2 "
+       "must be positive finite floats")
+      for n, l, A in [(1, 200, 1), (771, 400, 1), (1001, 600, 1),
+                      (3, 3, 1e-300), (3, 3, 1e200), (3, 3, 1e-150), (3, 3, 1e-200)]],
 ], ids=["literal beyond float", "overflowing entry jet", "circle radius inf", "circle radius nan",
-        "circle center nan", "gaussian family"])
+        "circle center nan", "gaussian family", "spec n=1 l=200", "spec n=771 l=400", "spec n=1001 l=600",
+        "spec A=1e-300", "spec A=1e200", "spec A=1e-150", "spec A=1e-200"])
 def test_out_of_range_input_exits_1_with_one_error_line(argv, line, tmp_path, capsys):
-    """A chart literal or entry jet beyond the float range, a circle off it
-    and the removed kernel family are each refused with one ``error:`` line
-    and nothing else on stderr: no numpy warning (warnings fail this suite),
-    no traceback."""
+    """A chart literal or entry jet beyond the float range, a circle off it,
+    the removed kernel family and a kernel whose closed-form factors leave
+    the float range are each refused with one ``error:`` line and nothing
+    else on stderr: no numpy warning (warnings fail this suite), no
+    traceback."""
     assert main(argv(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
+def _circle_with_momenta(tmp_path, samples):
+    circle = shapes.make_circle(samples)
+    return _raw(tmp_path, jsonio.dumps(shapes.shape_to_json(circle, 0.1 * circle.x)).encode())
+
+
+WIDE = 5793  # the least p with 8 p^2 bytes above jets.DENSE_MAX_BYTES = 2**28
+
+
+@pytest.mark.parametrize("argv, line", [
+    (lambda d, s: ["shape", "make", "--samples", "8388609"],
+     "dense circle at S=8388609 needs 0.268 GB (limit 0.268 GB)"),
+    (lambda d, s: ["curvature", "shape", "--spec", s, "--shape",
+                   _raw(d, json.dumps({"n": WIDE, "m": 0, "samples": [[0.0] * WIDE], "weights": [1.0],
+                                       "tangents": [[]], "momenta": [[0.0] * WIDE]}).encode())],
+     "dense shape projectors at S=1, n=5793 needs 0.268 GB (limit 0.268 GB)"),
+    (lambda d, s: ["curvature", "landmark", "--spec", s, "--state",
+                   _write_state(d, "line.json", 2, [[float(i), 0.0] for i in range(WIDE)], [[0.0, 0.1]] * WIDE)],
+     "dense kernel Gram at p=5793 needs 0.268 GB (limit 0.268 GB)"),
+    (lambda d, s: ["curvature", "shape", "--spec", s, "--shape", _circle_with_momenta(d, WIDE)],
+     "dense kernel Gram at S=5793 needs 0.268 GB (limit 0.268 GB)"),
+    (lambda d, s: ["geodesic", "shoot", "--spec", s, "--state", _state(d, PAIR, PAIR), "--dt", "1e-7", "--T", "0.42"],
+     "dense trajectory of 4200001 states of shape (2, 2, 2) needs 0.269 GB (limit 0.268 GB)"),
+], ids=["circle", "shape projectors", "landmark kernel Gram", "shape kernel Gram", "trajectory"])
+def test_dense_array_above_the_ceiling_exits_1_before_it_is_allocated(argv, line, tmp_path, spec_file, capsys):
+    """Each dense array a route holds is checked against the one ceiling,
+    ``jets.DENSE_MAX_BYTES``, before it is allocated: just above it the
+    command exits 1 with one ``error:`` line and no traceback."""
+    assert main(argv(tmp_path, spec_file)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {line}\n"

@@ -48,11 +48,13 @@ def test_config_refuses_more_than_max_steps():
 
 
 def test_integrate_refuses_a_trajectory_it_cannot_allocate():
-    """A trajectory beyond numpy's largest array is refused by name.  The
-    initial state is a broadcast view, so nothing is allocated on the way."""
+    """A trajectory above the dense ceiling is refused by name before it is
+    allocated.  The initial state is a broadcast view, so nothing is allocated
+    on the way."""
     system = dynamics.HamiltonianSystem(rhs=None, shape=(2, 10**8, 10**9), rhs_observe=None)
     y0 = np.broadcast_to(0.0, system.shape)
-    with pytest.raises(ConfigurationError, match=r"^cannot allocate a trajectory of 11 states of shape \(2, 100000000"):
+    with pytest.raises(ConfigurationError, match=r"^dense trajectory of 11 states of shape \(2, 100000000, 1000000000\) "
+                                                 r"needs 1.76e\+10 GB \(limit 0.268 GB\)$"):
         integrate(system, y0, IntegratorConfig(dt=0.1, t_final=1.0))
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cometric import shapes
+from cometric import jets, shapes
 from cometric.errors import ConditioningError, ConfigurationError, DegenerateConfigurationError
 from cometric.kernels import KernelSpec
 from cometric.landmark import (
@@ -132,19 +132,20 @@ def test_momenta_of_the_wrong_shape_refused(op):
 
 
 def test_normal_bundle_gram_too_large_is_refused_before_allocation(monkeypatch):
-    """The (S (n-m))^2 bracket Gram has a byte ceiling: above it the shape
-    is refused with a configuration error, not a MemoryError, and the solve
-    is never reached."""
-    circle = shapes.make_circle(16)
-    theta = np.arctan2(circle.x[:, 1], circle.x[:, 0])
-    a = np.cos(2.0 * theta)[:, None] * circle.x
-    b = np.sin(3.0 * theta)[:, None] * circle.x
-    allowed = shapes.curvature_terms(SPEC, circle, a, b)
+    """The (S (n-m))^2 bracket Gram is under the one dense ceiling: for a curve
+    in R^3 it holds 4 S^2 entries, so with the ceiling between its size and the
+    kernel Gram's S^2 the shape is refused with a configuration error, not a
+    MemoryError, and the solve is never reached."""
+    theta = 2.0 * np.pi * np.arange(16) / 16
+    curve = shapes.closed_curve(np.stack([np.cos(theta), np.sin(theta), 0.3 * np.sin(2.0 * theta)], axis=1))
+    a = np.einsum("sij,sj->si", curve.projectors, np.cos(2.0 * theta)[:, None] * curve.x + [0.0, 0.0, 1.0])
+    b = np.einsum("sij,sj->si", curve.projectors, np.sin(3.0 * theta)[:, None] * curve.x)
+    allowed = shapes.curvature_terms(SPEC, curve, a, b)
     assert allowed.r3 != 0.0
-    monkeypatch.setattr(shapes, "NORMAL_GRAM_MAX_BYTES", 8 * 16**2 - 1)
+    monkeypatch.setattr(jets, "DENSE_MAX_BYTES", 8 * (16 * 2) ** 2 - 1)
     monkeypatch.setattr(shapes, "gram_solve", None)  # never reached
-    with pytest.raises(ConfigurationError, match=r"^normal-bundle Gram at S=16, n-m=1 needs 2.05e-06 GB "):
-        shapes.curvature_terms(SPEC, circle, a, b)
+    with pytest.raises(ConfigurationError, match=r"^dense normal-bundle Gram at S=16, n-m=2 needs 8.19e-06 GB "):
+        shapes.curvature_terms(SPEC, curve, a, b)
 
 
 def test_non_orthonormal_frames_refused():
