@@ -43,7 +43,7 @@ def require_dense(nbytes: int, what: str) -> None:
     """Refuse a dense array of ``nbytes`` above :data:`DENSE_MAX_BYTES`;
     ``what`` names it (``"landmark jet at p=50, D=3"``)."""
     if nbytes > DENSE_MAX_BYTES:
-        raise ConfigurationError(f"dense {what} needs {nbytes / 1e9:.3g} GB (limit {DENSE_MAX_BYTES / 1e9:.3g} GB)")
+        raise ConfigurationError(f"dense {what} needs {nbytes} bytes (limit {DENSE_MAX_BYTES} bytes)")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -226,16 +226,16 @@ def kernel_hess(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
 
 
 def _pair_differences(x: np.ndarray, rows: slice) -> np.ndarray:
-    """``x_s - x_t`` for the rows ``s`` in the slice ``rows`` and every row
-    ``t`` of each configuration in ``x`` (..., p, D), as a (..., rows, p, D)
-    view of component-major storage: each component is one contiguous
-    (rows, p) array, so pair loops run in long strides rather than strides of
-    D.  The storage (..., D, rows, p) is C-ordered by request, not left to
-    numpy: ``PairBlock.contract``'s ``matmul`` picks its summation path from
-    these strides, the same for every configuration of a batch as for one
-    alone."""
+    """``x_s - x_t`` for the rows ``s`` in the slice ``rows`` and the rows
+    ``t`` from its first on, ``rows.start:``, of each configuration in ``x``
+    (..., p, D), as a (..., rows, cols, D) view of component-major storage:
+    each component is one contiguous (rows, cols) array, so pair loops run in
+    long strides rather than strides of D.  The storage (..., D, rows, cols)
+    is C-ordered by request, not left to numpy: ``PairBlock.contract``'s
+    ``matmul`` picks its summation path from these strides, the same for
+    every configuration of a batch as for one alone."""
     xt = x.mT
-    out = np.subtract(xt[..., rows, None], xt[..., None, :], order="C")
+    out = np.subtract(xt[..., rows, None], xt[..., None, rows.start:], order="C")
     return out.transpose(_component_last(x.ndim))
 
 
@@ -247,27 +247,29 @@ def _component_last(ndim: int) -> tuple[int, ...]:
 
 
 def _pair_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[..., :] . b[..., :]``, one component at a time (pair arrays are component-major)."""
-    out = a[..., 0] * b[..., 0]
+    """``a[..., :] . b[..., :]``, one component at a time (pair arrays are
+    component-major); a square (``b is a``) takes each component once."""
+    x = a[..., 0]
+    out = x * (x if b is a else b[..., 0])
     for m in range(1, a.shape[-1]):
-        out += a[..., m] * b[..., m]
+        x = a[..., m]
+        out += x * (x if b is a else b[..., m])
     return out
 
 
 class PairBlock(NamedTuple):
     """Kernel data of the ordered pairs ``(s, t)`` of a configuration, or of
     each configuration of a batch (leading axes ``...``), for the rows ``s``
-    in the slice ``rows`` and every ``t``: one row tile, or the whole block
-    (``rows`` is then ``slice(None)``).
+    in the slice ``rows`` and the columns ``t`` from the first of them on,
+    ``rows.start:``: one upper row tile, or the whole block (``rows`` is then
+    ``slice(None)``).  No tile holds the transpose of a pair past the tile's
+    own square of columns, so reductions add that pair's :meth:`column` side.
 
-    ``diff[..., i, t, :] = x_s - x_t`` for the ``i``-th row ``s`` of ``rows``
-    (..., rows, p, D); ``value``, ``g`` and ``h`` are (..., rows, p) with
-    ``K = value``, ``grad K = g diff`` and ``Hess K = g I + h diff diff^T`` at
-    ``diff[..., i, t, :]``.  ``g`` and ``h`` are None above the block's order.
-    A :func:`pair_tiles` pass builds each tile once and yields it once: a
-    route that needs the tiles twice asks for a second pass.  A named tuple
-    costs a third of a frozen dataclass to build.
-    """
+    ``diff[..., i, j, :] = x_s - x_t`` for the ``i``-th row ``s`` and ``j``-th
+    column ``t`` (..., rows, cols, D); ``value``, ``g`` and ``h`` are
+    (..., rows, cols): ``K = value``, ``grad K = g diff`` and ``Hess K = g I
+    + h diff diff^T`` there (None above the block's order).  A named tuple
+    costs a third of a frozen dataclass to build."""
 
     rows: slice
     diff: np.ndarray
@@ -278,6 +280,39 @@ class PairBlock(NamedTuple):
     def contract(self, coef: np.ndarray) -> np.ndarray:
         """``sum_t coef[..., s, t] diff[..., s, t, :]``, shape (..., rows, D)."""
         return np.matmul(coef[..., None, :], self.diff)[..., 0, :]
+
+    def column(self, coef: np.ndarray, field: np.ndarray | None, w: np.ndarray | None) -> np.ndarray:
+        """The column side of a row tile's reduction whose row side is ``coef @ field[rows.start:]``
+        (:meth:`contract` for no field), (..., p - rows.stop, D): for each ``t`` past the square, the
+        sum over the rows ``s`` of ``coef[..., s, t]`` times ``field_s``, or ``x_t - x_s`` (the diff
+        flips sign).  A ``coef`` that carries the weight ``w_t`` takes ``w_s`` instead."""
+        rows, n = self.rows, coef.shape[-2]
+        if field is None:
+            c = coef[..., n:] if w is None else coef[..., n:] * w[rows, None]
+            out = -np.einsum("...st,...stm->...tm", c, self.diff[..., n:, :])
+        else:
+            out = coef[..., n:].mT @ (field[..., rows, :] if w is None else w[rows, None] * field[rows])
+        return out if w is None else out / w[rows.stop:, None]
+
+    def fold(self, out: np.ndarray | None, row: np.ndarray, coef: np.ndarray, field: np.ndarray | None,
+             w: np.ndarray | None) -> np.ndarray:
+        """``out``, a pass's (..., p, D) rows so far (None at first), plus this tile's ``row`` and
+        :meth:`column` sides, so a pass holds one sum per output; the whole block's ``row`` as it is."""
+        rows = self.rows
+        if rows.stop is None:
+            return row
+        out = np.zeros((*row.shape[:-2], self.value.shape[-1], row.shape[-1])) if out is None else out
+        out[..., rows, :] += row
+        out[..., rows.stop:, :] += self.column(coef, field, w)
+        return out
+
+    def total(self, dots: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+        """``sum_st dots[s, t] x[s, t]`` over one configuration's tile for ``dots[s, t] = a_s . b_t``
+        and a symmetric ``x``, each pair past the square also as ``(t, s)``."""
+        out = float(np.einsum("st,st->", dots, x))
+        if self.rows.stop is None:
+            return out
+        return out + float(np.einsum("tm,tm->", a[self.rows.stop:], self.column(x, b, None)))
 
     def rate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pair differences ``du`` of a field ``u`` (..., p, D) over the block's
@@ -290,7 +325,7 @@ class PairBlock(NamedTuple):
         return self.g * _pair_dot(du, dv) + self.h * rate_u * rate_v
 
     def hessian(self) -> np.ndarray:
-        """The dense (rows, p, D, D) Hessian block."""
+        """The dense (rows, cols, D, D) Hessian block."""
         return _hessian(self.g, self.h, self.diff)
 
 
@@ -298,21 +333,22 @@ class PairBlock(NamedTuple):
 # configuration: a pair reduction over p points takes its pairs in tiles of
 # TILE_BYTES // (8 p) rows (at least one), so it forms no p x p array, and the
 # fresh zero-filled pages the C allocator maps for every large array (about
-# 2 100 page faults per right-hand side at p = 400 untiled) mostly go.  Up to
-# p = 128 every pair fits in one tile.  Set from a sweep of 32-256 KiB at
-# p = 100, 400, 1600 and 3200: smaller tiles pay numpy's fixed cost per call
-# on too few rows at large p, larger ones fault again at p = 400.  A batch
-# splits each member exactly as it would be split alone.
+# 2 100 page faults per right-hand side at p = 400 untiled) mostly go.  A tile
+# is rows x (p - lo), from its first row lo on: the first meets the budget,
+# later ones shrink.  Up to p = 128 every pair fits in one tile.  Set from a
+# sweep of 32-256 KiB at p = 100, 400, 1600 and 3200: smaller tiles pay numpy's
+# fixed cost per call on too few rows at large p, larger ones fault again at
+# p = 400.  A batch splits each member exactly as it would be split alone.
 TILE_BYTES = 2**17
 
 
 def pair_tiles(spec: KernelSpec, points: np.ndarray, order: int, what: str) -> Iterator[PairBlock]:
     """One pass over the pair data of ``points`` (..., p, D) up to ``order``
     (0, 1 or 2): one configuration, or a batch of them on leading axes, each
-    split and checked as if alone.  The pass yields :class:`PairBlock` row
-    tiles in row order, one at a time; pairs that fit in one tile
-    (:func:`row_slices`) come as the one whole block, whose ``rows`` is
-    ``slice(None)``.
+    split and checked as if alone.  The pass yields :class:`PairBlock` upper
+    row tiles of :func:`row_slices` in row order, one at a time, so each
+    unordered pair is built once; pairs that fit in one tile come as the one
+    whole block, whose ``rows`` is ``slice(None)``.
 
     Points wider than the kernel are refused by
     :meth:`KernelSpec.require_ambient` when called.  Non-finite and coincident
@@ -333,9 +369,10 @@ def row_slices(p: int) -> tuple[slice, ...]:
     return tuple(slice(lo, min(lo + step, p)) for lo in range(0, p, step))
 
 
-def join_rows(parts: list) -> np.ndarray:
-    """Per-tile rows (..., rows, k) joined in row order; one tile's rows as they are."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
+def fold_tiles(tiles: Iterator[PairBlock], part) -> np.ndarray:
+    """The rows of a one-output pass: each tile's ``part(blk) = (row, coef, field, w)`` folded in
+    by :meth:`PairBlock.fold` as the pass meets it."""
+    return functools.reduce(lambda out, blk: blk.fold(out, *part(blk)), tiles, None)
 
 
 def tile_sum(parts):
@@ -379,20 +416,20 @@ def _each_member_alone(pts: np.ndarray, what: str) -> None:
 
 
 def _distinct_tiles(pts: np.ndarray, what: str):
-    """Yield ``(rows, diff, dist)`` row tile by row tile: the one builder of
-    pair differences and distances, and the one test of :func:`check_distinct`.
+    """Yield ``(rows, diff, dist)`` upper row tile by upper row tile: the one builder of pair differences
+    and distances (``dist_st`` and ``dist_ts`` the same bits), and the one test of :func:`check_distinct`.
 
     A non-finite coordinate or an overflowing distance makes a tile's largest
     distance non-finite (quietly: ``inf - inf`` would warn), and only then are
     the coordinates inspected, when that tile is met.  Each tile counts its
     distances within 1e-10 of an upper bound of the diameter: the tile's own
     largest distance when it is the one tile, else ``4 max_s |x_s - x_0|``
-    (twice the triangle inequality's, to cover rounding).  Its diagonal is
-    exactly zero, so only a tile with more such distances than diagonal
-    entries can hold a coincident pair, and only such a tile is searched for
-    its first nearest pair off the diagonal.  After the last tile that pair is
+    (twice the triangle inequality's, to cover rounding).  The diagonal of
+    its square is exactly zero, so only a tile with more such distances than
+    rows can hold a coincident pair, and only such a tile is searched for its
+    first nearest pair off the diagonal.  After the last tile that pair is
     refused when it lies within 1e-10 of the exact diameter, named by its
-    first place in row-major order.
+    first place in row-major order, which lies in the one tile holding it.
 
     A batch (..., p, D) is tested as a whole at the tolerance of its widest
     member, the loosest.  Only if that test fails is each member tested alone,
@@ -415,21 +452,19 @@ def _distinct_tiles(pts: np.ndarray, what: str):
             _refuse_infinite(pts, what, "are too far apart: a pair distance")
         diam = max(diam, top)
         close = np.count_nonzero(dist <= 1e-10 * max(top if bound is None else bound, 1e-300))
-        if close * p > dist.size:  # more than the one zero per row on the diagonal
-            lo = rows.start or 0
+        if close * dist.shape[-1] > dist.size:  # more than the one zero per row on the diagonal
             own = np.arange(dist.shape[-2])
-            dist[..., own, own + lo] = np.inf
+            dist[..., own, own] = np.inf
             k = int(np.argmin(dist))
             if dist.flat[k] < near:
-                near, where = float(dist.flat[k]), (lo, k)
-            dist[..., own, own + lo] = 0.0
+                near, where = float(dist.flat[k]), [(rows.start or 0) + i for i in divmod(k, dist.shape[-1])]
+            dist[..., own, own] = 0.0
         yield rows, diff, dist
     if where is not None and near <= 1e-10 * max(diam, 1e-300):
         if pts.ndim > 2:
             _each_member_alone(pts, what)
             return
-        a, b = divmod(where[1], p)
-        raise DegenerateConfigurationError(f"coincident {what} {where[0] + a} and {b} (separation {near:.3e})")
+        raise DegenerateConfigurationError(f"coincident {what} {where[0]} and {where[1]} (separation {near:.3e})")
 
 
 def gram_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
@@ -443,7 +478,20 @@ def gram_matrix(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     if pts.ndim != 2:
         raise ConfigurationError(f"points must be a (p, d) array, got shape {pts.shape}")
     require_dense(8 * len(pts) ** 2, f"kernel Gram at p={len(pts)}")
-    return join_rows([blk.value for blk in pair_tiles(spec, pts, 0, "points")])
+    return fill_gram(pair_tiles(spec, pts, 0, "points"))
+
+
+def fill_gram(tiles: Iterator[PairBlock]) -> np.ndarray:
+    """The Gram from an order-0 :func:`pair_tiles` pass of one configuration:
+    each tile fills its rows and, mirrored, the columns below its square."""
+    for blk in tiles:
+        lo, hi = blk.rows.start, blk.rows.stop
+        if hi is None:  # the whole block
+            return blk.value
+        gram = np.empty((blk.value.shape[-1],) * 2) if lo == 0 else gram
+        gram[lo:hi, lo:] = blk.value
+        gram[hi:, lo:hi] = blk.value[:, hi - lo:].T
+    return gram
 
 
 # Above this condition number a kernel Gram solve is not trustworthy and the

@@ -26,7 +26,7 @@ from .errors import ConfigurationError
 from .jets import CometricJet, assemble_jet, require_dense
 from .jsonio import float_array, integer
 from .kernels import GRAM_COND_LIMIT  # noqa: F401  (re-exported: read as landmark.GRAM_COND_LIMIT)
-from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, join_rows, pair_tiles, tile_sum
+from .kernels import KernelSpec, PairBlock, check_distinct, fill_gram, fold_tiles, gram_solve, pair_tiles, tile_sum
 
 
 @dataclass(frozen=True)
@@ -97,16 +97,11 @@ def landmark_cometric_jet(metric: LandmarkMetric, q: np.ndarray) -> CometricJet:
     return assemble_jet(np.asarray(q, dtype=float).reshape(-1), ginv, dginv, ddginv)
 
 
-def _energy(dots: np.ndarray, value: np.ndarray) -> float:
-    """``1/2 sum_ab dots_ab value_ab``: H from the momentum dots ``p_a . p_b``."""
-    return 0.5 * float(np.einsum("ab,ab->", dots, value))
-
-
 def hamiltonian(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> float:
     """``H(q, p) = 1/2 sum_ab (p_a . p_b) K(q_a - q_b)``."""
     tiles = _tiles(metric, q, 0)
     mom = _check_mom(metric, mom)
-    return tile_sum([_energy(mom[blk.rows] @ mom.T, blk.value) for blk in tiles])
+    return tile_sum([0.5 * blk.total(mom[blk.rows] @ mom[blk.rows.start:].T, blk.value, mom, mom) for blk in tiles])
 
 
 def geodesic_rhs(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray, energy: bool = False) -> tuple:
@@ -119,33 +114,36 @@ def geodesic_rhs(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray, energy:
     q = _positions(metric, q)
     tiles = pair_tiles(metric.kernel, q, 1, "landmarks")
     mom = _check_mom(metric, mom, q.shape[:-2])
-    qdot, pdot, h = [], [], []
+    qdot, pdot, h = None, None, []
     for blk in tiles:
-        dots = mom[..., blk.rows, :] @ mom.mT  # in one tile numpy's syrk path, as ``mom @ mom.mT``
-        qdot.append(blk.value @ mom)
-        pdot.append(-blk.contract(dots * blk.g))
+        right = mom[..., blk.rows.start:, :]
+        dots = mom[..., blk.rows, :] @ right.mT  # in one tile numpy's syrk path, as ``mom @ mom.mT``
+        coef = dots * blk.g
+        qdot = blk.fold(qdot, blk.value @ right, blk.value, mom, None)
+        pdot = blk.fold(pdot, blk.contract(coef), coef, None, None)
         if energy:
-            h.append(_energy(dots, blk.value))
-    qdot, pdot = join_rows(qdot), join_rows(pdot)
-    return (qdot, pdot, tile_sum(h)) if energy else (qdot, pdot)
+            h.append(0.5 * blk.total(dots, blk.value, mom, mom))
+    return (qdot, -pdot, tile_sum(h)) if energy else (qdot, -pdot)
 
 
 def velocity(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> np.ndarray:
     """Raised momenta ``u_a = sum_b K(q_a - q_b) p_b`` (the landmark sharp)."""
     tiles = _tiles(metric, q, 0)
     mom = _check_mom(metric, mom)
-    return join_rows([blk.value @ mom for blk in tiles])
+    return fold_tiles(tiles, lambda blk: (blk.value @ mom[blk.rows.start:], blk.value, mom, None))
 
 
-def _force(blk: PairBlock, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The force rows of one tile; ``mixed[s, t] = a_s . b_t + a_t . b_s``."""
-    mixed = a[blk.rows] @ b.T + b[blk.rows] @ a.T
-    return -0.5 * blk.contract(mixed * blk.g)
+def _force(blk: PairBlock, a: np.ndarray, b: np.ndarray) -> tuple:
+    """One tile's part of the force rows before the factor -1/2; ``mixed[s, t] = a_s . b_t + a_t . b_s``."""
+    mixed = a[blk.rows] @ b[blk.rows.start:].T + b[blk.rows] @ a[blk.rows.start:].T
+    coef = mixed * blk.g
+    return blk.contract(coef), coef, None, None
 
 
-def _stress(blk: PairBlock, rate: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stress rows from the radial rate of the raised field: ``-sum_t g rate b_t``."""
-    return -(blk.g * rate) @ b
+def _stress(blk: PairBlock, rate: np.ndarray, b: np.ndarray) -> tuple:
+    """One tile's part of the stress rows from the radial rate of the raised field: ``-sum_t g rate b_t``."""
+    coef = -(blk.g * rate)
+    return coef @ b[blk.rows.start:], coef, b, None
 
 
 def force(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,7 +154,7 @@ def force(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -
     a = _check_mom(metric, a)
     b = _check_mom(metric, b)
     _check_finite(a, b)
-    return join_rows([_force(blk, a, b) for blk in tiles])
+    return -0.5 * fold_tiles(tiles, lambda blk: _force(blk, a, b))
 
 
 def stress(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -168,24 +166,24 @@ def stress(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) 
     b = _check_mom(metric, b)
     _check_finite(a, b)
     u = velocity(metric, q, a)
-    return join_rows([_stress(blk, blk.rate(u)[1], b) for blk in tiles])
+    return fold_tiles(tiles, lambda blk: _stress(blk, blk.rate(u)[1], b))
 
 
 def _curvature_tile(blk: PairBlock, a: np.ndarray, b: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> tuple:
     """One tile's share of :func:`curvature`: the three Hessian sums of r11 and
-    the three pairings, then the force and stress rows."""
+    the three pairings, then the parts of the force and stress rows."""
     du, rate_a = blk.rate(u_a)
     dv, rate_b = blk.rate(u_b)
-    dots_aa = a[blk.rows] @ a.T
-    dots_bb = b[blk.rows] @ b.T
-    dots_ab = a[blk.rows] @ b.T  # [s, t] = a_s . b_t
+    dots_aa = a[blk.rows] @ a[blk.rows.start:].T
+    dots_bb = b[blk.rows] @ b[blk.rows.start:].T
+    dots_ab = a[blk.rows] @ b[blk.rows.start:].T  # [s, t] = a_s . b_t
     return (
-        float(np.einsum("st,st->", dots_bb, blk.hess_form(du, rate_a, du, rate_a))),
-        float(np.einsum("st,st->", dots_ab, blk.hess_form(du, rate_a, dv, rate_b))),
-        float(np.einsum("st,st->", dots_aa, blk.hess_form(dv, rate_b, dv, rate_b))),
-        float(np.einsum("st,st->", dots_aa, blk.value)),
-        float(np.einsum("st,st->", dots_bb, blk.value)),
-        float(np.einsum("st,st->", dots_ab, blk.value)),
+        blk.total(dots_bb, blk.hess_form(du, rate_a, du, rate_a), b, b),
+        blk.total(dots_ab, blk.hess_form(du, rate_a, dv, rate_b), a, b),
+        blk.total(dots_aa, blk.hess_form(dv, rate_b, dv, rate_b), a, a),
+        blk.total(dots_aa, blk.value, a, a),
+        blk.total(dots_bb, blk.value, b, b),
+        blk.total(dots_ab, blk.value, a, b),
         _force(blk, a, a), _force(blk, b, b), _force(blk, a, b),
         _stress(blk, rate_a, a), _stress(blk, rate_b, b), _stress(blk, rate_a, b), _stress(blk, rate_b, a),
     )
@@ -207,12 +205,17 @@ def curvature(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarra
     b = _check_mom(metric, b)
     _check_finite(a, b)
     require_dense(8 * metric.p**2, f"kernel Gram at p={metric.p}")
-    kv = join_rows([blk.value for blk in _tiles(metric, q, 0)])  # the Gram: r2 and r3 need all of it
+    kv = fill_gram(_tiles(metric, q, 0))  # the Gram: r2 and r3 need all of it
     u_a, u_b = kv @ a, kv @ b
 
-    parts = list(zip(*(_curvature_tile(blk, a, b, u_a, u_b) for blk in tiles)))
-    h_bb, h_ab, h_aa, paa, pbb, pab = map(tile_sum, parts[:6])
-    f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba = map(join_rows, parts[6:])
+    sums, rows = [], [None] * 7
+    for blk in tiles:
+        part = _curvature_tile(blk, a, b, u_a, u_b)
+        sums.append(part[:6])
+        rows = [blk.fold(out, *side) for out, side in zip(rows, part[6:])]
+    h_bb, h_ab, h_aa, paa, pbb, pab = map(tile_sum, zip(*sums))
+    rows[:3] = [-0.5 * f for f in rows[:3]]
+    f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba = rows
 
     r11 = 0.5 * (h_bb - 2.0 * h_ab + h_aa)
     r12 = float(np.einsum("cm,cm->", f_aa, d_bb) + np.einsum("cm,cm->", f_bb, d_aa)

@@ -29,7 +29,8 @@ from .curvature import CurvatureBreakdown, _breakdown, _check_finite, _refuses_o
 from .errors import ConfigurationError, DegenerateConfigurationError
 from .jets import require_dense
 from .jsonio import float_array, integer
-from .kernels import KernelSpec, PairBlock, check_distinct, gram_solve, join_rows, pair_tiles, row_slices, tile_sum
+from .kernels import (KernelSpec, PairBlock, check_distinct, fill_gram, fold_tiles, gram_solve, pair_tiles, row_slices,
+                      tile_sum)
 
 FRAME_TOL = 1e-10  # largest entry error of a frame's Gram or projector accepted as orthonormal
 
@@ -203,18 +204,22 @@ def induced_pairing(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
     """``sum_st w_s w_t (a_s . b_t) K(x_s - x_t)``."""
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
-    return tile_sum([_pairing(a[blk.rows] @ b.T, shape.w, blk) for blk in _tiles(spec, shape, 0)])
+    w = shape.w
+    wa, wb = w[:, None] * a, w[:, None] * b
+    return tile_sum([blk.total((a[blk.rows] @ b[blk.rows.start:].T) * w[blk.rows, None] * w[None, blk.rows.start:],
+                               blk.value, wa, wb) for blk in _tiles(spec, shape, 0)])
 
 
-def _pairing(dots: np.ndarray, w: np.ndarray, blk: PairBlock) -> float:
-    """``sum_st w_s w_t dots_st K_st`` over one tile, for the momentum dots ``a_s . b_t``."""
-    return float(np.einsum("st,st->", dots * w[blk.rows, None] * w[None, :], blk.value))
+def _velocity(blk: PairBlock, w: np.ndarray, a: np.ndarray) -> tuple:
+    """One tile's part of the field values ``sum_t K_st w_t a_t``."""
+    kw = blk.value * w[None, blk.rows.start:]
+    return kw @ a[blk.rows.start:], kw, a, w
 
 
 def horizontal_velocity(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray) -> np.ndarray:
     """Field values ``u_a(x_s) = sum_t K(x_s - x_t) a_t w_t`` at the samples."""
     a = _check_mom(shape, a)
-    return join_rows([(blk.value * shape.w[None, :]) @ a for blk in _tiles(spec, shape, 0)])
+    return fold_tiles(_tiles(spec, shape, 0), lambda blk: _velocity(blk, shape.w, a))
 
 
 def geodesic_rhs(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, energy: bool = False) -> tuple:
@@ -226,31 +231,29 @@ def geodesic_rhs(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, en
     same pair tiles: ``(xdot, adot, H)``."""
     a = _check_mom(shape, a)
     w = shape.w
-    xdot, adot, h = [], [], []
+    wa = w[:, None] * a if energy else None
+    xdot, adot, h = None, None, []
     for blk in _tiles(spec, shape, 1):
-        dots = a[blk.rows] @ a.T
-        xdot.append((blk.value * w[None, :]) @ a)
-        adot.append(-blk.contract(dots * w[None, :] * blk.g))
+        dots = a[blk.rows] @ a[blk.rows.start:].T
+        coef = dots * w[None, blk.rows.start:] * blk.g
+        xdot = blk.fold(xdot, *_velocity(blk, w, a))
+        adot = blk.fold(adot, blk.contract(coef), coef, None, w)
         if energy:
-            h.append(_pairing(dots, w, blk))
-    xdot, adot = join_rows(xdot), join_rows(adot)
-    return (xdot, adot, 0.5 * tile_sum(h)) if energy else (xdot, adot)
+            h.append(blk.total(dots * w[blk.rows, None] * w[None, blk.rows.start:], blk.value, wa, wa))
+    return (xdot, -adot, 0.5 * tile_sum(h)) if energy else (xdot, -adot)
 
 
-def _force_rows(blk: PairBlock, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The unprojected force rows of one tile."""
-    mixed = a[blk.rows] @ b.T + b[blk.rows] @ a.T
-    return -0.5 * blk.contract(mixed * w[None, :] * blk.g)
+def _force_rows(blk: PairBlock, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """One tile's part of the unprojected force rows, before the factor -1/2."""
+    mixed = a[blk.rows] @ b[blk.rows.start:].T + b[blk.rows] @ a[blk.rows.start:].T
+    coef = mixed * w[None, blk.rows.start:] * blk.g
+    return blk.contract(coef), coef, None, w
 
 
-def _stress_rows(blk: PairBlock, w: np.ndarray, rate: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The unprojected stress rows of one tile."""
-    return -(blk.g * rate * w[None, :]) @ b
-
-
-def _normal(shape: DiscreteSubmanifold, rows: list) -> np.ndarray:
-    """Per-tile rows joined and projected onto the normal bundle."""
-    return np.einsum("sij,sj->si", shape.projectors, join_rows(rows))
+def _stress_rows(blk: PairBlock, w: np.ndarray, rate: np.ndarray, b: np.ndarray) -> tuple:
+    """One tile's part of the unprojected stress rows."""
+    coef = -(blk.g * rate * w[None, blk.rows.start:])
+    return coef @ b[blk.rows.start:], coef, b, w
 
 
 def force_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -260,7 +263,7 @@ def force_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b:
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
     _check_finite(a, b)
-    return _normal(shape, [_force_rows(blk, shape.w, a, b) for blk in _tiles(spec, shape, 1)])
+    return project_normal(shape, -0.5 * fold_tiles(_tiles(spec, shape, 1), lambda blk: _force_rows(blk, shape.w, a, b)))
 
 
 def stress_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -270,7 +273,8 @@ def stress_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b
     b = _check_mom(shape, b)
     _check_finite(a, b)
     u = horizontal_velocity(spec, shape, a)
-    return _normal(shape, [_stress_rows(blk, shape.w, blk.rate(u)[1], b) for blk in _tiles(spec, shape, 1)])
+    stress = fold_tiles(_tiles(spec, shape, 1), lambda blk: _stress_rows(blk, shape.w, blk.rate(u)[1], b))
+    return project_normal(shape, stress)
 
 
 def _normal_basis(shape: DiscreteSubmanifold) -> np.ndarray:
@@ -302,22 +306,23 @@ def _normal_gram_solve(kv: np.ndarray, shape: DiscreteSubmanifold, w_field: np.n
 
 
 def _curvature_tile(blk: PairBlock, w: np.ndarray, a: np.ndarray, b: np.ndarray,
-                    u_a: np.ndarray, u_b: np.ndarray) -> tuple:
+                    u_a: np.ndarray, u_b: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tuple:
     """One tile's share of :func:`curvature_terms`: the three Hessian sums of
-    r11 and the three pairings, then the unprojected force and stress rows."""
+    r11 and the three pairings, then the parts of the unprojected force and
+    stress rows."""
     du, rate_a = blk.rate(u_a)
     dv, rate_b = blk.rate(u_b)
-    ww = w[blk.rows, None] * w[None, :]
-    dots_aa = (a[blk.rows] @ a.T) * ww
-    dots_bb = (b[blk.rows] @ b.T) * ww
-    dots_ab = (a[blk.rows] @ b.T) * ww
+    ww = w[blk.rows, None] * w[None, blk.rows.start:]
+    dots_aa = (a[blk.rows] @ a[blk.rows.start:].T) * ww
+    dots_bb = (b[blk.rows] @ b[blk.rows.start:].T) * ww
+    dots_ab = (a[blk.rows] @ b[blk.rows.start:].T) * ww
     return (
-        float(np.einsum("st,st->", dots_bb, blk.hess_form(du, rate_a, du, rate_a))),
-        float(np.einsum("st,st->", dots_ab, blk.hess_form(du, rate_a, dv, rate_b))),
-        float(np.einsum("st,st->", dots_aa, blk.hess_form(dv, rate_b, dv, rate_b))),
-        float(np.einsum("st,st->", dots_aa, blk.value)),
-        float(np.einsum("st,st->", dots_bb, blk.value)),
-        float(np.einsum("st,st->", dots_ab, blk.value)),
+        blk.total(dots_bb, blk.hess_form(du, rate_a, du, rate_a), wb, wb),
+        blk.total(dots_ab, blk.hess_form(du, rate_a, dv, rate_b), wa, wb),
+        blk.total(dots_aa, blk.hess_form(dv, rate_b, dv, rate_b), wa, wa),
+        blk.total(dots_aa, blk.value, wa, wa),
+        blk.total(dots_bb, blk.value, wb, wb),
+        blk.total(dots_ab, blk.value, wa, wb),
         _force_rows(blk, w, a, a), _force_rows(blk, w, b, b), _force_rows(blk, w, a, b),
         _stress_rows(blk, w, rate_a, a), _stress_rows(blk, w, rate_b, b),
         _stress_rows(blk, w, rate_a, b), _stress_rows(blk, w, rate_b, a),
@@ -337,27 +342,31 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
     _check_finite(a, b)
     w = shape.w
     require_dense(8 * len(w) ** 2, f"kernel Gram at S={len(w)}")
-    kv, u_a, u_b = [], [], []
-    for blk in _tiles(spec, shape, 0):  # the Gram: r2 and r3 need all of it
-        kw = blk.value * w[None, :]
-        kv.append(blk.value)
-        u_a.append(kw @ a)
-        u_b.append(kw @ b)
-    kv, u_a, u_b = join_rows(kv), join_rows(u_a), join_rows(u_b)
+    kv = fill_gram(_tiles(spec, shape, 0))  # the Gram: r2 and r3 need all of it
+    u_a, u_b = np.empty_like(a), np.empty_like(b)
+    for rows in row_slices(len(w)):  # the field values, a row tile at a time
+        kw = kv[rows] * w[None, :]
+        u_a[rows], u_b[rows] = kw @ a, kw @ b
+    wa, wb = w[:, None] * a, w[:, None] * b
 
-    parts = list(zip(*(_curvature_tile(blk, w, a, b, u_a, u_b) for blk in _tiles(spec, shape, 2))))
-    h_bb, h_ab, h_aa, paa, pbb, pab = map(tile_sum, parts[:6])
-    f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba = (_normal(shape, rows) for rows in parts[6:])
+    sums, rows = [], [None] * 7
+    for blk in _tiles(spec, shape, 2):
+        part = _curvature_tile(blk, w, a, b, u_a, u_b, wa, wb)
+        sums.append(part[:6])
+        rows = [blk.fold(out, *side) for out, side in zip(rows, part[6:])]
+    h_bb, h_ab, h_aa, paa, pbb, pab = map(tile_sum, zip(*sums))
+    rows[:3] = [-0.5 * f for f in rows[:3]]
+    f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba = (project_normal(shape, x) for x in rows)
 
     r11 = 0.5 * (h_bb - 2.0 * h_ab + h_aa)
     r12 = float(np.einsum("s,sm,sm->", w, f_aa, d_bb) + np.einsum("s,sm,sm->", w, f_bb, d_aa)
                 - np.einsum("s,sm,sm->", w, f_ab, d_ab + d_ba))
 
-    kw_ab, kw_bb = [], []
-    for kw in (kv[rows] * (w[rows, None] * w[None, :]) for rows in row_slices(len(w))):  # w_s w_t K_st, by rows
-        kw_ab.append(kw @ f_ab)
-        kw_bb.append(kw @ f_bb)
-    r2 = float(np.einsum("sm,sm->", f_ab, join_rows(kw_ab)) - np.einsum("sm,sm->", f_aa, join_rows(kw_bb)))
+    kw_ab, kw_bb = np.empty_like(f_ab), np.empty_like(f_bb)
+    for rows in row_slices(len(w)):  # w_s w_t K_st, by rows
+        kw = kv[rows] * (w[rows, None] * w[None, :])
+        kw_ab[rows], kw_bb[rows] = kw @ f_ab, kw @ f_bb
+    r2 = float(np.einsum("sm,sm->", f_ab, kw_ab) - np.einsum("sm,sm->", f_aa, kw_bb))
 
     w_br = d_ab - d_ba
     if float(np.abs(w_br).max()) == 0.0:

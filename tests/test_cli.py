@@ -492,7 +492,7 @@ _FORMS = "(know euclidean[:d], sphere[:radius], hyperbolic)"
     ("catalog:sphere:-1", "0.1,0.2", "sphere radius must be positive"),
     ("catalog:sphere:1e200", "0,0", "sphere radius 1e+200 is out of range: 4 R^4 is not a positive finite float"),
     ("catalog:sphere:1e-200", "0,0", "sphere radius 1e-200 is out of range: 4 R^4 is not a positive finite float"),
-    ("catalog:euclidean:80", ",".join(["0"] * 80), "dense chart jet at d=80 needs 0.328 GB (limit 0.268 GB)"),
+    ("catalog:euclidean:80", ",".join(["0"] * 80), "dense chart jet at d=80 needs 327680000 bytes (limit 268435456 bytes)"),
     ("catalog:euclidean:0", "0.1,0.2", "cometric dimension must be >= 1, got 0"),
     ("catalog:sphere", "0.1,0.2,0.3", "point has shape (3,), chart dimension is 2"),
 ])
@@ -548,18 +548,18 @@ WIDE = 5793  # the least p with 8 p^2 bytes above jets.DENSE_MAX_BYTES = 2**28
 
 @pytest.mark.parametrize("argv, line", [
     (lambda d, s: ["shape", "make", "--samples", "8388609"],
-     "dense circle at S=8388609 needs 0.268 GB (limit 0.268 GB)"),
+     "dense circle at S=8388609 needs 268435488 bytes (limit 268435456 bytes)"),
     (lambda d, s: ["curvature", "shape", "--spec", s, "--shape",
                    _raw(d, json.dumps({"n": WIDE, "m": 0, "samples": [[0.0] * WIDE], "weights": [1.0],
                                        "tangents": [[]], "momenta": [[0.0] * WIDE]}).encode())],
-     "dense shape projectors at S=1, n=5793 needs 0.268 GB (limit 0.268 GB)"),
+     "dense shape projectors at S=1, n=5793 needs 268470792 bytes (limit 268435456 bytes)"),
     (lambda d, s: ["curvature", "landmark", "--spec", s, "--state",
                    _write_state(d, "line.json", 2, [[float(i), 0.0] for i in range(WIDE)], [[0.0, 0.1]] * WIDE)],
-     "dense kernel Gram at p=5793 needs 0.268 GB (limit 0.268 GB)"),
+     "dense kernel Gram at p=5793 needs 268470792 bytes (limit 268435456 bytes)"),
     (lambda d, s: ["curvature", "shape", "--spec", s, "--shape", _circle_with_momenta(d, WIDE)],
-     "dense kernel Gram at S=5793 needs 0.268 GB (limit 0.268 GB)"),
+     "dense kernel Gram at S=5793 needs 268470792 bytes (limit 268435456 bytes)"),
     (lambda d, s: ["geodesic", "shoot", "--spec", s, "--state", _state(d, PAIR, PAIR), "--dt", "1e-7", "--T", "0.42"],
-     "dense trajectory of 4200001 states of shape (2, 2, 2) needs 0.269 GB (limit 0.268 GB)"),
+     "dense trajectory of 4200001 states of shape (2, 2, 2) needs 268800064 bytes (limit 268435456 bytes)"),
 ], ids=["circle", "shape projectors", "landmark kernel Gram", "shape kernel Gram", "trajectory"])
 def test_dense_array_above_the_ceiling_exits_1_before_it_is_allocated(argv, line, tmp_path, spec_file, capsys):
     """Each dense array a route holds is checked against the one ceiling,

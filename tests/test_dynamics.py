@@ -54,7 +54,7 @@ def test_integrate_refuses_a_trajectory_it_cannot_allocate():
     system = dynamics.HamiltonianSystem(rhs=None, shape=(2, 10**8, 10**9), rhs_observe=None)
     y0 = np.broadcast_to(0.0, system.shape)
     with pytest.raises(ConfigurationError, match=r"^dense trajectory of 11 states of shape \(2, 100000000, 1000000000\) "
-                                                 r"needs 1.76e\+10 GB \(limit 0.268 GB\)$"):
+                                                 r"needs 17600000000000000000 bytes \(limit 268435456 bytes\)$"):
         integrate(system, y0, IntegratorConfig(dt=0.1, t_final=1.0))
 
 

@@ -411,7 +411,8 @@ def test_gram_matrix_above_the_dense_ceiling_is_refused_before_the_pair_pass():
     """8 p^2 bytes above ``jets.DENSE_MAX_BYTES`` (p > 5792) are refused first:
     the pair pass would refuse these coincident points."""
     spec = KernelSpec("sobolev_bessel", n=3, l=3, A=0.6)
-    with pytest.raises(ConfigurationError, match=r"^dense kernel Gram at p=5793 needs 0.268 GB \(limit 0.268 GB\)$"):
+    with pytest.raises(ConfigurationError,
+                       match=r"^dense kernel Gram at p=5793 needs 268470792 bytes \(limit 268435456 bytes\)$"):
         gram_matrix(spec, np.zeros((5793, 2)))
 
 

@@ -366,5 +366,5 @@ def test_ill_conditioned_gram_still_refused():
 def test_dense_jet_refused_before_allocation():
     metric = LandmarkMetric(SPECS[0], 50, 3)
     q = np.arange(150, dtype=float).reshape(50, 3)
-    with pytest.raises(ConfigurationError, match=r"p=50, D=3 needs 4\.05 GB"):
+    with pytest.raises(ConfigurationError, match=r"p=50, D=3 needs 4050000000 bytes "):
         landmark.landmark_cometric_jet(metric, q)

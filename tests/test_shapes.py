@@ -144,7 +144,7 @@ def test_normal_bundle_gram_too_large_is_refused_before_allocation(monkeypatch):
     assert allowed.r3 != 0.0
     monkeypatch.setattr(jets, "DENSE_MAX_BYTES", 8 * (16 * 2) ** 2 - 1)
     monkeypatch.setattr(shapes, "gram_solve", None)  # never reached
-    with pytest.raises(ConfigurationError, match=r"^dense normal-bundle Gram at S=16, n-m=2 needs 8.19e-06 GB "):
+    with pytest.raises(ConfigurationError, match=r"^dense normal-bundle Gram at S=16, n-m=2 needs 8192 bytes \(limit 8191 bytes\)$"):
         shapes.curvature_terms(SPEC, curve, a, b)
 
 

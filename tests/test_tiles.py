@@ -80,11 +80,13 @@ def _flat(result) -> list[np.ndarray]:
     return [np.asarray(v, dtype=float) for v in result]
 
 
-@pytest.mark.parametrize("p, rows", [(37, 5), (400, None)])
+@pytest.mark.parametrize("p, rows", [(37, 5), (37, 4), (129, None), (400, None)])
 @pytest.mark.parametrize("route", [*_landmark_routes(2), *_shape_routes(3)])
 def test_tiled_routes_agree_with_one_tile(route, p, rows, monkeypatch):
     """To 1e-12 relative to the largest entry of each output: summation order
-    is all that moves.  At p = 400 the shipped tile size is used."""
+    is all that moves.  At p = 129 and 400 the shipped tile size is used: at
+    129 two tiles of 127 and 2 rows; at 37 with 4 rows the last tile holds
+    one row and no column past its square."""
     call = {**_landmark_routes(p), **_shape_routes(p)}[route]
     if rows is not None:
         monkeypatch.setattr(kernels, "TILE_BYTES", _tile_bytes(p, rows))
@@ -100,18 +102,28 @@ def test_tiled_routes_agree_with_one_tile(route, p, rows, monkeypatch):
         assert float(np.abs(got - want).max(initial=0.0)) <= REL * scale, route
 
 
-def test_tiles_cover_every_row_once_with_the_whole_block_data(monkeypatch):
+def test_upper_tiles_hold_each_unordered_pair_once_with_the_whole_block_data(monkeypatch):
+    """Each tile is the whole block's rows from its first row on, bit for bit;
+    every unordered pair of two tiles' rows lies past the square of exactly
+    one tile.  At p = 400 the shipped tiles build 88 000 of the 160 000
+    pair entries."""
     p = 23
     q = _ring(p)
     (whole,) = pair_tiles(SPEC, q, 2, "points")
     monkeypatch.setattr(kernels, "TILE_BYTES", _tile_bytes(p, 4))
     tiles = list(pair_tiles(SPEC, q, 2, "points"))
     assert [(t.rows.start, t.rows.stop) for t in tiles] == [(lo, min(lo + 4, p)) for lo in range(0, p, 4)]
-    for name in ("value", "g", "h"):
-        assert np.array_equal(np.concatenate([getattr(t, name) for t in tiles]), getattr(whole, name))
-    assert np.array_equal(np.concatenate([t.diff for t in tiles]), whole.diff)
+    for t in tiles:
+        for name in ("value", "g", "h", "diff"):
+            assert np.array_equal(getattr(t, name), getattr(whole, name)[t.rows, t.rows.start:])
+    past = [(s, u) for t in tiles for s in range(t.rows.start, t.rows.stop) for u in range(t.rows.stop, p)]
+    tile_of = [k for k, t in enumerate(tiles) for _ in range(t.rows.start, t.rows.stop)]
+    apart = [(s, u) for s in range(p) for u in range(s + 1, p) if tile_of[s] != tile_of[u]]
+    assert sorted(past) == apart and len(set(past)) == len(past)
     low = list(pair_tiles(SPEC, q, 0, "points"))
     assert all(t.g is None and t.h is None for t in low)
+    monkeypatch.undo()
+    assert sum(t.value.size for t in pair_tiles(SPEC, _ring(400), 0, "points")) == 88_000
 
 
 def test_pairs_that_fit_make_one_tile_the_whole_block():
@@ -141,8 +153,9 @@ def test_input_bad_in_two_ways_gets_one_refusal_whatever_the_tile_count(route, p
 
 @pytest.mark.parametrize("first", [30, 3], ids=["same-tile", "across-tiles"])
 def test_coincident_pair_in_a_later_tile_keeps_global_indices_and_message(first, monkeypatch):
-    """Across tiles the pair shows twice, as (3, 33) and (33, 3), at equal
-    distances: the first in row-major order is named, as in one tile."""
+    """In one tile the pair shows twice, as (3, 33) and (33, 3), at equal
+    distances, and the first in row-major order is named; in upper row tiles
+    it shows once, in the row of its smaller index, under the same name."""
     p = 37
     q = _ring(p)
     q[33] = q[first] + np.array([1e-13, 0.0])
@@ -258,15 +271,18 @@ def test_bad_row_in_a_later_tile_is_refused_without_a_warning(row, message, monk
         assert not isinstance(info.value, DegenerateConfigurationError)
 
 
-def test_batched_tiles_are_each_configuration_alone_bit_for_bit(monkeypatch):
-    p = 37
-    monkeypatch.setattr(kernels, "TILE_BYTES", _tile_bytes(p, 5))
+@pytest.mark.parametrize("p, rows, members", [(37, 5, 3), (400, None, 2)])
+def test_batched_tiles_are_each_configuration_alone_bit_for_bit(p, rows, members, monkeypatch):
+    """Column sides included; at p = 400 with the shipped tiles."""
+    if rows is not None:
+        monkeypatch.setattr(kernels, "TILE_BYTES", _tile_bytes(p, rows))
+    assert len(kernels.row_slices(p)) > 1
     rng = np.random.default_rng(7)
-    q = np.stack([_ring(p, seed) for seed in range(3)])
+    q = np.stack([_ring(p, seed) for seed in range(members)])
     mom = rng.standard_normal(q.shape)
     metric = LandmarkMetric(SPEC, p, 2)
     qdot, pdot = landmark.geodesic_rhs(metric, q, mom)
-    for k in range(3):
+    for k in range(members):
         one_q, one_p = landmark.geodesic_rhs(metric, q[k], mom[k])
         assert np.array_equal(qdot[k], one_q) and np.array_equal(pdot[k], one_p)
 
