@@ -102,26 +102,35 @@ def test_tiled_routes_agree_with_one_tile(route, p, rows, monkeypatch):
         assert float(np.abs(got - want).max(initial=0.0)) <= REL * scale, route
 
 
-def test_upper_tiles_hold_each_unordered_pair_once_with_the_whole_block_data(monkeypatch):
-    """Each tile is the whole block's rows from its first row on, bit for bit;
-    every unordered pair of two tiles' rows lies past the square of exactly
-    one tile.  At p = 400 the shipped tiles build 88 000 of the 160 000
-    pair entries."""
+def _upper_tiles(p: int, rows: int, monkeypatch) -> list:
+    monkeypatch.setattr(kernels, "TILE_BYTES", _tile_bytes(p, rows))
+    return list(pair_tiles(SPEC, _ring(p), 2, "points"))
+
+
+def test_tiles_cover_every_row_once_with_the_whole_block_data(monkeypatch):
+    """Each tile is the whole block's rows from its first row on, bit for bit."""
     p = 23
     q = _ring(p)
     (whole,) = pair_tiles(SPEC, q, 2, "points")
-    monkeypatch.setattr(kernels, "TILE_BYTES", _tile_bytes(p, 4))
-    tiles = list(pair_tiles(SPEC, q, 2, "points"))
+    tiles = _upper_tiles(p, 4, monkeypatch)
     assert [(t.rows.start, t.rows.stop) for t in tiles] == [(lo, min(lo + 4, p)) for lo in range(0, p, 4)]
     for t in tiles:
         for name in ("value", "g", "h", "diff"):
             assert np.array_equal(getattr(t, name), getattr(whole, name)[t.rows, t.rows.start:])
+    low = list(pair_tiles(SPEC, q, 0, "points"))
+    assert all(t.g is None and t.h is None for t in low)
+
+
+def test_upper_tiles_hold_each_unordered_pair_once(monkeypatch):
+    """Every unordered pair of two tiles' rows lies past the square of exactly
+    one tile.  At p = 400 the shipped tiles build 88 000 of the 160 000
+    pair entries."""
+    p = 23
+    tiles = _upper_tiles(p, 4, monkeypatch)
     past = [(s, u) for t in tiles for s in range(t.rows.start, t.rows.stop) for u in range(t.rows.stop, p)]
     tile_of = [k for k, t in enumerate(tiles) for _ in range(t.rows.start, t.rows.stop)]
     apart = [(s, u) for s in range(p) for u in range(s + 1, p) if tile_of[s] != tile_of[u]]
     assert sorted(past) == apart and len(set(past)) == len(past)
-    low = list(pair_tiles(SPEC, q, 0, "points"))
-    assert all(t.g is None and t.h is None for t in low)
     monkeypatch.undo()
     assert sum(t.value.size for t in pair_tiles(SPEC, _ring(400), 0, "points")) == 88_000
 
