@@ -331,14 +331,15 @@ class PairBlock(NamedTuple):
 
 # Budget of one row tile, in bytes of one (rows, p) float64 pair array of one
 # configuration: a pair reduction over p points takes its pairs in tiles of
-# TILE_BYTES // (8 p) rows (at least one), so it forms no p x p array, and the
-# fresh zero-filled pages the C allocator maps for every large array (about
-# 2 100 page faults per right-hand side at p = 400 untiled) mostly go.  A tile
-# is rows x (p - lo), from its first row lo on: the first meets the budget,
-# later ones shrink.  Up to p = 128 every pair fits in one tile.  Set from a
-# sweep of 32-256 KiB at p = 100, 400, 1600 and 3200: smaller tiles pay numpy's
-# fixed cost per call on too few rows at large p, larger ones fault again at
-# p = 400.  A batch splits each member exactly as it would be split alone.
+# TILE_BYTES // (8 p) rows (at least one), so it forms no p x p array.  The
+# fresh pages the C allocator maps for large arrays fall from about 2 100 page
+# faults per right-hand side at p = 400 untiled to about 330-370, not to none:
+# glibc trims the heap top when a pass frees its tiles.  A tile is rows x
+# (p - lo), from its first row lo on: the first meets the budget, later ones
+# shrink.  Up to p = 128 every pair fits in one tile.  Set from a sweep of
+# 32-256 KiB at p = 100, 400, 1600 and 3200: smaller tiles pay numpy's fixed
+# cost per call on too few rows at large p, larger ones fault again at p = 400.
+# A batch splits each member exactly as it would be split alone.
 TILE_BYTES = 2**17
 
 

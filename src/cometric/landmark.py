@@ -5,7 +5,9 @@
 ``x_{(a-1)D + i} = q_a^i``.  This module assembles exact jets of that cometric
 straight from kernel derivatives, and specializes the Hamiltonian flow, the
 force/stress primitives, and every curvature term so each double loop runs
-over landmark pairs instead of the flattened chart.
+over landmark pairs instead of the flattened chart.  The pair sums take
+optional quadrature weights: :mod:`cometric.shapes` runs the same ones on
+weighted samples.
 
 Sign convention: the force and stress here live on the *induced* side, i.e.
 ``force(metric, q, a, a) == pdot`` of the geodesic flow exactly; they are the
@@ -97,11 +99,133 @@ def landmark_cometric_jet(metric: LandmarkMetric, q: np.ndarray) -> CometricJet:
     return assemble_jet(np.asarray(q, dtype=float).reshape(-1), ginv, dginv, ddginv)
 
 
+# --- pair sums with quadrature weights ----------------------------------------
+#
+# The shape routes are these sums with a weight w_t on each coefficient and
+# w_s w_t on each pairing.  ``w = None`` means unit weights and forms no weight
+# product, so the landmark routes pay nothing for them.
+
+def _pairing_part(blk: PairBlock, dots: np.ndarray, wa: np.ndarray, wb: np.ndarray, w: np.ndarray | None) -> float:
+    """One tile's ``sum_st w_s w_t dots[s, t] K_st`` for ``dots[s, t] = a_s . b_t``, ``wa = w a`` and ``wb = w b``."""
+    if w is not None:
+        dots = dots * w[blk.rows, None] * w[None, blk.rows.start:]
+    return blk.total(dots, blk.value, wa, wb)
+
+
+def _pairing(tiles, a: np.ndarray, b: np.ndarray, w: np.ndarray | None) -> float:
+    """``sum_st w_s w_t (a_s . b_t) K(x_s - x_t)``."""
+    wa, wb = (a, b) if w is None else (w[:, None] * a, w[:, None] * b)
+    return tile_sum([_pairing_part(blk, a[blk.rows] @ b[blk.rows.start:].T, wa, wb, w) for blk in tiles])
+
+
+def _values(blk: PairBlock, a: np.ndarray, w: np.ndarray | None) -> tuple:
+    """One tile's part of the field values ``sum_t K_st w_t a_t``."""
+    kw = blk.value if w is None else blk.value * w[None, blk.rows.start:]
+    return kw @ a[..., blk.rows.start:, :], kw, a, w
+
+
+def _force(blk: PairBlock, mixed: np.ndarray, w: np.ndarray | None) -> tuple:
+    """One tile's part of the force rows before the factor -1/2, for ``mixed[s, t] = a_s . b_t + a_t . b_s``."""
+    coef = (mixed if w is None else mixed * w[None, blk.rows.start:]) * blk.g
+    return blk.contract(coef), coef, None, w
+
+
+def _stress_coef(blk: PairBlock, rate: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """The stress coefficient ``-(g rate) w_t`` of a field whose radial rate is ``rate``."""
+    coef = blk.g * rate
+    return -(coef if w is None else coef * w[None, blk.rows.start:])
+
+
+def _stress(blk: PairBlock, coef: np.ndarray, b: np.ndarray, w: np.ndarray | None) -> tuple:
+    """One tile's part of the stress rows ``sum_t coef b_t``."""
+    return coef @ b[blk.rows.start:], coef, b, w
+
+
+def _rhs(tiles, a: np.ndarray, w: np.ndarray | None, energy: bool) -> tuple:
+    """Hamilton's equations for momenta ``a`` (..., p, D), with ``energy`` also
+    ``H = 1/2 sum_st w_s w_t (a_s . a_t) K_st``.  The loop writes out
+    :func:`_values` of ``a`` and :func:`_force` of ``mixed = a_s . a_t``: at
+    p = 2 the two calls would cost 4-7% of the call."""
+    wa = (a if w is None else w[:, None] * a) if energy else None
+    qdot, pdot, h = None, None, []
+    for blk in tiles:
+        right = a[..., blk.rows.start:, :]
+        dots = a[..., blk.rows, :] @ right.mT  # in one tile numpy's syrk path, as ``a @ a.mT``
+        # One name for both coefficients: a second one would hold this tile's
+        # values while the next tile is built (2-5% slower at p = 512).
+        coef = blk.value if w is None else blk.value * w[None, blk.rows.start:]
+        qdot = blk.fold(qdot, coef @ right, coef, a, w)
+        coef = (dots if w is None else dots * w[None, blk.rows.start:]) * blk.g
+        pdot = blk.fold(pdot, blk.contract(coef), coef, None, w)
+        if energy:
+            h.append(_pairing_part(blk, dots, wa, wa, w))
+    return (qdot, -pdot, 0.5 * tile_sum(h)) if energy else (qdot, -pdot)
+
+
+def _force_rows(tiles, a: np.ndarray, b: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """``-1/2 sum_t w_t [(a_s.b_t) + (a_t.b_s)] grad K(x_s - x_t)``."""
+    return -0.5 * fold_tiles(tiles, lambda blk: _force(
+        blk, a[blk.rows] @ b[blk.rows.start:].T + b[blk.rows] @ a[blk.rows.start:].T, w))
+
+
+def _stress_rows(tiles, u: np.ndarray, b: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """``-sum_t w_t [(u_s - u_t) . grad K(x_s - x_t)] b_t`` for field values ``u``."""
+    return fold_tiles(tiles, lambda blk: _stress(blk, _stress_coef(blk, blk.rate(u)[1], w), b, w))
+
+
+def _curvature_tile(blk: PairBlock, a: np.ndarray, b: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
+                    wa: np.ndarray, wb: np.ndarray, w: np.ndarray | None) -> tuple:
+    """One tile's share of :func:`_curvature_sums`: the three Hessian sums of r11
+    and the three pairings, then the parts of the force and stress rows, from
+    four dot products and two stress coefficients formed once each."""
+    du, rate_a = blk.rate(u_a)
+    dv, rate_b = blk.rate(u_b)
+    rows, lo = blk.rows, blk.rows.start
+    aa, bb = a[rows] @ a[lo:].T, b[rows] @ b[lo:].T
+    ab, ba = a[rows] @ b[lo:].T, b[rows] @ a[lo:].T  # [s, t] = a_s . b_t and b_s . a_t
+    ww = None if w is None else w[rows, None] * w[None, lo:]
+    dots_aa, dots_bb, dots_ab = (aa, bb, ab) if ww is None else (aa * ww, bb * ww, ab * ww)
+    sa, sb = _stress_coef(blk, rate_a, w), _stress_coef(blk, rate_b, w)
+    return (
+        blk.total(dots_bb, blk.hess_form(du, rate_a, du, rate_a), wb, wb),
+        blk.total(dots_ab, blk.hess_form(du, rate_a, dv, rate_b), wa, wb),
+        blk.total(dots_aa, blk.hess_form(dv, rate_b, dv, rate_b), wa, wa),
+        blk.total(dots_aa, blk.value, wa, wa),
+        blk.total(dots_bb, blk.value, wb, wb),
+        blk.total(dots_ab, blk.value, wa, wb),
+        _force(blk, aa + aa, w), _force(blk, bb + bb, w), _force(blk, ab + ba, w),
+        _stress(blk, sa, a, w), _stress(blk, sb, b, w), _stress(blk, sa, b, w), _stress(blk, sb, a, w),
+    )
+
+
+def _curvature_sums(tiles, a: np.ndarray, b: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
+                    w: np.ndarray | None) -> tuple:
+    """The pair sums of the curvature terms, from the field values ``u_a`` and ``u_b``:
+    ``r11``, the plane's ``(denominator, scale)``, and the force and stress rows
+    ``[f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba]``."""
+    wa, wb = (a, b) if w is None else (w[:, None] * a, w[:, None] * b)
+    sums, rows = [], [None] * 7
+    for blk in tiles:
+        part = _curvature_tile(blk, a, b, u_a, u_b, wa, wb, w)
+        sums.append(part[:6])
+        rows = [blk.fold(out, *side) for out, side in zip(rows, part[6:])]
+    h_bb, h_ab, h_aa, paa, pbb, pab = map(tile_sum, zip(*sums))
+    rows[:3] = [-0.5 * f for f in rows[:3]]
+    return 0.5 * (h_bb - 2.0 * h_ab + h_aa), (paa * pbb - pab * pab, paa * pbb), rows
+
+
+def _bracket(field: np.ndarray, solve) -> float:
+    """``r3 = -3/4 <solve(field), field>`` for a Gram solve; 0 when the bracket field vanishes."""
+    return 0.0 if float(np.abs(field).max()) == 0.0 else -0.75 * float(np.einsum("sm,sm->", solve(field), field))
+
+
+# --- landmark routes: the pair sums at unit weights -----------------------------
+
 def hamiltonian(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> float:
     """``H(q, p) = 1/2 sum_ab (p_a . p_b) K(q_a - q_b)``."""
     tiles = _tiles(metric, q, 0)
     mom = _check_mom(metric, mom)
-    return tile_sum([0.5 * blk.total(mom[blk.rows] @ mom[blk.rows.start:].T, blk.value, mom, mom) for blk in tiles])
+    return 0.5 * _pairing(tiles, mom, mom, None)
 
 
 def geodesic_rhs(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray, energy: bool = False) -> tuple:
@@ -113,37 +237,14 @@ def geodesic_rhs(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray, energy:
     from the same pair tiles: ``(qdot, pdot, H)``."""
     q = _positions(metric, q)
     tiles = pair_tiles(metric.kernel, q, 1, "landmarks")
-    mom = _check_mom(metric, mom, q.shape[:-2])
-    qdot, pdot, h = None, None, []
-    for blk in tiles:
-        right = mom[..., blk.rows.start:, :]
-        dots = mom[..., blk.rows, :] @ right.mT  # in one tile numpy's syrk path, as ``mom @ mom.mT``
-        coef = dots * blk.g
-        qdot = blk.fold(qdot, blk.value @ right, blk.value, mom, None)
-        pdot = blk.fold(pdot, blk.contract(coef), coef, None, None)
-        if energy:
-            h.append(0.5 * blk.total(dots, blk.value, mom, mom))
-    return (qdot, -pdot, tile_sum(h)) if energy else (qdot, -pdot)
+    return _rhs(tiles, _check_mom(metric, mom, q.shape[:-2]), None, energy)
 
 
 def velocity(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> np.ndarray:
     """Raised momenta ``u_a = sum_b K(q_a - q_b) p_b`` (the landmark sharp)."""
     tiles = _tiles(metric, q, 0)
     mom = _check_mom(metric, mom)
-    return fold_tiles(tiles, lambda blk: (blk.value @ mom[blk.rows.start:], blk.value, mom, None))
-
-
-def _force(blk: PairBlock, a: np.ndarray, b: np.ndarray) -> tuple:
-    """One tile's part of the force rows before the factor -1/2; ``mixed[s, t] = a_s . b_t + a_t . b_s``."""
-    mixed = a[blk.rows] @ b[blk.rows.start:].T + b[blk.rows] @ a[blk.rows.start:].T
-    coef = mixed * blk.g
-    return blk.contract(coef), coef, None, None
-
-
-def _stress(blk: PairBlock, rate: np.ndarray, b: np.ndarray) -> tuple:
-    """One tile's part of the stress rows from the radial rate of the raised field: ``-sum_t g rate b_t``."""
-    coef = -(blk.g * rate)
-    return coef @ b[blk.rows.start:], coef, b, None
+    return fold_tiles(tiles, lambda blk: _values(blk, mom, None))
 
 
 def force(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -154,7 +255,7 @@ def force(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -
     a = _check_mom(metric, a)
     b = _check_mom(metric, b)
     _check_finite(a, b)
-    return -0.5 * fold_tiles(tiles, lambda blk: _force(blk, a, b))
+    return _force_rows(tiles, a, b, None)
 
 
 def stress(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -165,28 +266,7 @@ def stress(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) 
     a = _check_mom(metric, a)
     b = _check_mom(metric, b)
     _check_finite(a, b)
-    u = velocity(metric, q, a)
-    return fold_tiles(tiles, lambda blk: _stress(blk, blk.rate(u)[1], b))
-
-
-def _curvature_tile(blk: PairBlock, a: np.ndarray, b: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> tuple:
-    """One tile's share of :func:`curvature`: the three Hessian sums of r11 and
-    the three pairings, then the parts of the force and stress rows."""
-    du, rate_a = blk.rate(u_a)
-    dv, rate_b = blk.rate(u_b)
-    dots_aa = a[blk.rows] @ a[blk.rows.start:].T
-    dots_bb = b[blk.rows] @ b[blk.rows.start:].T
-    dots_ab = a[blk.rows] @ b[blk.rows.start:].T  # [s, t] = a_s . b_t
-    return (
-        blk.total(dots_bb, blk.hess_form(du, rate_a, du, rate_a), b, b),
-        blk.total(dots_ab, blk.hess_form(du, rate_a, dv, rate_b), a, b),
-        blk.total(dots_aa, blk.hess_form(dv, rate_b, dv, rate_b), a, a),
-        blk.total(dots_aa, blk.value, a, a),
-        blk.total(dots_bb, blk.value, b, b),
-        blk.total(dots_ab, blk.value, a, b),
-        _force(blk, a, a), _force(blk, b, b), _force(blk, a, b),
-        _stress(blk, rate_a, a), _stress(blk, rate_b, b), _stress(blk, rate_a, b), _stress(blk, rate_b, a),
-    )
+    return _stress_rows(tiles, velocity(metric, q, a), b, None)
 
 
 @_refuses_overflow
@@ -206,31 +286,13 @@ def curvature(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarra
     _check_finite(a, b)
     require_dense(8 * metric.p**2, f"kernel Gram at p={metric.p}")
     kv = fill_gram(_tiles(metric, q, 0))  # the Gram: r2 and r3 need all of it
-    u_a, u_b = kv @ a, kv @ b
-
-    sums, rows = [], [None] * 7
-    for blk in tiles:
-        part = _curvature_tile(blk, a, b, u_a, u_b)
-        sums.append(part[:6])
-        rows = [blk.fold(out, *side) for out, side in zip(rows, part[6:])]
-    h_bb, h_ab, h_aa, paa, pbb, pab = map(tile_sum, zip(*sums))
-    rows[:3] = [-0.5 * f for f in rows[:3]]
+    r11, plane, rows = _curvature_sums(tiles, a, b, kv @ a, kv @ b, None)
     f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba = rows
-
-    r11 = 0.5 * (h_bb - 2.0 * h_ab + h_aa)
     r12 = float(np.einsum("cm,cm->", f_aa, d_bb) + np.einsum("cm,cm->", f_bb, d_aa)
                 - np.einsum("cm,cm->", f_ab, d_ab + d_ba))
-
     r2 = float(np.einsum("sm,sm->", f_ab, kv @ f_ab) - np.einsum("sm,sm->", f_aa, kv @ f_bb))
-
-    w = d_ab - d_ba
-    if float(np.abs(w).max()) == 0.0:
-        r3 = 0.0
-    else:
-        xi = gram_solve(kv, w, "kernel Gram")
-        r3 = -0.75 * float(np.einsum("sm,sm->", xi, w))
-
-    return _breakdown(r11, r12, r2, r3, paa * pbb - pab * pab, paa * pbb)
+    r3 = _bracket(d_ab - d_ba, lambda field: gram_solve(kv, field, "kernel Gram"))
+    return _breakdown(r11, r12, r2, r3, *plane)
 
 
 # --- state serialization ------------------------------------------------------

@@ -13,9 +13,9 @@ measure sits in the weights); everything pairs through the kernel:
 The geodesic system transports samples by the full field values and momenta by
 minus the transposed velocity Jacobian; with ``m = 0`` it reduces bit-for-bit
 (or to 1e-12) to the landmark system, which is the identity the acceptance
-suite enforces.  Force, stress and curvature terms mirror the landmark
-formulas with weights and normal projection; the bracket term restricts the
-kernel Gram solve to the normal bundle.
+suite enforces.  Every pair sum is :mod:`cometric.landmark`'s, given the
+weights; force, stress and curvature rows are then projected to the normal
+bundle, and the bracket term restricts the kernel Gram solve to it.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .curvature import CurvatureBreakdown, _breakdown, _check_finite, _refuses_o
 from .errors import ConfigurationError, DegenerateConfigurationError
 from .jets import require_dense
 from .jsonio import float_array, integer
-from .kernels import (KernelSpec, PairBlock, check_distinct, fill_gram, fold_tiles, gram_solve, pair_tiles, row_slices,
-                      tile_sum)
+from .kernels import KernelSpec, check_distinct, fill_gram, fold_tiles, gram_solve, pair_tiles, row_slices
+from .landmark import _bracket, _curvature_sums, _force_rows, _pairing, _rhs, _stress_rows, _values
 
 FRAME_TOL = 1e-10  # largest entry error of a frame's Gram or projector accepted as orthonormal
 
@@ -150,7 +150,16 @@ def rederive_frames(shape: DiscreteSubmanifold) -> tuple[DiscreteSubmanifold, fl
 
 
 def make_circle(samples: int, radius: float = 1.0, center: tuple[float, float] = (0.0, 0.0)) -> DiscreteSubmanifold:
-    """Uniformly sampled circle in R^2 with exact uniform weights ``2 pi r / S``."""
+    """Uniformly sampled circle in R^2 with exact uniform weights ``2 pi r / S``.
+
+    When ``1e-100 <= r <= 1e100`` and ``max |center| <= 1e4 r`` the samples
+    are distinct by construction, and the O(S^2) distinctness check is
+    skipped: up to the dense ceiling S = 8 388 608 the nearest samples are
+    neighbours a chord ``2 r sin(pi / S) >= 7.49e-7 r`` apart, each coordinate
+    is within about ``2.2e-12 r`` of its exact value, and no squared
+    difference under- or overflows, so the nearest pair lies more than 3 000
+    times outside the ``1e-10 * diameter`` tolerance.  Any other circle is
+    checked like every shape."""
     if samples < 3:
         raise ConfigurationError("a circle needs at least 3 samples")
     if not math.isfinite(radius):
@@ -165,7 +174,8 @@ def make_circle(samples: int, radius: float = 1.0, center: tuple[float, float] =
     t = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
     proj = np.broadcast_to(np.eye(2), (samples, 2, 2)) - np.einsum("smi,smj->sij", t, t)
     w = np.full(samples, 2.0 * np.pi * radius / samples)
-    return DiscreteSubmanifold(x=x, w=w, tangents=t, projectors=np.ascontiguousarray(proj))
+    distinct = 1e-100 <= radius <= 1e100 and max(abs(center[0]), abs(center[1])) <= 1e4 * radius
+    return (_unchecked if distinct else DiscreteSubmanifold)(x, w, t, np.ascontiguousarray(proj))
 
 
 def _check_mom(shape: DiscreteSubmanifold, a: np.ndarray) -> np.ndarray:
@@ -204,22 +214,13 @@ def induced_pairing(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
     """``sum_st w_s w_t (a_s . b_t) K(x_s - x_t)``."""
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
-    w = shape.w
-    wa, wb = w[:, None] * a, w[:, None] * b
-    return tile_sum([blk.total((a[blk.rows] @ b[blk.rows.start:].T) * w[blk.rows, None] * w[None, blk.rows.start:],
-                               blk.value, wa, wb) for blk in _tiles(spec, shape, 0)])
-
-
-def _velocity(blk: PairBlock, w: np.ndarray, a: np.ndarray) -> tuple:
-    """One tile's part of the field values ``sum_t K_st w_t a_t``."""
-    kw = blk.value * w[None, blk.rows.start:]
-    return kw @ a[blk.rows.start:], kw, a, w
+    return _pairing(_tiles(spec, shape, 0), a, b, shape.w)
 
 
 def horizontal_velocity(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray) -> np.ndarray:
     """Field values ``u_a(x_s) = sum_t K(x_s - x_t) a_t w_t`` at the samples."""
     a = _check_mom(shape, a)
-    return fold_tiles(_tiles(spec, shape, 0), lambda blk: _velocity(blk, shape.w, a))
+    return fold_tiles(_tiles(spec, shape, 0), lambda blk: _values(blk, a, shape.w))
 
 
 def geodesic_rhs(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, energy: bool = False) -> tuple:
@@ -230,30 +231,7 @@ def geodesic_rhs(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, en
     ``energy``, also ``H = 1/2 induced_pairing(a, a)``, bit for bit, from the
     same pair tiles: ``(xdot, adot, H)``."""
     a = _check_mom(shape, a)
-    w = shape.w
-    wa = w[:, None] * a if energy else None
-    xdot, adot, h = None, None, []
-    for blk in _tiles(spec, shape, 1):
-        dots = a[blk.rows] @ a[blk.rows.start:].T
-        coef = dots * w[None, blk.rows.start:] * blk.g
-        xdot = blk.fold(xdot, *_velocity(blk, w, a))
-        adot = blk.fold(adot, blk.contract(coef), coef, None, w)
-        if energy:
-            h.append(blk.total(dots * w[blk.rows, None] * w[None, blk.rows.start:], blk.value, wa, wa))
-    return (xdot, -adot, 0.5 * tile_sum(h)) if energy else (xdot, -adot)
-
-
-def _force_rows(blk: PairBlock, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """One tile's part of the unprojected force rows, before the factor -1/2."""
-    mixed = a[blk.rows] @ b[blk.rows.start:].T + b[blk.rows] @ a[blk.rows.start:].T
-    coef = mixed * w[None, blk.rows.start:] * blk.g
-    return blk.contract(coef), coef, None, w
-
-
-def _stress_rows(blk: PairBlock, w: np.ndarray, rate: np.ndarray, b: np.ndarray) -> tuple:
-    """One tile's part of the unprojected stress rows."""
-    coef = -(blk.g * rate * w[None, blk.rows.start:])
-    return coef @ b[blk.rows.start:], coef, b, w
+    return _rhs(_tiles(spec, shape, 1), a, shape.w, energy)
 
 
 def force_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -263,7 +241,7 @@ def force_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b:
     a = _check_mom(shape, a)
     b = _check_mom(shape, b)
     _check_finite(a, b)
-    return project_normal(shape, -0.5 * fold_tiles(_tiles(spec, shape, 1), lambda blk: _force_rows(blk, shape.w, a, b)))
+    return project_normal(shape, _force_rows(_tiles(spec, shape, 1), a, b, shape.w))
 
 
 def stress_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -273,8 +251,7 @@ def stress_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b
     b = _check_mom(shape, b)
     _check_finite(a, b)
     u = horizontal_velocity(spec, shape, a)
-    stress = fold_tiles(_tiles(spec, shape, 1), lambda blk: _stress_rows(blk, shape.w, blk.rate(u)[1], b))
-    return project_normal(shape, stress)
+    return project_normal(shape, _stress_rows(_tiles(spec, shape, 1), u, b, shape.w))
 
 
 def _normal_basis(shape: DiscreteSubmanifold) -> np.ndarray:
@@ -305,36 +282,12 @@ def _normal_gram_solve(kv: np.ndarray, shape: DiscreteSubmanifold, w_field: np.n
     return np.einsum("sri,sr->si", basis, zeta_hat)
 
 
-def _curvature_tile(blk: PairBlock, w: np.ndarray, a: np.ndarray, b: np.ndarray,
-                    u_a: np.ndarray, u_b: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tuple:
-    """One tile's share of :func:`curvature_terms`: the three Hessian sums of
-    r11 and the three pairings, then the parts of the unprojected force and
-    stress rows."""
-    du, rate_a = blk.rate(u_a)
-    dv, rate_b = blk.rate(u_b)
-    ww = w[blk.rows, None] * w[None, blk.rows.start:]
-    dots_aa = (a[blk.rows] @ a[blk.rows.start:].T) * ww
-    dots_bb = (b[blk.rows] @ b[blk.rows.start:].T) * ww
-    dots_ab = (a[blk.rows] @ b[blk.rows.start:].T) * ww
-    return (
-        blk.total(dots_bb, blk.hess_form(du, rate_a, du, rate_a), wb, wb),
-        blk.total(dots_ab, blk.hess_form(du, rate_a, dv, rate_b), wa, wb),
-        blk.total(dots_aa, blk.hess_form(dv, rate_b, dv, rate_b), wa, wa),
-        blk.total(dots_aa, blk.value, wa, wa),
-        blk.total(dots_bb, blk.value, wb, wb),
-        blk.total(dots_ab, blk.value, wa, wb),
-        _force_rows(blk, w, a, a), _force_rows(blk, w, b, b), _force_rows(blk, w, a, b),
-        _stress_rows(blk, w, rate_a, a), _stress_rows(blk, w, rate_b, b),
-        _stress_rows(blk, w, rate_a, b), _stress_rows(blk, w, rate_b, a),
-    )
-
-
 @_refuses_overflow
 def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> CurvatureBreakdown:
     """Curvature numerator terms for normal momenta on a discrete shape.
 
-    Mirrors the landmark formulas with weights and normal projection; reduces
-    to them when ``m = 0``.
+    The landmark pair sums with the weights, their rows projected to the
+    normal bundle; they reduce to the landmark terms when ``m = 0``.
     """
     spec.require_curvature_grade()
     a = _check_mom(shape, a)
@@ -347,18 +300,9 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
     for rows in row_slices(len(w)):  # the field values, a row tile at a time
         kw = kv[rows] * w[None, :]
         u_a[rows], u_b[rows] = kw @ a, kw @ b
-    wa, wb = w[:, None] * a, w[:, None] * b
-
-    sums, rows = [], [None] * 7
-    for blk in _tiles(spec, shape, 2):
-        part = _curvature_tile(blk, w, a, b, u_a, u_b, wa, wb)
-        sums.append(part[:6])
-        rows = [blk.fold(out, *side) for out, side in zip(rows, part[6:])]
-    h_bb, h_ab, h_aa, paa, pbb, pab = map(tile_sum, zip(*sums))
-    rows[:3] = [-0.5 * f for f in rows[:3]]
+    r11, plane, rows = _curvature_sums(_tiles(spec, shape, 2), a, b, u_a, u_b, w)
     f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba = (project_normal(shape, x) for x in rows)
 
-    r11 = 0.5 * (h_bb - 2.0 * h_ab + h_aa)
     r12 = float(np.einsum("s,sm,sm->", w, f_aa, d_bb) + np.einsum("s,sm,sm->", w, f_bb, d_aa)
                 - np.einsum("s,sm,sm->", w, f_ab, d_ab + d_ba))
 
@@ -368,14 +312,8 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
         kw_ab[rows], kw_bb[rows] = kw @ f_ab, kw @ f_bb
     r2 = float(np.einsum("sm,sm->", f_ab, kw_ab) - np.einsum("sm,sm->", f_aa, kw_bb))
 
-    w_br = d_ab - d_ba
-    if float(np.abs(w_br).max()) == 0.0:
-        r3 = 0.0
-    else:
-        zeta = _normal_gram_solve(kv, shape, w_br)
-        r3 = -0.75 * float(np.einsum("sm,sm->", zeta, w_br))
-
-    return _breakdown(r11, r12, r2, r3, paa * pbb - pab * pab, paa * pbb)
+    r3 = _bracket(d_ab - d_ba, lambda field: _normal_gram_solve(kv, shape, field))
+    return _breakdown(r11, r12, r2, r3, *plane)
 
 
 # --- serialization -----------------------------------------------------------

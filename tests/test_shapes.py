@@ -42,6 +42,38 @@ def test_make_circle_validation():
         shapes.make_circle(8, radius=0.0)
 
 
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"radius": 1e-12, "center": (1e6, 0.0)}, DegenerateConfigurationError,
+     "coincident samples 1 and 3 (separation 1.010e-28)"),
+    ({"radius": 1e200}, ConfigurationError,
+     "samples are too far apart: a pair distance overflows the float range (largest coordinate 1.000e+200)"),
+    ({"radius": 1e-300}, DegenerateConfigurationError, "coincident samples 0 and 1 (separation 0.000e+00)"),
+], ids=["tiny_radius_far_center", "huge_radius", "radius_below_certificate"])
+def test_uncertified_circle_is_checked(kwargs, error, message):
+    """A circle outside the distinctness certificate goes through the checked
+    constructor, which refuses these with its own error and message."""
+    with pytest.raises(error) as info:
+        shapes.make_circle(8, **kwargs)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_certified_circle_skips_the_pair_check(monkeypatch):
+    """A circle inside the certificate never runs the O(S^2) check, and its
+    fields pass the checked constructor unchanged."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_distinct ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shapes, "check_distinct", refuse)
+        circle = shapes.make_circle(64, radius=1.5, center=(0.3, -0.2))
+    checked = shapes.DiscreteSubmanifold(circle.x, circle.w, circle.tangents, circle.projectors)
+    assert type(circle) is shapes.DiscreteSubmanifold
+    for field in ("x", "w", "tangents", "projectors"):
+        assert np.array_equal(getattr(circle, field), getattr(checked, field)), field
+        assert getattr(circle, field).shape == getattr(checked, field).shape, field
+
+
 def test_landmark_shape_is_zero_dimensional():
     q = np.array([[0.0, 0.0], [1.0, 0.2]])
     shape = shapes.landmark_shape(q)
@@ -295,17 +327,18 @@ def test_induced_pairing_symmetric_positive():
     assert shapes.induced_pairing(SPEC, shape, a, a) > 0
 
 
-def test_zero_dimensional_shape_reduces_to_landmarks():
-    """Every operation on an m=0 shape equals its landmark counterpart.
-
-    Shared summation orders make most of these bitwise identities.
-    """
+@pytest.mark.parametrize("p", [3, 200])  # 200 points: three upper tiles of 81, 81 and 38 rows
+def test_zero_dimensional_shape_reduces_to_landmarks(p):
+    """Every operation on an m=0 shape equals its landmark counterpart: the
+    pair sums are the same at unit weights, bit for bit.  The curvature terms
+    agree to ``1e-12 * (1 + |term|)``, and the four parts also to 1e-13
+    absolute, since their Gram products round differently."""
     rng = np.random.default_rng(24)
-    q = rng.uniform(-1.0, 1.0, size=(3, 2))
-    q[:, 0] += 2.0 * np.arange(3)
-    a = rng.standard_normal((3, 2))
-    b = rng.standard_normal((3, 2))
-    metric = LandmarkMetric(SPEC, 3, 2)
+    q = rng.uniform(-1.0, 1.0, size=(p, 2))
+    q[:, 0] += 2.0 * np.arange(p)
+    a = rng.standard_normal((p, 2))
+    b = rng.standard_normal((p, 2))
+    metric = LandmarkMetric(SPEC, p, 2)
     shape = shapes.landmark_shape(q)
 
     assert np.array_equal(
@@ -315,10 +348,16 @@ def test_zero_dimensional_shape_reduces_to_landmarks():
     lx, la = landmark_rhs(metric, q, a)
     assert np.array_equal(sx, lx)
     assert np.array_equal(sa, la)
+    shape_energy, landmark_energy = shapes.geodesic_rhs(SPEC, shape, a, True), landmark_rhs(metric, q, a, True)
+    for got, want in zip(shape_energy, landmark_energy, strict=True):
+        assert np.array_equal(got, want)
     assert np.array_equal(shapes.force_normal(SPEC, shape, a, b), landmark_force(metric, q, a, b))
     assert np.array_equal(shapes.stress_normal(SPEC, shape, a, b), landmark_stress(metric, q, a, b))
     sc = shapes.curvature_terms(SPEC, shape, a, b)
     lc = landmark_curvature(metric, q, a, b)
+    for term in ("r11", "r12", "r2", "r3", "total", "denominator"):
+        got, want = getattr(sc, term), getattr(lc, term)
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), term
     assert sc.r11 == pytest.approx(lc.r11, abs=1e-13)
     assert sc.r12 == pytest.approx(lc.r12, abs=1e-13)
     assert sc.r2 == pytest.approx(lc.r2, abs=1e-13)
