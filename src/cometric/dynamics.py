@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
 from .jets import require_dense
-from .landmark import LandmarkMetric, geodesic_rhs
+from .landmark import LandmarkMetric, _pairing, geodesic_rhs
 from .kernels import KernelSpec
 from . import shapes as shapes_mod
 
@@ -95,7 +95,7 @@ class ConservationReport:
 class HamiltonianSystem:
     """Autonomous system on stacked states of ``shape`` ``(2, *configuration)``.
     ``rhs_observe(y)`` is ``rhs(y)`` together with the observation of ``y``
-    (its H, momenta and, for shapes, frame checks), from one pair block."""
+    (H of the momenta on the rhs's velocity, momenta, frame checks), from one pair block."""
 
     rhs: Callable[[np.ndarray], np.ndarray]
     shape: tuple[int, ...]
@@ -119,12 +119,10 @@ def landmark_system(metric: LandmarkMetric) -> HamiltonianSystem:
         qdot, pdot = geodesic_rhs(metric, y[0], y[1])
         return np.array((qdot, pdot))  # not np.stack, which costs about four times as much per call
 
-    def observation(q: np.ndarray, mom: np.ndarray, h: float) -> dict:
-        return {"H": h, "linear": mom.sum(axis=0), "angular": _angular_components(q, mom, pairs)}
-
     def rhs_observe(y: np.ndarray) -> tuple[np.ndarray, dict]:
-        qdot, pdot, h = geodesic_rhs(metric, y[0], y[1], True)  # energy by position: wrappers take *args
-        return np.array((qdot, pdot)), observation(y[0], y[1], h)
+        qdot, pdot = geodesic_rhs(metric, y[0], y[1])
+        return np.array((qdot, pdot)), {"H": 0.5 * _pairing(y[1], qdot, None), "linear": y[1].sum(axis=0),
+                                        "angular": _angular_components(y[0], y[1], pairs)}
 
     return HamiltonianSystem(rhs=rhs, shape=(2, p, d), rhs_observe=rhs_observe)
 
@@ -143,22 +141,16 @@ def shape_system(spec: KernelSpec, shape0: shapes_mod.DiscreteSubmanifold) -> Ha
         xdot, adot = shapes_mod.geodesic_rhs(spec, unpack(y[0]), y[1])
         return np.array((xdot, adot))
 
-    def observation(shp: shapes_mod.DiscreteSubmanifold, a: np.ndarray, h: float) -> dict:
-        out = {
-            "H": h,
-            "linear": np.einsum("s,si->i", w, a),
-            "angular": _angular_components(shp.x, a, pairs, w),
-        }
-        if shape0.m > 0:
-            fresh, quality = shapes_mod.rederive_frames(shp)
-            out["normality"] = shapes_mod.normality_defect(fresh, a)
-            out["frame_quality"] = quality
-        return out
-
     def rhs_observe(y: np.ndarray) -> tuple[np.ndarray, dict]:
         shp, a = unpack(y[0]), y[1]
-        xdot, adot, h = shapes_mod.geodesic_rhs(spec, shp, a, True)
-        return np.array((xdot, adot)), observation(shp, a, h)
+        xdot, adot = shapes_mod.geodesic_rhs(spec, shp, a)
+        seen = {"H": 0.5 * _pairing(a, xdot, w), "linear": np.einsum("s,si->i", w, a),
+                "angular": _angular_components(shp.x, a, pairs, w)}
+        if shape0.m > 0:
+            fresh, quality = shapes_mod.rederive_frames(shp)
+            seen["normality"] = shapes_mod.normality_defect(fresh, a)
+            seen["frame_quality"] = quality
+        return np.array((xdot, adot)), seen
 
     return HamiltonianSystem(rhs=rhs, shape=(2, *shape0.x.shape), rhs_observe=rhs_observe)
 

@@ -184,5 +184,6 @@ def trajectory_csv(
     cols += [f"L_{i+1}{j+1}" for i in range(d) for j in range(i + 1, d)]
     lines = [",".join(cols)]
     table = np.column_stack([ts, qs.reshape(k, p * d), ps.reshape(k, p * d), hams, linear, angular])
-    lines += [",".join(map("%.17g".__mod__, values)) for values in table.tolist()]
+    row = ",".join(["%.17g"] * len(cols))  # one format call per row
+    lines += [row % tuple(values) for values in table.tolist()]
     return "\n".join(lines) + "\n"

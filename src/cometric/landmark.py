@@ -102,20 +102,14 @@ def landmark_cometric_jet(metric: LandmarkMetric, q: np.ndarray) -> CometricJet:
 # --- pair sums with quadrature weights ----------------------------------------
 #
 # The shape routes are these sums with a weight w_t on each coefficient and
-# w_s w_t on each pairing.  ``w = None`` means unit weights and forms no weight
+# w_s on each pairing.  ``w = None`` means unit weights and forms no weight
 # product, so the landmark routes pay nothing for them.
 
-def _pairing_part(blk: PairBlock, dots: np.ndarray, wa: np.ndarray, wb: np.ndarray, w: np.ndarray | None) -> float:
-    """One tile's ``sum_st w_s w_t dots[s, t] K_st`` for ``dots[s, t] = a_s . b_t``, ``wa = w a`` and ``wb = w b``."""
-    if w is not None:
-        dots = dots * w[blk.rows, None] * w[None, blk.rows.start:]
-    return blk.total(dots, blk.value, wa, wb)
-
-
-def _pairing(tiles, a: np.ndarray, b: np.ndarray, w: np.ndarray | None) -> float:
-    """``sum_st w_s w_t (a_s . b_t) K(x_s - x_t)``."""
-    wa, wb = (a, b) if w is None else (w[:, None] * a, w[:, None] * b)
-    return tile_sum([_pairing_part(blk, a[blk.rows] @ b[blk.rows.start:].T, wa, wb, w) for blk in tiles])
+def _pairing(a: np.ndarray, u: np.ndarray, w: np.ndarray | None) -> float:
+    """The pairing ``<a, K b> = sum_s w_s a_s . u_s`` of a covector with the field
+    values ``u = K b`` its route already holds (``H`` is half of it at ``b = a``);
+    ``w a`` is formed first, which is exact at unit weights."""
+    return float(np.einsum("sm,sm->", a if w is None else w[:, None] * a, u))
 
 
 def _values(blk: PairBlock, a: np.ndarray, w: np.ndarray | None) -> tuple:
@@ -141,13 +135,12 @@ def _stress(blk: PairBlock, coef: np.ndarray, b: np.ndarray, w: np.ndarray | Non
     return coef @ b[blk.rows.start:], coef, b, w
 
 
-def _rhs(tiles, a: np.ndarray, w: np.ndarray | None, energy: bool) -> tuple:
-    """Hamilton's equations for momenta ``a`` (..., p, D), with ``energy`` also
-    ``H = 1/2 sum_st w_s w_t (a_s . a_t) K_st``.  The loop writes out
+def _rhs(tiles, a: np.ndarray, w: np.ndarray | None) -> tuple:
+    """Hamilton's equations ``(qdot, pdot)`` for momenta ``a`` (..., p, D); ``qdot``
+    is the field values of ``a``, the ones ``H`` pairs with.  The loop writes out
     :func:`_values` of ``a`` and :func:`_force` of ``mixed = a_s . a_t``: at
     p = 2 the two calls would cost 4-7% of the call."""
-    wa = (a if w is None else w[:, None] * a) if energy else None
-    qdot, pdot, h = None, None, []
+    qdot, pdot = None, None
     for blk in tiles:
         right = a[..., blk.rows.start:, :]
         dots = a[..., blk.rows, :] @ right.mT  # in one tile numpy's syrk path, as ``a @ a.mT``
@@ -157,9 +150,7 @@ def _rhs(tiles, a: np.ndarray, w: np.ndarray | None, energy: bool) -> tuple:
         qdot = blk.fold(qdot, coef @ right, coef, a, w)
         coef = (dots if w is None else dots * w[None, blk.rows.start:]) * blk.g
         pdot = blk.fold(pdot, blk.contract(coef), coef, None, w)
-        if energy:
-            h.append(_pairing_part(blk, dots, wa, wa, w))
-    return (qdot, -pdot, 0.5 * tile_sum(h)) if energy else (qdot, -pdot)
+    return qdot, -pdot
 
 
 def _force_rows(tiles, a: np.ndarray, b: np.ndarray, w: np.ndarray | None) -> np.ndarray:
@@ -175,9 +166,9 @@ def _stress_rows(tiles, u: np.ndarray, b: np.ndarray, w: np.ndarray | None) -> n
 
 def _curvature_tile(blk: PairBlock, a: np.ndarray, b: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
                     wa: np.ndarray, wb: np.ndarray, w: np.ndarray | None) -> tuple:
-    """One tile's share of :func:`_curvature_sums`: the three Hessian sums of r11
-    and the three pairings, then the parts of the force and stress rows, from
-    four dot products and two stress coefficients formed once each."""
+    """One tile's share of :func:`_curvature_sums`: the three Hessian sums of r11,
+    then the parts of the force and stress rows, from four dot products and two
+    stress coefficients formed once each."""
     du, rate_a = blk.rate(u_a)
     dv, rate_b = blk.rate(u_b)
     rows, lo = blk.rows, blk.rows.start
@@ -190,9 +181,6 @@ def _curvature_tile(blk: PairBlock, a: np.ndarray, b: np.ndarray, u_a: np.ndarra
         blk.total(dots_bb, blk.hess_form(du, rate_a, du, rate_a), wb, wb),
         blk.total(dots_ab, blk.hess_form(du, rate_a, dv, rate_b), wa, wb),
         blk.total(dots_aa, blk.hess_form(dv, rate_b, dv, rate_b), wa, wa),
-        blk.total(dots_aa, blk.value, wa, wa),
-        blk.total(dots_bb, blk.value, wb, wb),
-        blk.total(dots_ab, blk.value, wa, wb),
         _force(blk, aa + aa, w), _force(blk, bb + bb, w), _force(blk, ab + ba, w),
         _stress(blk, sa, a, w), _stress(blk, sb, b, w), _stress(blk, sa, b, w), _stress(blk, sb, a, w),
     )
@@ -201,43 +189,42 @@ def _curvature_tile(blk: PairBlock, a: np.ndarray, b: np.ndarray, u_a: np.ndarra
 def _curvature_sums(tiles, a: np.ndarray, b: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
                     w: np.ndarray | None) -> tuple:
     """The pair sums of the curvature terms, from the field values ``u_a`` and ``u_b``:
-    ``r11``, the plane's ``(denominator, scale)``, and the force and stress rows
-    ``[f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba]``."""
+    ``r11``, the plane's ``(denominator, scale)`` from the pairings with them,
+    and the force and stress rows ``[f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba]``."""
     wa, wb = (a, b) if w is None else (w[:, None] * a, w[:, None] * b)
     sums, rows = [], [None] * 7
     for blk in tiles:
         part = _curvature_tile(blk, a, b, u_a, u_b, wa, wb, w)
-        sums.append(part[:6])
-        rows = [blk.fold(out, *side) for out, side in zip(rows, part[6:])]
-    h_bb, h_ab, h_aa, paa, pbb, pab = map(tile_sum, zip(*sums))
+        sums.append(part[:3])
+        rows = [blk.fold(out, *side) for out, side in zip(rows, part[3:])]
+    h_bb, h_ab, h_aa = map(tile_sum, zip(*sums))
+    paa, pbb, pab = _pairing(a, u_a, w), _pairing(b, u_b, w), _pairing(a, u_b, w)
     rows[:3] = [-0.5 * f for f in rows[:3]]
     return 0.5 * (h_bb - 2.0 * h_ab + h_aa), (paa * pbb - pab * pab, paa * pbb), rows
 
 
 def _bracket(field: np.ndarray, solve) -> float:
     """``r3 = -3/4 <solve(field), field>`` for a Gram solve; 0 when the bracket field vanishes."""
-    return 0.0 if float(np.abs(field).max()) == 0.0 else -0.75 * float(np.einsum("sm,sm->", solve(field), field))
+    return 0.0 if float(np.abs(field).max()) == 0.0 else -0.75 * _pairing(solve(field), field, None)
 
 
 # --- landmark routes: the pair sums at unit weights -----------------------------
 
 def hamiltonian(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> float:
-    """``H(q, p) = 1/2 sum_ab (p_a . p_b) K(q_a - q_b)``."""
-    tiles = _tiles(metric, q, 0)
-    mom = _check_mom(metric, mom)
-    return 0.5 * _pairing(tiles, mom, mom, None)
+    """``H(q, p) = 1/2 sum_a p_a . u_a = 1/2 sum_ab (p_a . p_b) K(q_a - q_b)`` for ``u`` the :func:`velocity`."""
+    return 0.5 * _pairing(mom, velocity(metric, q, mom), None)  # velocity checks mom first
 
 
-def geodesic_rhs(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray, energy: bool = False) -> tuple:
+def geodesic_rhs(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> tuple:
     """Hamilton's equations:
     ``qdot_a = sum_b K(q_a-q_b) p_b``, ``pdot_a = -sum_b (p_a.p_b) grad K(q_a-q_b)``.
     ``q`` and ``mom`` are (..., p, D): a batch on leading axes is stepped as
-    if each configuration were alone, bit for bit.  With ``energy`` (one
-    configuration only), also :func:`hamiltonian` at ``(q, p)``, bit for bit,
-    from the same pair tiles: ``(qdot, pdot, H)``."""
+    if each configuration were alone, bit for bit.  ``qdot`` is
+    :func:`velocity`, bit for bit, so ``1/2 sum_a p_a . qdot_a`` is
+    :func:`hamiltonian`."""
     q = _positions(metric, q)
     tiles = pair_tiles(metric.kernel, q, 1, "landmarks")
-    return _rhs(tiles, _check_mom(metric, mom, q.shape[:-2]), None, energy)
+    return _rhs(tiles, _check_mom(metric, mom, q.shape[:-2]), None)
 
 
 def velocity(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> np.ndarray:
@@ -290,7 +277,7 @@ def curvature(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarra
     f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba = rows
     r12 = float(np.einsum("cm,cm->", f_aa, d_bb) + np.einsum("cm,cm->", f_bb, d_aa)
                 - np.einsum("cm,cm->", f_ab, d_ab + d_ba))
-    r2 = float(np.einsum("sm,sm->", f_ab, kv @ f_ab) - np.einsum("sm,sm->", f_aa, kv @ f_bb))
+    r2 = _pairing(f_ab, kv @ f_ab, None) - _pairing(f_aa, kv @ f_bb, None)
     r3 = _bracket(d_ab - d_ba, lambda field: gram_solve(kv, field, "kernel Gram"))
     return _breakdown(r11, r12, r2, r3, *plane)
 

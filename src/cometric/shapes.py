@@ -211,10 +211,9 @@ def _tiles(spec: KernelSpec, shape: DiscreteSubmanifold, order: int):
 
 
 def induced_pairing(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> float:
-    """``sum_st w_s w_t (a_s . b_t) K(x_s - x_t)``."""
+    """``sum_s w_s a_s . u_b(x_s)``, that is ``sum_st w_s w_t (a_s . b_t) K(x_s - x_t)``."""
     a = _check_mom(shape, a)
-    b = _check_mom(shape, b)
-    return _pairing(_tiles(spec, shape, 0), a, b, shape.w)
+    return _pairing(a, horizontal_velocity(spec, shape, b), shape.w)
 
 
 def horizontal_velocity(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray) -> np.ndarray:
@@ -223,15 +222,15 @@ def horizontal_velocity(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndar
     return fold_tiles(_tiles(spec, shape, 0), lambda blk: _values(blk, a, shape.w))
 
 
-def geodesic_rhs(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, energy: bool = False) -> tuple:
+def geodesic_rhs(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray) -> tuple:
     """Horizontal geodesic system:
     ``xdot_s = u_a(x_s)`` (full field values) and
     ``adot_s = -(Du(x_s))^T a_s`` (Jacobian-transpose transport; weights stay
-    fixed).  With ``m = 0`` this is exactly the landmark system.  With
-    ``energy``, also ``H = 1/2 induced_pairing(a, a)``, bit for bit, from the
-    same pair tiles: ``(xdot, adot, H)``."""
+    fixed).  With ``m = 0`` this is exactly the landmark system.  ``xdot`` is
+    :func:`horizontal_velocity`, bit for bit, so ``1/2 sum_s w_s a_s . xdot_s``
+    is ``1/2 induced_pairing(a, a)``."""
     a = _check_mom(shape, a)
-    return _rhs(_tiles(spec, shape, 1), a, shape.w, energy)
+    return _rhs(_tiles(spec, shape, 1), a, shape.w)
 
 
 def force_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -307,10 +306,10 @@ def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray,
                 - np.einsum("s,sm,sm->", w, f_ab, d_ab + d_ba))
 
     kw_ab, kw_bb = np.empty_like(f_ab), np.empty_like(f_bb)
-    for rows in row_slices(len(w)):  # w_s w_t K_st, by rows
+    for rows in row_slices(len(w)):  # w_s w_t K_st, by rows: field values with the pairing's w_s in them
         kw = kv[rows] * (w[rows, None] * w[None, :])
         kw_ab[rows], kw_bb[rows] = kw @ f_ab, kw @ f_bb
-    r2 = float(np.einsum("sm,sm->", f_ab, kw_ab) - np.einsum("sm,sm->", f_aa, kw_bb))
+    r2 = _pairing(f_ab, kw_ab, None) - _pairing(f_aa, kw_bb, None)
 
     r3 = _bracket(d_ab - d_ba, lambda field: _normal_gram_solve(kv, shape, field))
     return _breakdown(r11, r12, r2, r3, *plane)

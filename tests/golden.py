@@ -4,7 +4,7 @@ the regeneration script.
     PYTHONPATH=src python tests/golden.py              # rewrite tests/golden.json
     PYTHONPATH=src python tests/golden.py --check      # compare, write nothing
     PYTHONPATH=src python tests/golden.py --dump DIR   # also keep each output in DIR
-    python tests/golden.py --compare OLD_DIR NEW_DIR   # largest relative change per moved output
+    python tests/golden.py --compare OLD_DIR NEW_DIR   # largest relative change and moved fields per output
 
 Every input is built here from a fixed seed, so the ledger pins the bytes of
 each subcommand's output (its sha256, and the text itself when short) and
@@ -191,14 +191,37 @@ def largest_relative_change(old: str, new: str) -> float:
     return worst
 
 
+def moved_fields(old: str, new: str) -> list[str]:
+    """The fields of two outputs that differ: dotted paths to the JSON values
+    that are not objects, or CSV columns by their header name; none for other
+    text."""
+    try:
+        return _moved_keys(json.loads(old), json.loads(new), "")
+    except ValueError:
+        pass
+    rows_a, rows_b = ([line.split(",") for line in text.splitlines()] for text in (old, new))
+    if len(rows_a) < 2 or rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
+        return []
+    return [name for k, name in enumerate(rows_a[0]) if any(x[k] != y[k] for x, y in zip(rows_a[1:], rows_b[1:]))]
+
+
+def _moved_keys(a, b, path: str) -> list[str]:
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [path]
+    keys = [*a, *(key for key in b if key not in a)]
+    return [f for key in keys for f in _moved_keys(a.get(key), b.get(key), f"{path}.{key}" if path else key)]
+
+
 def _compare(old_dir: Path, new_dir: Path) -> int:
     for new in sorted(new_dir.iterdir()):
         old = old_dir / new.name
         if not old.is_file():
             print(f"{new.stem}: new entry")
         elif old.read_bytes() != new.read_bytes():
-            print(f"{new.stem}: largest relative change "
-                  f"{largest_relative_change(old.read_text(), new.read_text()):.3e}")
+            before, after = old.read_text(), new.read_text()
+            fields = moved_fields(before, after)
+            print(f"{new.stem}: largest relative change {largest_relative_change(before, after):.3e}"
+                  + (f" in {', '.join(fields)}" if fields else ""))
     return 0
 
 
@@ -207,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", action="store_true", help="compare with the ledger; write nothing")
     parser.add_argument("--dump", type=Path, help="also write each output (and the suite details) here")
     parser.add_argument("--compare", type=Path, nargs=2, metavar=("OLD", "NEW"),
-                        help="print the largest relative change of each output that differs")
+                        help="print the largest relative change and the moved fields of each output that differs")
     args = parser.parse_args(argv)
     if args.compare:
         return _compare(*args.compare)

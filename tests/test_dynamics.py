@@ -314,20 +314,20 @@ def test_match_integrates_once_per_shot(monkeypatch):
     """Criterion 10's pair converges in 4 iterations.  An iteration's 8
     Jacobian shots step as one batch, one batched rhs call per stage, so the
     start, 4 Jacobian batches and 4 accepted trials make 9 integrations of
-    100 RK4 steps.  No shot is monitored, so no rhs call evaluates H."""
+    100 RK4 steps."""
     pair, q0, target, config = _criterion_10_pair(1e-2)
-    calls = {"rhs": 0, "H": 0}
+    calls = 0
     rhs = dynamics.geodesic_rhs
 
     def counting_rhs(*args):
-        calls["rhs"] += 1
-        calls["H"] += len(args) > 3 and bool(args[3])  # the ``energy`` flag
+        nonlocal calls
+        calls += 1
         return rhs(*args)
 
     monkeypatch.setattr(dynamics, "geodesic_rhs", counting_rhs)
     result = match(pair, q0, target, config)
     assert result.iterations == 4 and len(result.residuals) == 5
-    assert calls == {"rhs": (5 + 4) * 4 * 100, "H": 0}
+    assert calls == (5 + 4) * 4 * 100
 
 
 def test_match_rejects_a_diverging_trial():
@@ -448,6 +448,20 @@ def test_monitored_energy_is_the_hamiltonian_bit_for_bit(kind):
         if kind == "curve":
             assert report.normality[k] == seen["normality"]
             assert report.frame_quality[k] == seen["frame_quality"]
+
+
+def test_monitored_energy_is_the_hamiltonian_above_one_tile():
+    """At p = 200 (three upper row tiles) the rhs folds its velocity across
+    tiles, and the H paired with it is still ``landmark.hamiltonian`` exactly."""
+    p = 200
+    assert len(kernels.row_slices(p)) == 3
+    theta = 2.0 * np.pi * np.arange(p) / p
+    q = (0.4 * p / (2.0 * np.pi)) * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    mom = 0.3 * np.stack([np.cos(3.0 * theta), np.sin(2.0 * theta)], axis=1)
+    metric = LandmarkMetric(SPEC, p, 2)
+    ys, report = integrate(landmark_system(metric), np.array((q, mom)), IntegratorConfig(dt=0.05, t_final=0.1))
+    for k, y in enumerate(ys):
+        assert report.hamiltonian[k] == landmark.hamiltonian(metric, y[0], y[1])
 
 
 @pytest.mark.parametrize("kind", ["landmark", "curve"])

@@ -69,3 +69,14 @@ def test_gram_outputs_do_not_depend_on_the_thread_count(argvs, tmp_path):
     if seen["threads"] != 2:
         pytest.skip(f"OpenBLAS runs {seen['threads']} thread(s) here, not 2")
     assert seen["sha256"] == {name: LEDGER["outputs"][name]["sha256"] for name in names}
+
+
+def test_compare_names_the_moved_fields():
+    """``--compare`` names the JSON values (by dotted path) or CSV columns
+    that moved, and nothing for other text."""
+    old = '{"q": [[1.0, 2.0]], "breakdown": {"r11": 1.5, "denominator": 2.0}}'
+    new = '{"q": [[1.0, 2.0]], "breakdown": {"r11": 1.5, "denominator": 2.0000000000000004}}'
+    assert golden.moved_fields(old, new) == ["breakdown.denominator"]
+    assert golden.moved_fields(old, old) == []
+    assert golden.moved_fields("t,q_1_1,H\n0,1,2\n1,1,3\n", "t,q_1_1,H\n0,1,2\n1,1,3.5\n") == ["H"]
+    assert golden.moved_fields("dH 1.0e-10, dP 0", "dH 2.0e-10, dP 0") == []

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cometric import kernels, landmark, shapes
+from cometric.dynamics import landmark_system, shape_system
 from cometric.errors import ConfigurationError, DegenerateConfigurationError
 from cometric.kernels import KernelSpec, check_distinct, gram_matrix, pair_tiles
 from cometric.landmark import LandmarkMetric
@@ -35,6 +36,12 @@ def _quarter_turn(a: np.ndarray) -> np.ndarray:
     return np.stack([-a[..., 1], a[..., 0]], axis=-1)
 
 
+def _observed(system, x: np.ndarray, a: np.ndarray) -> tuple:
+    """The rhs of the state ``(x, a)`` and the H observed with it."""
+    rhs, seen = system.rhs_observe(np.array((x, a)))
+    return rhs, seen["H"]
+
+
 def _landmark_routes(p: int) -> dict:
     rng = np.random.default_rng(p)
     metric = LandmarkMetric(SPEC, p, 2)
@@ -44,7 +51,7 @@ def _landmark_routes(p: int) -> dict:
     qs, moms = np.stack([q, _ring(p, 1)]), np.stack([a, b])
     return {
         "rhs": lambda: landmark.geodesic_rhs(metric, q, a),
-        "rhs_energy": lambda: landmark.geodesic_rhs(metric, q, a, True),
+        "rhs_energy": lambda: _observed(landmark_system(metric), q, a),
         "rhs_batch": lambda: landmark.geodesic_rhs(metric, qs, moms),
         "hamiltonian": lambda: landmark.hamiltonian(metric, q, a),
         "velocity": lambda: landmark.velocity(metric, q, a),
@@ -62,7 +69,7 @@ def _shape_routes(p: int) -> dict:
     a = np.cos(3.0 * theta)[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     b = shapes.project_normal(curve, np.sin(2.0 * theta)[:, None] * curve.x)
     return {
-        "shape_rhs": lambda: shapes.geodesic_rhs(SPEC, curve, a, True),
+        "shape_rhs": lambda: _observed(shape_system(SPEC, curve), curve.x, a),
         "pairing": lambda: shapes.induced_pairing(SPEC, curve, a, b),
         "force_normal": lambda: shapes.force_normal(SPEC, curve, a, b),
         "stress_normal": lambda: shapes.stress_normal(SPEC, curve, a, b),
@@ -272,7 +279,7 @@ def test_bad_row_in_a_later_tile_is_refused_without_a_warning(row, message, monk
     mom = np.ones((p, 2))
     metric = LandmarkMetric(SPEC, p, 2)
     for call in (lambda: check_distinct(q, what="landmarks"),
-                 lambda: landmark.geodesic_rhs(metric, q, mom, True),
+                 lambda: landmark.geodesic_rhs(metric, q, mom),
                  lambda: landmark.geodesic_rhs(metric, np.stack([_ring(p), q]), np.stack([mom, mom])),
                  lambda: landmark.stress(metric, q, mom, mom)):
         with pytest.raises(ConfigurationError, match=message) as info:
@@ -297,16 +304,17 @@ def test_batched_tiles_are_each_configuration_alone_bit_for_bit(p, rows, members
 
 
 def test_large_rhs_holds_no_pair_array_of_every_pair():
-    """At p = 3200 one untiled (p, p) array is 82 MB; the tiled rhs peaks
-    under 64 MB in all."""
+    """At p = 3200 one untiled (p, p) array is 82 MB; the tiled rhs, and the
+    Hamiltonian from its field values, each peak under 64 MB in all."""
     p = 3200
     q = _ring(p)
     mom = np.random.default_rng(3).standard_normal((p, 2))
     metric = LandmarkMetric(SPEC, p, 2)
-    tracemalloc.start()
-    try:
-        landmark.geodesic_rhs(metric, q, mom, True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64e6
+    for route in (landmark.geodesic_rhs, landmark.hamiltonian):
+        tracemalloc.start()
+        try:
+            route(metric, q, mom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, route.__name__
