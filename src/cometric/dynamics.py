@@ -102,12 +102,9 @@ class HamiltonianSystem:
     rhs_observe: Callable[[np.ndarray], tuple[np.ndarray, dict]]
 
 
-def _angular_components(q: np.ndarray, p: np.ndarray, pairs: tuple, w: np.ndarray | None = None) -> np.ndarray:
-    """All ``sum_a w_a (q_a^i p_a^j - q_a^j p_a^i)`` for the i < j in ``pairs``."""
-    if w is None:
-        mom = np.einsum("ai,aj->ij", q, p)
-    else:
-        mom = np.einsum("a,ai,aj->ij", w, q, p)
+def _angular_components(q: np.ndarray, p: np.ndarray, pairs: tuple) -> np.ndarray:
+    """All ``sum_a (q_a^i p_a^j - q_a^j p_a^i)`` for the i < j in ``pairs``."""
+    mom = np.einsum("ai,aj->ij", q, p)
     return mom[pairs] - mom.T[pairs]
 
 
@@ -121,7 +118,7 @@ def landmark_system(metric: LandmarkMetric) -> HamiltonianSystem:
 
     def rhs_observe(y: np.ndarray) -> tuple[np.ndarray, dict]:
         qdot, pdot = geodesic_rhs(metric, y[0], y[1])
-        return np.array((qdot, pdot)), {"H": 0.5 * _pairing(y[1], qdot, None), "linear": y[1].sum(axis=0),
+        return np.array((qdot, pdot)), {"H": 0.5 * _pairing(y[1], qdot), "linear": y[1].sum(axis=0),
                                         "angular": _angular_components(y[0], y[1], pairs)}
 
     return HamiltonianSystem(rhs=rhs, shape=(2, p, d), rhs_observe=rhs_observe)
@@ -144,8 +141,9 @@ def shape_system(spec: KernelSpec, shape0: shapes_mod.DiscreteSubmanifold) -> Ha
     def rhs_observe(y: np.ndarray) -> tuple[np.ndarray, dict]:
         shp, a = unpack(y[0]), y[1]
         xdot, adot = shapes_mod.geodesic_rhs(spec, shp, a)
-        seen = {"H": 0.5 * _pairing(a, xdot, w), "linear": np.einsum("s,si->i", w, a),
-                "angular": _angular_components(shp.x, a, pairs, w)}
+        wa = shapes_mod._weighted(shp, a)  # the landmark observation of (x, w a)
+        seen = {"H": 0.5 * _pairing(wa, xdot), "linear": wa.sum(axis=0),
+                "angular": _angular_components(shp.x, wa, pairs)}
         if shape0.m > 0:
             fresh, quality = shapes_mod.rederive_frames(shp)
             seen["normality"] = shapes_mod.normality_defect(fresh, a)

@@ -71,7 +71,7 @@ def assemble_jet(x: np.ndarray, ginv: np.ndarray, dginv: np.ndarray, ddginv: np.
         )
     if not (np.all(np.isfinite(ginv)) and np.all(np.isfinite(dginv)) and np.all(np.isfinite(ddginv))):
         raise MetricDegeneracyError("jet contains non-finite entries")
-    if not np.allclose(ginv, ginv.T, rtol=0.0, atol=1e-13 * (1.0 + np.abs(ginv).max())):
+    if not float(np.abs(ginv - ginv.T).max()) <= 1e-13 * (1.0 + np.abs(ginv).max()):  # finite: no NaN to slip past
         raise MetricDegeneracyError("cometric matrix is not symmetric")
 
     eigs = np.linalg.eigvalsh(0.5 * (ginv + ginv.T))

@@ -281,21 +281,17 @@ class PairBlock(NamedTuple):
         """``sum_t coef[..., s, t] diff[..., s, t, :]``, shape (..., rows, D)."""
         return np.matmul(coef[..., None, :], self.diff)[..., 0, :]
 
-    def column(self, coef: np.ndarray, field: np.ndarray | None, w: np.ndarray | None) -> np.ndarray:
+    def column(self, coef: np.ndarray, field: np.ndarray | None) -> np.ndarray:
         """The column side of a row tile's reduction whose row side is ``coef @ field[rows.start:]``
         (:meth:`contract` for no field), (..., p - rows.stop, D): for each ``t`` past the square, the
         sum over the rows ``s`` of ``coef[..., s, t]`` times ``field_s``, or ``x_t - x_s`` (the diff
-        flips sign).  A ``coef`` that carries the weight ``w_t`` takes ``w_s`` instead."""
+        flips sign)."""
         rows, n = self.rows, coef.shape[-2]
         if field is None:
-            c = coef[..., n:] if w is None else coef[..., n:] * w[rows, None]
-            out = -np.einsum("...st,...stm->...tm", c, self.diff[..., n:, :])
-        else:
-            out = coef[..., n:].mT @ (field[..., rows, :] if w is None else w[rows, None] * field[rows])
-        return out if w is None else out / w[rows.stop:, None]
+            return -np.einsum("...st,...stm->...tm", coef[..., n:], self.diff[..., n:, :])
+        return coef[..., n:].mT @ field[..., rows, :]
 
-    def fold(self, out: np.ndarray | None, row: np.ndarray, coef: np.ndarray, field: np.ndarray | None,
-             w: np.ndarray | None) -> np.ndarray:
+    def fold(self, out: np.ndarray | None, row: np.ndarray, coef: np.ndarray, field: np.ndarray | None) -> np.ndarray:
         """``out``, a pass's (..., p, D) rows so far (None at first), plus this tile's ``row`` and
         :meth:`column` sides, so a pass holds one sum per output; the whole block's ``row`` as it is."""
         rows = self.rows
@@ -303,7 +299,7 @@ class PairBlock(NamedTuple):
             return row
         out = np.zeros((*row.shape[:-2], self.value.shape[-1], row.shape[-1])) if out is None else out
         out[..., rows, :] += row
-        out[..., rows.stop:, :] += self.column(coef, field, w)
+        out[..., rows.stop:, :] += self.column(coef, field)
         return out
 
     def total(self, dots: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -312,7 +308,7 @@ class PairBlock(NamedTuple):
         out = float(np.einsum("st,st->", dots, x))
         if self.rows.stop is None:
             return out
-        return out + float(np.einsum("tm,tm->", a[self.rows.stop:], self.column(x, b, None)))
+        return out + float(np.einsum("tm,tm->", a[self.rows.stop:], self.column(x, b)))
 
     def rate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pair differences ``du`` of a field ``u`` (..., p, D) over the block's
@@ -371,8 +367,9 @@ def row_slices(p: int) -> tuple[slice, ...]:
 
 
 def fold_tiles(tiles: Iterator[PairBlock], part) -> np.ndarray:
-    """The rows of a one-output pass: each tile's ``part(blk) = (row, coef, field, w)`` folded in
-    by :meth:`PairBlock.fold` as the pass meets it."""
+    """The rows of a one-output pass: each tile's ``part(blk) = (row, coef, field)``, the arguments
+    of :meth:`PairBlock.fold` after ``out``, folded in as the pass meets it.  Every pass is a
+    unit-weight sum; a weighted one runs on weighted covectors (:mod:`cometric.shapes`)."""
     return functools.reduce(lambda out, blk: blk.fold(out, *part(blk)), tiles, None)
 
 

@@ -5,9 +5,9 @@
 ``x_{(a-1)D + i} = q_a^i``.  This module assembles exact jets of that cometric
 straight from kernel derivatives, and specializes the Hamiltonian flow, the
 force/stress primitives, and every curvature term so each double loop runs
-over landmark pairs instead of the flattened chart.  The pair sums take
-optional quadrature weights: :mod:`cometric.shapes` runs the same ones on
-weighted samples.
+over landmark pairs instead of the flattened chart.  The pair sums take no
+weights: :mod:`cometric.shapes` runs the same ones on its weighted covectors
+``w a``.
 
 Sign convention: the force and stress here live on the *induced* side, i.e.
 ``force(metric, q, a, a) == pdot`` of the geodesic flow exactly; they are the
@@ -99,43 +99,40 @@ def landmark_cometric_jet(metric: LandmarkMetric, q: np.ndarray) -> CometricJet:
     return assemble_jet(np.asarray(q, dtype=float).reshape(-1), ginv, dginv, ddginv)
 
 
-# --- pair sums with quadrature weights ----------------------------------------
+# --- pair sums ------------------------------------------------------------------
 #
-# The shape routes are these sums with a weight w_t on each coefficient and
-# w_s on each pairing.  ``w = None`` means unit weights and forms no weight
-# product, so the landmark routes pay nothing for them.
+# Unit-weight sums over the pairs of a configuration.  A weighted shape sum is
+# the same sum on the weighted covectors ``w a`` (:mod:`cometric.shapes`), so
+# no function here takes a weight.
 
-def _pairing(a: np.ndarray, u: np.ndarray, w: np.ndarray | None) -> float:
-    """The pairing ``<a, K b> = sum_s w_s a_s . u_s`` of a covector with the field
-    values ``u = K b`` its route already holds (``H`` is half of it at ``b = a``);
-    ``w a`` is formed first, which is exact at unit weights."""
-    return float(np.einsum("sm,sm->", a if w is None else w[:, None] * a, u))
-
-
-def _values(blk: PairBlock, a: np.ndarray, w: np.ndarray | None) -> tuple:
-    """One tile's part of the field values ``sum_t K_st w_t a_t``."""
-    kw = blk.value if w is None else blk.value * w[None, blk.rows.start:]
-    return kw @ a[..., blk.rows.start:, :], kw, a, w
+def _pairing(a: np.ndarray, u: np.ndarray) -> float:
+    """The pairing ``<a, K b> = sum_s a_s . u_s`` of a covector with the field
+    values ``u = K b`` its route already holds (``H`` is half of it at ``b = a``)."""
+    return float(np.einsum("sm,sm->", a, u))
 
 
-def _force(blk: PairBlock, mixed: np.ndarray, w: np.ndarray | None) -> tuple:
+def _values(blk: PairBlock, a: np.ndarray) -> tuple:
+    """One tile's part of the field values ``sum_t K_st a_t``."""
+    return blk.value @ a[..., blk.rows.start:, :], blk.value, a
+
+
+def _force(blk: PairBlock, mixed: np.ndarray) -> tuple:
     """One tile's part of the force rows before the factor -1/2, for ``mixed[s, t] = a_s . b_t + a_t . b_s``."""
-    coef = (mixed if w is None else mixed * w[None, blk.rows.start:]) * blk.g
-    return blk.contract(coef), coef, None, w
+    coef = mixed * blk.g
+    return blk.contract(coef), coef, None
 
 
-def _stress_coef(blk: PairBlock, rate: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """The stress coefficient ``-(g rate) w_t`` of a field whose radial rate is ``rate``."""
-    coef = blk.g * rate
-    return -(coef if w is None else coef * w[None, blk.rows.start:])
+def _stress_coef(blk: PairBlock, rate: np.ndarray) -> np.ndarray:
+    """The stress coefficient ``-(g rate)`` of a field whose radial rate is ``rate``."""
+    return -(blk.g * rate)
 
 
-def _stress(blk: PairBlock, coef: np.ndarray, b: np.ndarray, w: np.ndarray | None) -> tuple:
+def _stress(blk: PairBlock, coef: np.ndarray, b: np.ndarray) -> tuple:
     """One tile's part of the stress rows ``sum_t coef b_t``."""
-    return coef @ b[blk.rows.start:], coef, b, w
+    return coef @ b[blk.rows.start:], coef, b
 
 
-def _rhs(tiles, a: np.ndarray, w: np.ndarray | None) -> tuple:
+def _rhs(tiles, a: np.ndarray) -> tuple:
     """Hamilton's equations ``(qdot, pdot)`` for momenta ``a`` (..., p, D); ``qdot``
     is the field values of ``a``, the ones ``H`` pairs with.  The loop writes out
     :func:`_values` of ``a`` and :func:`_force` of ``mixed = a_s . a_t``: at
@@ -144,28 +141,24 @@ def _rhs(tiles, a: np.ndarray, w: np.ndarray | None) -> tuple:
     for blk in tiles:
         right = a[..., blk.rows.start:, :]
         dots = a[..., blk.rows, :] @ right.mT  # in one tile numpy's syrk path, as ``a @ a.mT``
-        # One name for both coefficients: a second one would hold this tile's
-        # values while the next tile is built (2-5% slower at p = 512).
-        coef = blk.value if w is None else blk.value * w[None, blk.rows.start:]
-        qdot = blk.fold(qdot, coef @ right, coef, a, w)
-        coef = (dots if w is None else dots * w[None, blk.rows.start:]) * blk.g
-        pdot = blk.fold(pdot, blk.contract(coef), coef, None, w)
+        qdot = blk.fold(qdot, blk.value @ right, blk.value, a)
+        coef = dots * blk.g
+        pdot = blk.fold(pdot, blk.contract(coef), coef, None)
     return qdot, -pdot
 
 
-def _force_rows(tiles, a: np.ndarray, b: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """``-1/2 sum_t w_t [(a_s.b_t) + (a_t.b_s)] grad K(x_s - x_t)``."""
+def _force_rows(tiles, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``-1/2 sum_t [(a_s.b_t) + (a_t.b_s)] grad K(x_s - x_t)``."""
     return -0.5 * fold_tiles(tiles, lambda blk: _force(
-        blk, a[blk.rows] @ b[blk.rows.start:].T + b[blk.rows] @ a[blk.rows.start:].T, w))
+        blk, a[blk.rows] @ b[blk.rows.start:].T + b[blk.rows] @ a[blk.rows.start:].T))
 
 
-def _stress_rows(tiles, u: np.ndarray, b: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """``-sum_t w_t [(u_s - u_t) . grad K(x_s - x_t)] b_t`` for field values ``u``."""
-    return fold_tiles(tiles, lambda blk: _stress(blk, _stress_coef(blk, blk.rate(u)[1], w), b, w))
+def _stress_rows(tiles, u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``-sum_t [(u_s - u_t) . grad K(x_s - x_t)] b_t`` for field values ``u``."""
+    return fold_tiles(tiles, lambda blk: _stress(blk, _stress_coef(blk, blk.rate(u)[1]), b))
 
 
-def _curvature_tile(blk: PairBlock, a: np.ndarray, b: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
-                    wa: np.ndarray, wb: np.ndarray, w: np.ndarray | None) -> tuple:
+def _curvature_tile(blk: PairBlock, a: np.ndarray, b: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> tuple:
     """One tile's share of :func:`_curvature_sums`: the three Hessian sums of r11,
     then the parts of the force and stress rows, from four dot products and two
     stress coefficients formed once each."""
@@ -174,45 +167,49 @@ def _curvature_tile(blk: PairBlock, a: np.ndarray, b: np.ndarray, u_a: np.ndarra
     rows, lo = blk.rows, blk.rows.start
     aa, bb = a[rows] @ a[lo:].T, b[rows] @ b[lo:].T
     ab, ba = a[rows] @ b[lo:].T, b[rows] @ a[lo:].T  # [s, t] = a_s . b_t and b_s . a_t
-    ww = None if w is None else w[rows, None] * w[None, lo:]
-    dots_aa, dots_bb, dots_ab = (aa, bb, ab) if ww is None else (aa * ww, bb * ww, ab * ww)
-    sa, sb = _stress_coef(blk, rate_a, w), _stress_coef(blk, rate_b, w)
+    sa, sb = _stress_coef(blk, rate_a), _stress_coef(blk, rate_b)
     return (
-        blk.total(dots_bb, blk.hess_form(du, rate_a, du, rate_a), wb, wb),
-        blk.total(dots_ab, blk.hess_form(du, rate_a, dv, rate_b), wa, wb),
-        blk.total(dots_aa, blk.hess_form(dv, rate_b, dv, rate_b), wa, wa),
-        _force(blk, aa + aa, w), _force(blk, bb + bb, w), _force(blk, ab + ba, w),
-        _stress(blk, sa, a, w), _stress(blk, sb, b, w), _stress(blk, sa, b, w), _stress(blk, sb, a, w),
+        blk.total(bb, blk.hess_form(du, rate_a, du, rate_a), b, b),
+        blk.total(ab, blk.hess_form(du, rate_a, dv, rate_b), a, b),
+        blk.total(aa, blk.hess_form(dv, rate_b, dv, rate_b), a, a),
+        _force(blk, aa + aa), _force(blk, bb + bb), _force(blk, ab + ba),
+        _stress(blk, sa, a), _stress(blk, sb, b), _stress(blk, sa, b), _stress(blk, sb, a),
     )
 
 
-def _curvature_sums(tiles, a: np.ndarray, b: np.ndarray, u_a: np.ndarray, u_b: np.ndarray,
-                    w: np.ndarray | None) -> tuple:
+def _curvature_sums(tiles, a: np.ndarray, b: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> tuple:
     """The pair sums of the curvature terms, from the field values ``u_a`` and ``u_b``:
     ``r11``, the plane's ``(denominator, scale)`` from the pairings with them,
     and the force and stress rows ``[f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba]``."""
-    wa, wb = (a, b) if w is None else (w[:, None] * a, w[:, None] * b)
     sums, rows = [], [None] * 7
     for blk in tiles:
-        part = _curvature_tile(blk, a, b, u_a, u_b, wa, wb, w)
+        part = _curvature_tile(blk, a, b, u_a, u_b)
         sums.append(part[:3])
         rows = [blk.fold(out, *side) for out, side in zip(rows, part[3:])]
     h_bb, h_ab, h_aa = map(tile_sum, zip(*sums))
-    paa, pbb, pab = _pairing(a, u_a, w), _pairing(b, u_b, w), _pairing(a, u_b, w)
+    paa, pbb, pab = _pairing(a, u_a), _pairing(b, u_b), _pairing(a, u_b)
     rows[:3] = [-0.5 * f for f in rows[:3]]
     return 0.5 * (h_bb - 2.0 * h_ab + h_aa), (paa * pbb - pab * pab, paa * pbb), rows
 
 
-def _bracket(field: np.ndarray, solve) -> float:
-    """``r3 = -3/4 <solve(field), field>`` for a Gram solve; 0 when the bracket field vanishes."""
-    return 0.0 if float(np.abs(field).max()) == 0.0 else -0.75 * _pairing(solve(field), field, None)
+def _row_terms(kv: np.ndarray, rows: list, solve) -> tuple[float, float, float]:
+    """``(r12, r2, r3)`` from the force and stress rows of :func:`_curvature_sums`, the
+    kernel Gram ``kv`` and a solve of it; ``r3 = -3/4 <solve(field), field>`` for the
+    bracket field ``d_ab - d_ba``, 0 when that field vanishes."""
+    f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba = rows
+    r12 = float(np.einsum("cm,cm->", f_aa, d_bb) + np.einsum("cm,cm->", f_bb, d_aa)
+                - np.einsum("cm,cm->", f_ab, d_ab + d_ba))
+    r2 = _pairing(f_ab, kv @ f_ab) - _pairing(f_aa, kv @ f_bb)
+    field = d_ab - d_ba
+    r3 = 0.0 if float(np.abs(field).max()) == 0.0 else -0.75 * _pairing(solve(field), field)
+    return r12, r2, r3
 
 
-# --- landmark routes: the pair sums at unit weights -----------------------------
+# --- landmark routes ------------------------------------------------------------
 
 def hamiltonian(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> float:
     """``H(q, p) = 1/2 sum_a p_a . u_a = 1/2 sum_ab (p_a . p_b) K(q_a - q_b)`` for ``u`` the :func:`velocity`."""
-    return 0.5 * _pairing(mom, velocity(metric, q, mom), None)  # velocity checks mom first
+    return 0.5 * _pairing(mom, velocity(metric, q, mom))  # velocity checks mom first
 
 
 def geodesic_rhs(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> tuple:
@@ -224,14 +221,14 @@ def geodesic_rhs(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> tupl
     :func:`hamiltonian`."""
     q = _positions(metric, q)
     tiles = pair_tiles(metric.kernel, q, 1, "landmarks")
-    return _rhs(tiles, _check_mom(metric, mom, q.shape[:-2]), None)
+    return _rhs(tiles, _check_mom(metric, mom, q.shape[:-2]))
 
 
 def velocity(metric: LandmarkMetric, q: np.ndarray, mom: np.ndarray) -> np.ndarray:
     """Raised momenta ``u_a = sum_b K(q_a - q_b) p_b`` (the landmark sharp)."""
     tiles = _tiles(metric, q, 0)
     mom = _check_mom(metric, mom)
-    return fold_tiles(tiles, lambda blk: _values(blk, mom, None))
+    return fold_tiles(tiles, lambda blk: _values(blk, mom))
 
 
 def force(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -242,7 +239,7 @@ def force(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -
     a = _check_mom(metric, a)
     b = _check_mom(metric, b)
     _check_finite(a, b)
-    return _force_rows(tiles, a, b, None)
+    return _force_rows(tiles, a, b)
 
 
 def stress(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -253,7 +250,7 @@ def stress(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarray) 
     a = _check_mom(metric, a)
     b = _check_mom(metric, b)
     _check_finite(a, b)
-    return _stress_rows(tiles, velocity(metric, q, a), b, None)
+    return _stress_rows(tiles, velocity(metric, q, a), b)
 
 
 @_refuses_overflow
@@ -273,13 +270,8 @@ def curvature(metric: LandmarkMetric, q: np.ndarray, a: np.ndarray, b: np.ndarra
     _check_finite(a, b)
     require_dense(8 * metric.p**2, f"kernel Gram at p={metric.p}")
     kv = fill_gram(_tiles(metric, q, 0))  # the Gram: r2 and r3 need all of it
-    r11, plane, rows = _curvature_sums(tiles, a, b, kv @ a, kv @ b, None)
-    f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba = rows
-    r12 = float(np.einsum("cm,cm->", f_aa, d_bb) + np.einsum("cm,cm->", f_bb, d_aa)
-                - np.einsum("cm,cm->", f_ab, d_ab + d_ba))
-    r2 = _pairing(f_ab, kv @ f_ab, None) - _pairing(f_aa, kv @ f_bb, None)
-    r3 = _bracket(d_ab - d_ba, lambda field: gram_solve(kv, field, "kernel Gram"))
-    return _breakdown(r11, r12, r2, r3, *plane)
+    r11, plane, rows = _curvature_sums(tiles, a, b, kv @ a, kv @ b)
+    return _breakdown(r11, *_row_terms(kv, rows, lambda field: gram_solve(kv, field, "kernel Gram")), *plane)
 
 
 # --- state serialization ------------------------------------------------------

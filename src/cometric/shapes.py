@@ -5,17 +5,21 @@ A shape is ``S`` samples ``x_s`` in ``R^n`` with quadrature weights ``w_s``,
 orthonormal tangent frames (``m`` rows per sample; ``m = 0`` makes the shape a
 plain landmark cloud with unit weights), and normal projectors
 ``P_s = I - sum_r t_r t_r^T``.  Momenta are covector *values* ``a_s`` (the
-measure sits in the weights); everything pairs through the kernel:
+measure sits in the weights); the covector density is ``w_s a_s``, and
+everything pairs through the kernel:
 
-    pairing(a, b)   = sum_st w_s w_t (a_s . b_t) K(x_s - x_t)
-    u_a(y)          = sum_t K(y - x_t) a_t w_t
+    pairing(a, b)   = sum_st (w_s a_s) . (w_t b_t) K(x_s - x_t)
+    u_a(y)          = sum_t K(y - x_t) w_t a_t
 
-The geodesic system transports samples by the full field values and momenta by
-minus the transposed velocity Jacobian; with ``m = 0`` it reduces bit-for-bit
-(or to 1e-12) to the landmark system, which is the identity the acceptance
-suite enforces.  Every pair sum is :mod:`cometric.landmark`'s, given the
-weights; force, stress and curvature rows are then projected to the normal
-bundle, and the bracket term restricts the kernel Gram solve to it.
+So every weighted pair sum here is :mod:`cometric.landmark`'s unit-weight sum
+on ``(x, w a)``: the weights enter once, as ``w a``, and force and momentum
+rows, which carry one ``w_s`` more than the shape's, are divided by it.  The
+geodesic system transports samples by the full field values and momenta by
+minus the transposed velocity Jacobian.  On :func:`landmark_shape` (``m = 0``,
+unit weights) ``w a`` is ``a`` bit for bit, so every route is the landmark
+route bit for bit, which is the identity the acceptance suite enforces.
+Force, stress and curvature rows are projected to the normal bundle, and the
+bracket term restricts the kernel Gram solve to it.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from .curvature import CurvatureBreakdown, _breakdown, _check_finite, _refuses_o
 from .errors import ConfigurationError, DegenerateConfigurationError
 from .jets import require_dense
 from .jsonio import float_array, integer
-from .kernels import KernelSpec, check_distinct, fill_gram, fold_tiles, gram_solve, pair_tiles, row_slices
-from .landmark import _bracket, _curvature_sums, _force_rows, _pairing, _rhs, _stress_rows, _values
+from .kernels import KernelSpec, check_distinct, fill_gram, fold_tiles, gram_solve, pair_tiles
+from .landmark import _curvature_sums, _force_rows, _pairing, _rhs, _row_terms, _stress_rows, _values
 
 FRAME_TOL = 1e-10  # largest entry error of a frame's Gram or projector accepted as orthonormal
 
@@ -56,6 +60,8 @@ class DiscreteSubmanifold:
         pr = np.asarray(self.projectors, dtype=float)
         if w.shape != (s,):
             raise ConfigurationError(f"weights must have shape ({s},), got {w.shape}")
+        if not np.isfinite(w).all():
+            raise ConfigurationError("weights must be finite")
         if np.any(w <= 0.0):
             raise ConfigurationError("weights must be positive")
         if t.ndim != 3 or t.shape[0] != s or t.shape[2] != n:
@@ -210,47 +216,51 @@ def _tiles(spec: KernelSpec, shape: DiscreteSubmanifold, order: int):
     return pair_tiles(spec, shape.x, order, "samples")
 
 
+def _weighted(shape: DiscreteSubmanifold, a: np.ndarray) -> np.ndarray:
+    """The covector density ``w_s a_s`` of momenta ``a``; ``a`` bit for bit at unit weights."""
+    return shape.w[:, None] * _check_mom(shape, a)
+
+
 def induced_pairing(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> float:
     """``sum_s w_s a_s . u_b(x_s)``, that is ``sum_st w_s w_t (a_s . b_t) K(x_s - x_t)``."""
-    a = _check_mom(shape, a)
-    return _pairing(a, horizontal_velocity(spec, shape, b), shape.w)
+    wa = _weighted(shape, a)
+    return _pairing(wa, horizontal_velocity(spec, shape, b))
 
 
 def horizontal_velocity(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray) -> np.ndarray:
-    """Field values ``u_a(x_s) = sum_t K(x_s - x_t) a_t w_t`` at the samples."""
-    a = _check_mom(shape, a)
-    return fold_tiles(_tiles(spec, shape, 0), lambda blk: _values(blk, a, shape.w))
+    """Field values ``u_a(x_s) = sum_t K(x_s - x_t) w_t a_t`` at the samples."""
+    wa = _weighted(shape, a)
+    return fold_tiles(_tiles(spec, shape, 0), lambda blk: _values(blk, wa))
 
 
 def geodesic_rhs(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray) -> tuple:
     """Horizontal geodesic system:
     ``xdot_s = u_a(x_s)`` (full field values) and
     ``adot_s = -(Du(x_s))^T a_s`` (Jacobian-transpose transport; weights stay
-    fixed).  With ``m = 0`` this is exactly the landmark system.  ``xdot`` is
-    :func:`horizontal_velocity`, bit for bit, so ``1/2 sum_s w_s a_s . xdot_s``
-    is ``1/2 induced_pairing(a, a)``."""
-    a = _check_mom(shape, a)
-    return _rhs(_tiles(spec, shape, 1), a, shape.w)
+    fixed): the landmark system on ``(x, w a)``, its momentum rows divided by
+    ``w``; on :func:`landmark_shape` it is the landmark system bit for bit.  ``xdot``
+    is :func:`horizontal_velocity`, bit for bit, so ``1/2 sum_s w_s a_s .
+    xdot_s`` is ``1/2 induced_pairing(a, a)``."""
+    xdot, wadot = _rhs(_tiles(spec, shape, 1), _weighted(shape, a))
+    return xdot, wadot / shape.w[:, None]
 
 
 def force_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Projected induced-side force:
     ``F_N(a,b)_s = -1/2 P_s sum_t w_t [(a_s.b_t) + (a_t.b_s)] grad K(x_s-x_t)``;
     ``force_normal(a, a)`` matches the normal part of the geodesic ``adot``."""
-    a = _check_mom(shape, a)
-    b = _check_mom(shape, b)
-    _check_finite(a, b)
-    return project_normal(shape, _force_rows(_tiles(spec, shape, 1), a, b, shape.w))
+    _check_finite(_check_mom(shape, a), _check_mom(shape, b))
+    wa, wb = _weighted(shape, a), _weighted(shape, b)
+    return project_normal(shape, _force_rows(_tiles(spec, shape, 1), wa, wb) / shape.w[:, None])
 
 
 def stress_normal(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Projected induced-side stress:
     ``D_N(a,b)_s = -P_s sum_t w_t [(u_a(x_s) - u_a(x_t)) . grad K(x_s-x_t)] b_t``."""
-    a = _check_mom(shape, a)
-    b = _check_mom(shape, b)
-    _check_finite(a, b)
+    _check_finite(_check_mom(shape, a), _check_mom(shape, b))
     u = horizontal_velocity(spec, shape, a)
-    return project_normal(shape, _stress_rows(_tiles(spec, shape, 1), u, b, shape.w))
+    wb = _weighted(shape, b)
+    return project_normal(shape, _stress_rows(_tiles(spec, shape, 1), u, wb))
 
 
 def _normal_basis(shape: DiscreteSubmanifold) -> np.ndarray:
@@ -285,34 +295,20 @@ def _normal_gram_solve(kv: np.ndarray, shape: DiscreteSubmanifold, w_field: np.n
 def curvature_terms(spec: KernelSpec, shape: DiscreteSubmanifold, a: np.ndarray, b: np.ndarray) -> CurvatureBreakdown:
     """Curvature numerator terms for normal momenta on a discrete shape.
 
-    The landmark pair sums with the weights, their rows projected to the
-    normal bundle; they reduce to the landmark terms when ``m = 0``.
+    The landmark curvature sums on ``(x, w a, w b)``, their rows projected to
+    the normal bundle.  The force rows are then ``w_s`` times the shape's, so
+    ``r12`` and ``r2`` carry no weight, and the bracket solve is for ``w xi``
+    (:func:`_normal_gram_solve`); on :func:`landmark_shape` these are the
+    landmark terms bit for bit.
     """
     spec.require_curvature_grade()
-    a = _check_mom(shape, a)
-    b = _check_mom(shape, b)
-    _check_finite(a, b)
-    w = shape.w
-    require_dense(8 * len(w) ** 2, f"kernel Gram at S={len(w)}")
+    _check_finite(_check_mom(shape, a), _check_mom(shape, b))
+    wa, wb = _weighted(shape, a), _weighted(shape, b)
+    require_dense(8 * shape.samples**2, f"kernel Gram at S={shape.samples}")
     kv = fill_gram(_tiles(spec, shape, 0))  # the Gram: r2 and r3 need all of it
-    u_a, u_b = np.empty_like(a), np.empty_like(b)
-    for rows in row_slices(len(w)):  # the field values, a row tile at a time
-        kw = kv[rows] * w[None, :]
-        u_a[rows], u_b[rows] = kw @ a, kw @ b
-    r11, plane, rows = _curvature_sums(_tiles(spec, shape, 2), a, b, u_a, u_b, w)
-    f_aa, f_bb, f_ab, d_aa, d_bb, d_ab, d_ba = (project_normal(shape, x) for x in rows)
-
-    r12 = float(np.einsum("s,sm,sm->", w, f_aa, d_bb) + np.einsum("s,sm,sm->", w, f_bb, d_aa)
-                - np.einsum("s,sm,sm->", w, f_ab, d_ab + d_ba))
-
-    kw_ab, kw_bb = np.empty_like(f_ab), np.empty_like(f_bb)
-    for rows in row_slices(len(w)):  # w_s w_t K_st, by rows: field values with the pairing's w_s in them
-        kw = kv[rows] * (w[rows, None] * w[None, :])
-        kw_ab[rows], kw_bb[rows] = kw @ f_ab, kw @ f_bb
-    r2 = _pairing(f_ab, kw_ab, None) - _pairing(f_aa, kw_bb, None)
-
-    r3 = _bracket(d_ab - d_ba, lambda field: _normal_gram_solve(kv, shape, field))
-    return _breakdown(r11, r12, r2, r3, *plane)
+    r11, plane, rows = _curvature_sums(_tiles(spec, shape, 2), wa, wb, kv @ wa, kv @ wb)
+    rows = [project_normal(shape, x) for x in rows]
+    return _breakdown(r11, *_row_terms(kv, rows, lambda field: _normal_gram_solve(kv, shape, field)), *plane)
 
 
 # --- serialization -----------------------------------------------------------

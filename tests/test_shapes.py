@@ -118,6 +118,24 @@ def test_shape_validation():
         )
 
 
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "weights must be finite"),
+    (np.inf, "weights must be finite"),
+    (-np.inf, "weights must be finite"),
+    (-1.0, "weights must be positive"),
+    (0.0, "weights must be positive"),
+], ids=["nan", "inf", "-inf", "negative", "zero"])
+def test_non_finite_or_non_positive_weight_refused(bad, message):
+    """One bad weight on a 16-sample circle is refused by name, before any
+    route could turn it into a NaN pairing or a misleading overflow."""
+    circle = shapes.make_circle(16)
+    w = circle.w.copy()
+    w[5] = bad
+    with pytest.raises(ConfigurationError) as info:
+        shapes.DiscreteSubmanifold(x=circle.x, w=w, tangents=circle.tangents, projectors=circle.projectors)
+    assert str(info.value) == message
+
+
 def _circle_fields(**change) -> dict:
     circle = shapes.make_circle(6)
     fields = {"x": circle.x, "w": circle.w, "tangents": circle.tangents, "projectors": circle.projectors}
@@ -330,10 +348,9 @@ def test_induced_pairing_symmetric_positive():
 
 @pytest.mark.parametrize("p", [3, 200])  # 200 points: three upper tiles of 81, 81 and 38 rows
 def test_zero_dimensional_shape_reduces_to_landmarks(p):
-    """Every operation on an m=0 shape equals its landmark counterpart: the
-    pair sums are the same at unit weights, bit for bit.  The curvature terms
-    agree to ``1e-12 * (1 + |term|)``, and the four parts also to 1e-13
-    absolute, since their Gram products round differently."""
+    """Every operation on an m=0 shape equals its landmark counterpart bit for
+    bit: at unit weights ``w a`` is ``a``, so the shape routes run the landmark
+    pair sums on the same covectors, curvature fields included."""
     rng = np.random.default_rng(24)
     q = rng.uniform(-1.0, 1.0, size=(p, 2))
     q[:, 0] += 2.0 * np.arange(p)
@@ -354,13 +371,39 @@ def test_zero_dimensional_shape_reduces_to_landmarks(p):
     assert np.array_equal(shapes.stress_normal(SPEC, shape, a, b), landmark_stress(metric, q, a, b))
     sc = shapes.curvature_terms(SPEC, shape, a, b)
     lc = landmark_curvature(metric, q, a, b)
-    for term in ("r11", "r12", "r2", "r3", "total", "denominator"):
-        got, want = getattr(sc, term), getattr(lc, term)
-        assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), term
-    assert sc.r11 == pytest.approx(lc.r11, abs=1e-13)
-    assert sc.r12 == pytest.approx(lc.r12, abs=1e-13)
-    assert sc.r2 == pytest.approx(lc.r2, abs=1e-13)
-    assert sc.r3 == pytest.approx(lc.r3, abs=1e-13)
+    for term in ("r11", "r12", "r2", "r3", "total", "denominator", "sectional"):
+        assert getattr(sc, term) == getattr(lc, term), term
+
+
+def test_weighted_routes_are_landmark_routes_on_weighted_covectors():
+    """On a closed curve with non-uniform weights above one tile (a knot at
+    S = 200: three upper tiles), each shape route is the landmark route on
+    ``(x, w a, w b)`` bit for bit, its force and momentum rows divided by
+    ``w``."""
+    s = 200
+    phi = 2 * np.pi * np.arange(s) / s
+    knot = np.stack([1.5 * np.cos(phi), 1.5 * np.sin(phi), 0.4 * np.sin(2 * phi)], axis=1)
+    curve = shapes.closed_curve(knot)
+    w = curve.w[:, None]
+    assert float(np.ptp(w)) > 0.1 * float(w.min())
+    rng = np.random.default_rng(29)
+    a = shapes.project_normal(curve, rng.standard_normal((s, 3)))
+    b = shapes.project_normal(curve, rng.standard_normal((s, 3)))
+    metric = LandmarkMetric(SPEC, s, 3)
+    wa, wb = w * a, w * b
+
+    assert np.array_equal(shapes.horizontal_velocity(SPEC, curve, a), landmark_velocity(metric, knot, wa))
+    sx, sa = shapes.geodesic_rhs(SPEC, curve, a)
+    lx, la = landmark_rhs(metric, knot, wa)
+    assert np.array_equal(sx, lx)
+    assert np.array_equal(sa, la / w)
+    assert np.array_equal(shapes.force_normal(SPEC, curve, a, b),
+                          shapes.project_normal(curve, landmark_force(metric, knot, wa, wb) / w))
+    assert np.array_equal(shapes.stress_normal(SPEC, curve, a, b),
+                          shapes.project_normal(curve, landmark_stress(metric, knot, wa, wb)))
+    assert 0.5 * shapes.induced_pairing(SPEC, curve, a, a) == landmark_hamiltonian(metric, knot, wa)
+    assert shapes.induced_pairing(SPEC, curve, a, b) == float(
+        np.einsum("sm,sm->", wa, landmark_velocity(metric, knot, wb)))
 
 
 @pytest.mark.parametrize("op", [
